@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -51,7 +52,7 @@ from .simulate import (
     sample_transition,
     save_samples_csv,
 )
-from .verify import CHECKS, Scenario, run_scenario
+from .verify import Scenario, ScenarioAnalytics, run_scenario
 
 __all__ = ["main", "load_document", "parse_scenario"]
 
@@ -93,11 +94,15 @@ def _build_jump(spec: dict, where: str):
     return StableAxis(axis=spec["axis"], alpha=spec["alpha"], scale=spec["scale"])
 
 
+def _reject_constant(name):
+    raise ValidationError(f"non-standard JSON constant {name}")
+
+
 def load_document(path) -> dict:
     """Read and structurally validate a scenario document."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     _require_keys(doc, _TOP_KEYS, _REQUIRED_KEYS, f"{path}")
@@ -116,14 +121,19 @@ def load_document(path) -> dict:
     return doc
 
 
-def parse_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
+def parse_scenario(doc: dict, overrides: dict | None = None,
+                   default_name: str = "scenario") -> Scenario:
     """Build a runnable Scenario from a validated document.
 
     overrides maps {seed, samples, dt, epsilon} from command-line flags over
-    the document's sim block.
+    the document's sim block; a None value leaves the document's value.
+    default_name names a document without a `name` field (the front end
+    passes the file stem).
     """
-    overrides = overrides or {}
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     d = doc["dimension"]
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ValidationError(f"dimension must be an integer >= 1, got {d!r}")
     mech_doc = doc["mechanism"]
     if len(mech_doc["b"]) != d:
         raise ValidationError(
@@ -148,14 +158,13 @@ def parse_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
         imm = ImmigrationMechanism(beta=imm_doc["beta"], nu=nu)
     sim = doc["sim"]
     cfg = SimConfig(
-        n_samples=int(overrides.get("samples") or sim["n_samples"]),
-        dt=float(overrides.get("dt") or sim["dt"]),
-        jump_threshold=float(overrides.get("epsilon") or sim.get("epsilon", 1e-3)),
-        seed=overrides.get("seed") if overrides.get("seed") is not None
-        else sim.get("seed"),
+        n_samples=int(overrides.get("samples", sim["n_samples"])),
+        dt=float(overrides.get("dt", sim["dt"])),
+        jump_threshold=float(overrides.get("epsilon", sim.get("epsilon", 1e-3))),
+        seed=overrides.get("seed", sim.get("seed")),
     )
     return Scenario(
-        name=doc.get("name", "scenario"),
+        name=doc.get("name", default_name),
         mech=mech,
         imm=imm,
         cfg=cfg,
@@ -180,9 +189,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _overrides(args) -> dict:
-    return {"seed": args.seed, "samples": args.samples,
-            "dt": args.dt, "epsilon": args.epsilon}
+def _load(path, args) -> tuple:
+    """(document, scenario) for one document path, with the flag overrides."""
+    doc = load_document(path)
+    overrides = {"seed": args.seed, "samples": args.samples,
+                 "dt": args.dt, "epsilon": args.epsilon}
+    return doc, parse_scenario(doc, overrides, Path(path).stem)
 
 
 def _parse_lam(text: str, d: int) -> np.ndarray:
@@ -200,7 +212,7 @@ def _parse_lam(text: str, d: int) -> np.ndarray:
 
 
 def cmd_mech_info(args) -> int:
-    sc = parse_scenario(load_document(args.document), _overrides(args))
+    _, sc = _load(args.document, args)
     mech = sc.mech
     print(f"dimension: {mech.d}")
     print(f"b: {mech.b.tolist()}")
@@ -227,7 +239,7 @@ def cmd_mech_info(args) -> int:
 
 
 def cmd_cumulant(args) -> int:
-    sc = parse_scenario(load_document(args.document), _overrides(args))
+    _, sc = _load(args.document, args)
     t_end = args.t if args.t is not None else max(sc.times, default=1.0)
     lam = _parse_lam(args.lam, sc.mech.d) if args.lam else sc.lambda_probe
     grid = np.linspace(0.0, t_end, args.grid)
@@ -237,11 +249,7 @@ def cmd_cumulant(args) -> int:
     path.to_csv(out)
     print(f"wrote {out}")
     print(f"v({t_end:g}, {lam.tolist()}) = {path.final.tolist()}")
-    try:
-        grey = grey_condition(dominating_mechanism(sc.mech))
-    except ValidationError:
-        grey = False
-    if grey:
+    if not ScenarioAnalytics(sc.mech).grey_failure:
         vbar = vbar_vector(sc.mech, t_end)
         print(f"vbar({t_end:g}) = {vbar.tolist()}")
     elif args.vbar:
@@ -250,7 +258,7 @@ def cmd_cumulant(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    sc = parse_scenario(load_document(args.document), _overrides(args))
+    _, sc = _load(args.document, args)
     times = sc.times or (1.0,)
     rows = []
     for t in (0.0,) + tuple(times):
@@ -267,7 +275,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sc = parse_scenario(load_document(args.document), _overrides(args))
+    _, sc = _load(args.document, args)
     t = args.t if args.t is not None else max(sc.times, default=1.0)
     rng = sc.cfg.rng()
     if sc.imm is not None:
@@ -282,7 +290,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_couple(args) -> int:
-    sc = parse_scenario(load_document(args.document), _overrides(args))
+    _, sc = _load(args.document, args)
     t = args.t if args.t is not None else max(sc.times, default=1.0)
     rng = sc.cfg.rng()
     if sc.imm is not None:
@@ -326,7 +334,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    sc = parse_scenario(load_document(args.document), _overrides(args))
+    _, sc = _load(args.document, args)
     if sc.imm is None or sc.imm.is_trivial():
         raise ValidationError("stationary sampling needs an immigration block")
     m_inf = stationary_mean(sc.mech, sc.imm)  # validates beta_star > 0
@@ -367,19 +375,22 @@ def _write_report(report, doc: dict, out: Path) -> None:
                       header + "\n" + "\n".join(lines) + "\n")
 
 
-def _verify_one(sc: Scenario):
-    return run_scenario(sc)
-
-
 def cmd_verify(args) -> int:
-    docs = [load_document(p) for p in args.documents]
-    scenarios = [parse_scenario(doc, _overrides(args)) for doc in docs]
+    """Run each document's checks; reports go to --out, or to --out/<name>
+    for several documents, `name` defaulting to the file stem (shared names
+    are refused before anything runs).  A row's ci is the 99% half-width of
+    its three-replicate mean estimate, Z99 * sqrt(sum_r se_r^2) / 3."""
+    docs, scenarios = zip(*(_load(p, args) for p in args.documents))
+    shared = sorted(n for n, k in Counter(sc.name for sc in scenarios).items() if k > 1)
+    if shared:
+        raise ValidationError(f"documents share the output name(s) {shared}; "
+                              "give each a distinct `name`")
     base = _out_dir(args)
     if args.workers > 1 and len(scenarios) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            reports = list(pool.map(_verify_one, scenarios))
+            reports = list(pool.map(run_scenario, scenarios))
     else:
-        reports = [_verify_one(sc) for sc in scenarios]
+        reports = [run_scenario(sc) for sc in scenarios]
     any_failed = False
     for doc, sc, report in zip(docs, scenarios, reports):
         out = base if len(scenarios) == 1 else base / sc.name
@@ -406,8 +417,6 @@ def _add_common(p: argparse.ArgumentParser, with_doc: bool = True) -> None:
     p.add_argument("--epsilon", type=float, default=None,
                    help="override sim.epsilon (small-jump threshold)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--tolerance", type=float, default=1e-10,
-                   help="cumulant solver relative tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,6 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cumulant", help="integrate the cumulant flow to CSV")
     _add_common(p)
+    p.add_argument("--tolerance", type=float, default=1e-10,
+                   help="cumulant solver relative tolerance")
     p.add_argument("--lam", default=None, help="initial frequency (scalar or comma list)")
     p.add_argument("--t", type=float, default=None, help="horizon (default: last scenario time)")
     p.add_argument("--grid", type=int, default=201, help="output grid points")
@@ -457,12 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run scenario checks, write reports")
     p.add_argument("documents", nargs="+", help="scenario documents (JSON)")
-    p.add_argument("--seed", type=int, default=None, help="override sim.seed")
-    p.add_argument("--samples", type=int, default=None, help="override sim.n_samples")
-    p.add_argument("--dt", type=float, default=None, help="override sim.dt")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="override sim.epsilon (small-jump threshold)")
-    p.add_argument("--out", default=".", help="output directory")
+    _add_common(p, with_doc=False)
     p.add_argument("--workers", type=int, default=1,
                    help="parallel scenario workers (multiple documents only)")
     p.set_defaults(func=cmd_verify)

@@ -53,7 +53,6 @@ __all__ = [
     "sample_immigration",
     "sample_cbi_transition",
     "sample_stationary",
-    "worker_rngs",
     "save_samples_csv",
 ]
 
@@ -82,20 +81,15 @@ class SimConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValidationError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not self.dt > 0:
-            raise ValidationError(f"dt must be > 0, got {self.dt}")
-        if self.jump_threshold < 0:
+        if not 0 < self.dt < math.inf:
+            raise ValidationError(f"dt must be finite and > 0, got {self.dt}")
+        if not self.jump_threshold >= 0:
             raise ValidationError(f"jump_threshold must be >= 0, got {self.jump_threshold}")
         if not self.ceiling > 0:
             raise ValidationError(f"ceiling must be > 0, got {self.ceiling}")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
-
-
-def worker_rngs(seed, n_workers: int):
-    """Independent, reproducible per-worker generators from one seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_workers)]
 
 
 def save_samples_csv(path, samples: np.ndarray) -> None:

@@ -73,6 +73,27 @@ class TestDocumentValidation:
         assert sc.cfg.n_samples == 123
         assert sc.cfg.dt == 0.5
         assert sc.cfg.jump_threshold == 0.2
+        # zero is a valid threshold and must not fall back to the document
+        assert parse_scenario(doc, {"epsilon": 0.0}).cfg.jump_threshold == 0.0
+        assert parse_scenario(doc, {"seed": None}).cfg.seed == 5
+        for key, bad in (("samples", 0), ("dt", 0), ("dt", math.inf)):
+            with pytest.raises(ValidationError, match="must be"):
+                parse_scenario(doc, {key: bad})
+        assert main(["mech-info", str(write_doc(tmp_path)), "--samples", "0"]) == 2
+
+    def test_dimension_must_be_a_positive_integer(self, tmp_path, capsys):
+        for bad in (True, 1.0, 0, "1"):
+            path = write_doc(tmp_path, dimension=bad)
+            with pytest.raises(ValidationError, match="dimension must be an integer"):
+                parse_scenario(load_document(path))
+        assert main(["mech-info", str(path)]) == 2
+        assert "dimension must be an integer" in capsys.readouterr().err
+
+    def test_non_standard_json_constant_rejected(self, tmp_path):
+        path = write_doc(tmp_path)
+        path.write_text(path.read_text().replace('"seed": 5', '"seed": NaN'))
+        with pytest.raises(ValidationError, match="NaN"):
+            load_document(path)
 
     def test_bundled_documents_parse(self):
         for name in ("ref_d1_quadratic", "ref_d2_folded", "ref_d1_stable",
@@ -245,6 +266,25 @@ class TestVerifyCommand:
         a["metadata"].pop("runtime_s")
         b["metadata"].pop("runtime_s")
         assert a == b
+
+    def test_nameless_documents_named_by_file_stem(self, tmp_path, capsys):
+        paths = []
+        for stem in ("first", "second"):
+            doc = json.loads(write_doc(tmp_path, checks=["lipschitz_contraction"]).read_text())
+            del doc["name"]
+            paths.append(tmp_path / f"{stem}.json")
+            paths[-1].write_text(json.dumps(doc))
+        assert main(["verify", *map(str, paths), "--out", str(tmp_path / "batch")]) == 0
+        for stem in ("first", "second"):
+            report = json.loads((tmp_path / "batch" / stem / "report.json").read_text())
+            assert report["scenario"] == stem
+
+    def test_shared_output_name_refused_before_running(self, tmp_path, capsys):
+        a = write_doc(tmp_path, name="a.json")
+        b = write_doc(tmp_path, name="b.json")  # both carry name "cli-test"
+        assert main(["verify", str(a), str(b), "--out", str(tmp_path / "batch")]) == 2
+        assert "cli-test" in capsys.readouterr().err
+        assert not (tmp_path / "batch").exists()
 
     def test_multiple_documents_with_workers(self, tmp_path):
         doc_a = write_doc(tmp_path, name="a.json", checks=["laplace"])

@@ -32,7 +32,6 @@ from cbilab.simulate import (
     sample_stationary,
     sample_transition,
     save_samples_csv,
-    worker_rngs,
 )
 
 LN2 = math.log(2.0)
@@ -317,14 +316,6 @@ def test_determinism_same_seed():
     sa = sample_transition([2.0], stable_mech(), 0.6, cfg, cfg.rng())
     sb = sample_transition([2.0], stable_mech(), 0.6, cfg, cfg.rng())
     assert np.array_equal(sa, sb)
-
-
-def test_worker_rngs_reproducible_and_distinct():
-    a = [r.standard_normal(4) for r in worker_rngs(99, 3)]
-    b = [r.standard_normal(4) for r in worker_rngs(99, 3)]
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-    assert not np.array_equal(a[0], a[1])
 
 
 def test_samples_csv_roundtrip(tmp_path):

@@ -6,11 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from cbilab import verify
 from cbilab.errors import ValidationError
 from cbilab.mechanism import BranchingMechanism, ImmigrationMechanism, PointMass
+from cbilab.cumulant import vbar_vector
 from cbilab.simulate import SimConfig
 from cbilab.verify import (
     CHECKS,
+    Z99,
+    CheckRow,
     Scenario,
     VerificationReport,
     _stationary_laplace_exponent,
@@ -41,6 +45,8 @@ class TestScenario:
             reference_scenario(times=(1.0, 1.0))
         with pytest.raises(ValidationError):
             reference_scenario(times=(0.0, 1.0))
+        with pytest.raises(ValidationError):
+            reference_scenario(times=(1.0, math.inf))
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValidationError, match="unknown checks"):
@@ -110,6 +116,16 @@ class TestReferenceScenario:
             assert row.analytic["beta_star"] == pytest.approx(1.0)
             assert row.estimate == pytest.approx(-1.0, abs=0.12)
 
+    def test_ci_is_half_width_of_replicate_mean(self, report):
+        n = report.metadata["n_samples"]
+        rows = [r for r in report.rows if r.check == "extinction_atom"]
+        assert rows
+        for r in rows:
+            target = r.analytic["target"]
+            se = math.sqrt(target * (1 - target) / n)
+            assert r.ci == pytest.approx(Z99 * se / math.sqrt(3), rel=1e-12)
+            assert r.estimate == pytest.approx(np.mean([r.details[f"rep{i}"] for i in (1, 2, 3)]))
+
     def test_metadata(self, report):
         assert report.metadata["seed"] == 20
         assert report.metadata["replicates"] == 3
@@ -154,6 +170,8 @@ class TestSkipPaths:
         row = report.rows[0]
         assert row.check == "stationary_mean"
         assert row.analytic["mean_mass"] == pytest.approx(math.exp(-2.0))
+        assert set(row.details) == {"rep1", "rep2", "rep3"}
+        assert row.estimate == pytest.approx(np.mean(list(row.details.values())))
 
     def test_linear_mechanism_skips_tv(self):
         # no diffusion, no jumps: extinction never completes, Vbar blows up
@@ -199,6 +217,25 @@ class TestDeterminism:
         assert laplace_alone == laplace_paired
 
 
+class TestSharedAnalytics:
+    def test_envelope_solved_once_per_time(self, monkeypatch):
+        calls = []
+
+        def counting(mech, t):
+            calls.append(t)
+            return vbar_vector(mech, t)
+
+        monkeypatch.setattr(verify, "vbar_vector", counting)
+        sc = reference_scenario(cfg=SimConfig(n_samples=300, dt=0.02, seed=3),
+                                times=(0.5, 1.0),
+                                checks=("extinction_atom", "tv_sandwich",
+                                        "lipschitz_contraction", "stationary"))
+        report = run_scenario(sc)
+        assert {r.check for r in report.rows} >= {"extinction_atom", "tv_sandwich",
+                                                   "lipschitz_contraction", "stationary_tv_bound"}
+        assert sorted(calls) == [0.5, 1.0]
+
+
 class TestStationaryExponent:
     def test_closed_form_gamma_laplace(self):
         # b=c=1, beta=2: the limit law is Gamma(2, 1), so the Laplace value
@@ -238,6 +275,21 @@ class TestReportSerialization:
         lines = small_report.summary().split("\n")
         assert len(lines) == len(small_report.rows) + 1
         assert lines[-1].startswith("total:")
+
+    def test_non_finite_numbers_serialise_as_null(self, tmp_path):
+        row = CheckRow(check="laplace", claim="c", t=1.0, estimate=float("nan"),
+                       ci=float("inf"), analytic={"target": 0.5, "bad": -float("inf")},
+                       details={"rep1": float("nan")})
+        report = VerificationReport(scenario="nan", rows=(row,), metadata={})
+
+        def refuse(name):
+            raise ValueError(name)
+
+        doc = json.loads(report.to_json(), parse_constant=refuse)
+        out = doc["rows"][0]
+        assert out["estimate"] is None and out["ci"] is None
+        assert out["analytic"] == {"target": 0.5, "bad": None}
+        assert out["details"] == {"rep1": None}
 
     def test_counts(self, small_report):
         c = small_report.counts()
