@@ -30,7 +30,7 @@ from .cumulant import (
     stationary_mean,
     vbar_vector,
 )
-from .distance import tv_empirical, w1_1d_quantile, w1_exact_empirical
+from .distance import tv_empirical, w1_exact_empirical
 from .errors import BlowUpError, GreyConditionError, NumericError, ValidationError
 from .mechanism import (
     BranchingMechanism,
@@ -128,9 +128,15 @@ def parse_scenario(doc: dict, overrides: dict | None = None,
     overrides maps {seed, samples, dt, epsilon} from command-line flags over
     the document's sim block; a None value leaves the document's value.
     default_name names a document without a `name` field (the front end
-    passes the file stem).
+    passes the file stem).  The name must be a single path component,
+    since `verify` writes each of several reports to --out/<name>.
     """
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    name = doc.get("name", default_name)
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or "/" in name or "\\" in name):
+        raise ValidationError(
+            f"name must be a non-empty single path component, got {name!r}")
     d = doc["dimension"]
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValidationError(f"dimension must be an integer >= 1, got {d!r}")
@@ -157,14 +163,17 @@ def parse_scenario(doc: dict, overrides: dict | None = None,
                    for spec in imm_doc.get("jumps", ()))
         imm = ImmigrationMechanism(beta=imm_doc["beta"], nu=nu)
     sim = doc["sim"]
+    seed = overrides.get("seed", sim.get("seed"))
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     cfg = SimConfig(
         n_samples=int(overrides.get("samples", sim["n_samples"])),
         dt=float(overrides.get("dt", sim["dt"])),
         jump_threshold=float(overrides.get("epsilon", sim.get("epsilon", 1e-3))),
-        seed=overrides.get("seed", sim.get("seed")),
+        seed=seed,
     )
     return Scenario(
-        name=doc.get("name", default_name),
+        name=name,
         mech=mech,
         imm=imm,
         cfg=cfg,
@@ -318,14 +327,8 @@ def cmd_distance(args) -> int:
     a = np.loadtxt(args.file_a, delimiter=",", skiprows=1, ndmin=2)
     b = np.loadtxt(args.file_b, delimiter=",", skiprows=1, ndmin=2)
     if args.metric in ("w1", "both"):
-        try:
-            w1 = w1_exact_empirical(a, b)
-            route = "assignment"
-        except ValidationError:
-            if a.shape[1] != 1:
-                raise
-            w1 = w1_1d_quantile(a, b)
-            route = "quantile"
+        w1 = w1_exact_empirical(a, b)
+        route = "quantile" if a.shape[1] == 1 else "assignment"
         print(f"w1 = {w1:.12g} ({route})")
     if args.metric in ("tv", "both"):
         tv = tv_empirical(a, b, bins=args.bins)

@@ -2,10 +2,14 @@
 
 The Wasserstein distance here always rides the l1 ground cost on mass
 vectors (the total-variation norm of the difference of two states on a
-finite type space).  Between uniform empirical measures with matching
-sample counts the optimal transport problem is a min-cost assignment and
-is solved exactly; mismatched counts are first repeat-expanded to the
-least common multiple, which represents the same empirical laws exactly.
+finite type space), and `w1_exact_empirical` picks the exact solver by
+dimension.  On a line the optimal plan is the sorted (comonotone) pairing,
+so d=1 is solved by quantile pairing at any sample counts.  In d >= 2,
+uniform empirical measures with matching sample counts make the optimal
+transport problem a min-cost assignment, solved exactly; mismatched counts
+are first repeat-expanded to the least common multiple, which represents
+the same empirical laws exactly.  The assignment solver stays the
+independent reference the 1-d route is tested against.
 
 Total variation uses the [0,2] convention (mass of |P - Q|, so disjoint
 supports give 2).  The empirical estimator separates the exact atom at the
@@ -72,13 +76,28 @@ def _as_law(x) -> EmpiricalLaw:
 def w1_exact_empirical(a, b, cap: int = ASSIGNMENT_CAP) -> float:
     """Exact Wasserstein-1 between two empirical laws (l1 ground cost).
 
-    Solved as a min-cost assignment.  Unequal sample counts are
-    repeat-expanded to their least common multiple first; if the matched
-    count exceeds `cap` the call refuses rather than approximate.
+    In d=1 this is the sorted (comonotone) pairing, `w1_1d_quantile`, at
+    any sample counts.  In d >= 2 it is a min-cost assignment: unequal
+    sample counts are repeat-expanded to their least common multiple
+    first, and if the matched count exceeds `cap` the call refuses rather
+    than approximate.
     """
     a, b = _as_law(a), _as_law(b)
     if a.d != b.d:
         raise ValidationError(f"dimension mismatch: {a.d} vs {b.d}")
+    if a.d == 1:
+        return w1_1d_quantile(a, b)
+    return _w1_assignment(a, b, cap)
+
+
+def _w1_assignment(a, b, cap: int = ASSIGNMENT_CAP) -> float:
+    """Exact Wasserstein-1 by min-cost assignment, in any dimension.
+
+    The d >= 2 route of `w1_exact_empirical`, and the reference its 1-d
+    route is tested against.  Refuses when the lcm-expanded count exceeds
+    `cap`.
+    """
+    a, b = _as_law(a), _as_law(b)
     # canonical argument order: both orientations solve the identical
     # instance, so the value is exactly symmetric
     if (a.n, a.samples.tobytes()) > (b.n, b.samples.tobytes()):

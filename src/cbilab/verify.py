@@ -90,7 +90,7 @@ __all__ = [
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 SIGMAS = 4.0  # pass threshold in standard errors
 REPLICATES = 3
-ASSIGN_SUBSAMPLE = 1024  # rows fed to the exact-assignment estimator
+ASSIGN_SUBSAMPLE = 1024  # rows fed to the exact empirical W1 estimator
 
 
 @dataclass(frozen=True)
@@ -307,13 +307,13 @@ def _stable_rel_floor(mech: BranchingMechanism, n: int) -> float:
 
 
 def _w1_replicate(pair, lower: float, upper: float, scale: float, sc: Scenario) -> tuple:
-    """One replicate of a W1 row: (assignment w1, its se, ok, coupling cost).
+    """One replicate of a W1 row: (subsample w1, its se, ok, coupling cost).
 
-    The full-batch coupling cost and the exact-assignment distance on a
-    capped subsample must both lie in [lower, upper] up to four standard
-    errors or a relative floor of scale.  The assignment's se, the
-    invariant w1 <= identity-matching cost and the tolerance all refer to
-    the subsample, not the full batch."""
+    The full-batch coupling cost and the exact empirical W1 on a capped
+    subsample (sorted pairing in d=1, min-cost assignment in d >= 2) must
+    both lie in [lower, upper] up to four standard errors or a relative
+    floor of scale.  The se of that W1, the invariant w1 <= identity-matching
+    cost and the tolerance all refer to the subsample, not the full batch."""
     n = min(pair.n, ASSIGN_SUBSAMPLE)
     w1 = w1_exact_empirical(pair.left[:n], pair.right[:n])
     cost_sub, se_sub = _mean_se(pair.row_costs()[:n])
@@ -324,7 +324,7 @@ def _w1_replicate(pair, lower: float, upper: float, scale: float, sc: Scenario) 
                   SIGMAS * se_sub)
     ok = (lower - tol <= cost <= upper + tol
           and lower - tol_sub <= w1 <= upper + tol_sub
-          and w1 <= cost_sub + 1e-9)  # assignment can only improve the pairing
+          and w1 <= cost_sub + 1e-9)  # the optimal plan can only improve the pairing
     return w1, se_sub, ok, cost
 
 

@@ -21,8 +21,8 @@ from cbilab.cli import load_document, main, parse_scenario
 from cbilab.coupling import (couple_cbi_to_stationary, couple_stationary,
                              couple_transitions)
 from cbilab.cumulant import closed_form_quadratic, moment_semigroup, solve_cumulant
-from cbilab.distance import (tv_empirical, tv_exact_quadratic, w1_1d_quantile,
-                             w1_exact_empirical)
+from cbilab.distance import (_w1_assignment, tv_empirical, tv_exact_quadratic,
+                             w1_1d_quantile)
 from cbilab.mechanism import (BranchingMechanism, ImmigrationMechanism,
                               beta_star, dominating_mechanism)
 from cbilab.simulate import (SimConfig, sample_cbi_transition,
@@ -223,11 +223,11 @@ def test_assignment_solver():
             a = rng.uniform(0.0, 3.0, size=(n, d))
             b = rng.uniform(0.0, 3.0, size=(n, d))
             b[rng.random(n) < 0.2] = 0.0  # extinct states show up in real batches
-            assert w1_exact_empirical(a, b) == pytest.approx(
+            assert _w1_assignment(a, b) == pytest.approx(
                 _brute_force_w1(a, b), abs=1e-12)
         a = rng.uniform(0.0, 5.0, size=(257, 1))
         b = rng.uniform(0.0, 5.0, size=(257, 1))
-        assert w1_exact_empirical(a, b) == pytest.approx(
+        assert _w1_assignment(a, b) == pytest.approx(
             w1_1d_quantile(a, b), abs=1e-12)
 
 

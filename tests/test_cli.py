@@ -76,10 +76,19 @@ class TestDocumentValidation:
         # zero is a valid threshold and must not fall back to the document
         assert parse_scenario(doc, {"epsilon": 0.0}).cfg.jump_threshold == 0.0
         assert parse_scenario(doc, {"seed": None}).cfg.seed == 5
-        for key, bad in (("samples", 0), ("dt", 0), ("dt", math.inf)):
+        assert parse_scenario(doc, {"seed": 0}).cfg.seed == 0
+        bad_seeds = (1.5, -1, True, "7")
+        for key, bad in (("samples", 0), ("dt", 0), ("dt", math.inf),
+                         *(("seed", s) for s in bad_seeds)):
             with pytest.raises(ValidationError, match="must be"):
                 parse_scenario(doc, {key: bad})
+        for bad in bad_seeds:
+            path = write_doc(tmp_path, sim={"n_samples": 400, "dt": 0.01, "seed": bad})
+            with pytest.raises(ValidationError, match="seed must be"):
+                parse_scenario(load_document(path))
+        assert main(["mech-info", str(path)]) == 2
         assert main(["mech-info", str(write_doc(tmp_path)), "--samples", "0"]) == 2
+        assert main(["mech-info", str(write_doc(tmp_path)), "--seed", "-1"]) == 2
 
     def test_dimension_must_be_a_positive_integer(self, tmp_path, capsys):
         for bad in (True, 1.0, 0, "1"):
@@ -285,6 +294,20 @@ class TestVerifyCommand:
         assert main(["verify", str(a), str(b), "--out", str(tmp_path / "batch")]) == 2
         assert "cli-test" in capsys.readouterr().err
         assert not (tmp_path / "batch").exists()
+
+    def test_name_must_be_one_path_component(self, tmp_path, capsys):
+        # write_doc's `name` is the file name, so the field is set afterwards
+        doc = json.loads(write_doc(tmp_path, checks=["lipschitz_contraction"]).read_text())
+        for bad in ("", ".", "..", "../escaped", "a/b", "a\\b", 7):
+            with pytest.raises(ValidationError, match="single path component"):
+                parse_scenario(doc | {"name": bad})
+        a = write_doc(tmp_path, name="a.json", checks=["lipschitz_contraction"])
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps(doc | {"name": "../escaped"}))
+        out = tmp_path / "runs" / "inner"
+        assert main(["verify", str(a), str(b), "--out", str(out)]) == 2
+        assert "single path component" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_multiple_documents_with_workers(self, tmp_path):
         doc_a = write_doc(tmp_path, name="a.json", checks=["laplace"])

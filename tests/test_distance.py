@@ -20,6 +20,7 @@ from cbilab.cumulant import vbar_scalar
 from cbilab.distance import (
     EmpiricalLaw,
     TVEstimate,
+    _w1_assignment,
     tv_empirical,
     tv_exact_quadratic,
     w1_1d_quantile,
@@ -71,14 +72,14 @@ def test_w1_quantile_agreement_1d():
     rng = np.random.default_rng(23)
     a = rng.gamma(2.0, size=(300, 1))
     b = rng.gamma(3.0, size=(300, 1))
-    assert w1_exact_empirical(a, b) == pytest.approx(w1_1d_quantile(a, b), abs=1e-12)
+    assert _w1_assignment(a, b) == pytest.approx(w1_1d_quantile(a, b), abs=1e-12)
 
 
 def test_w1_unequal_counts_lcm_expansion():
     a = EmpiricalLaw([[0.0], [3.0]])
     b = EmpiricalLaw([[1.0], [1.0], [1.0]])
     # quantile functions: a is 0 on (0,1/2], 3 after; b is constant 1
-    assert w1_exact_empirical(a, b) == pytest.approx(1.5, abs=1e-14)
+    assert _w1_assignment(a, b) == pytest.approx(1.5, abs=1e-14)
     assert w1_1d_quantile(a, b) == pytest.approx(1.5, abs=1e-14)
 
 
@@ -94,12 +95,18 @@ def test_w1_metric_properties():
 
 
 def test_w1_cap_refusal():
-    a = np.zeros((3000, 1))
+    a = np.zeros((3000, 2))
     with pytest.raises(ValidationError):
         w1_exact_empirical(a, a)
     # lcm blowup beyond the cap refuses too
     with pytest.raises(ValidationError):
-        w1_exact_empirical(np.zeros((1023, 1)), np.zeros((1024, 1)))
+        w1_exact_empirical(np.zeros((1023, 2)), np.zeros((1024, 2)))
+    # d=1 is solved by sorted pairing, which needs no cap
+    rng = np.random.default_rng(43)
+    for n_a, n_b in ((3000, 3000), (1023, 1024)):
+        a = rng.exponential(1.0, size=(n_a, 1))
+        b = rng.exponential(2.0, size=(n_b, 1))
+        assert w1_exact_empirical(a, b) == w1_1d_quantile(a, b)
 
 
 def test_w1_bounded_by_any_coupling_cost():
@@ -138,6 +145,24 @@ def test_w1_brute_force_property(n, d, seed):
     a = rng.exponential(1.0, size=(n, d)).round(3)
     b = rng.exponential(1.0, size=(n, d)).round(3)
     assert w1_exact_empirical(a, b) == pytest.approx(brute_force_w1(a, b), abs=1e-12)
+
+
+# d=1 batches as the samplers produce them: many exact zeros (the extinction
+# atom) and ties; counts stay small so the lcm-expanded assignment is cheap
+_d1_batch = st.lists(
+    st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.5]),
+              st.floats(0.0, 10.0)),
+    min_size=1, max_size=24)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_d1_batch, _d1_batch, st.booleans())
+def test_w1_1d_sorted_pairing_equals_assignment(xs, ys, equal_counts):
+    if equal_counts:
+        ys = (ys * len(xs))[:len(xs)]
+    a = np.array(xs)[:, None]
+    b = np.array(ys)[:, None]
+    assert w1_exact_empirical(a, b) == pytest.approx(_w1_assignment(a, b), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
