@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 at least one verification check failed,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -26,6 +27,7 @@ import numpy as np
 from .coupling import couple_cbi, couple_transitions
 from .cumulant import (
     mean_vector,
+    moment_decay_rate,
     solve_cumulant,
     stationary_mean,
     vbar_vector,
@@ -40,19 +42,16 @@ from .mechanism import (
     PointMass,
     StableAxis,
     beta_star,
-    dominating_mechanism,
     fold_motion,
     gamma_matrix,
-    grey_condition,
 )
 from .simulate import (
     SimConfig,
     sample_cbi_transition,
     sample_stationary,
     sample_transition,
-    save_samples_csv,
 )
-from .verify import Scenario, ScenarioAnalytics, run_scenario
+from .verify import Scenario, ScenarioAnalytics, _finite_real, run_scenario
 
 __all__ = ["main", "load_document", "parse_scenario"]
 
@@ -92,6 +91,12 @@ def _build_jump(spec: dict, where: str):
     if kind == "exponential":
         return ExponentialAxis(axis=spec["axis"], mean=spec["mean"], rate=spec["rate"])
     return StableAxis(axis=spec["axis"], alpha=spec["alpha"], scale=spec["scale"])
+
+
+def _integer(value, what: str, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def _reject_constant(name):
@@ -137,9 +142,7 @@ def parse_scenario(doc: dict, overrides: dict | None = None,
             or "/" in name or "\\" in name):
         raise ValidationError(
             f"name must be a non-empty single path component, got {name!r}")
-    d = doc["dimension"]
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise ValidationError(f"dimension must be an integer >= 1, got {d!r}")
+    d = _integer(doc["dimension"], "dimension", 1)
     mech_doc = doc["mechanism"]
     if len(mech_doc["b"]) != d:
         raise ValidationError(
@@ -164,14 +167,14 @@ def parse_scenario(doc: dict, overrides: dict | None = None,
         imm = ImmigrationMechanism(beta=imm_doc["beta"], nu=nu)
     sim = doc["sim"]
     seed = overrides.get("seed", sim.get("seed"))
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     cfg = SimConfig(
-        n_samples=int(overrides.get("samples", sim["n_samples"])),
-        dt=float(overrides.get("dt", sim["dt"])),
-        jump_threshold=float(overrides.get("epsilon", sim.get("epsilon", 1e-3))),
-        seed=seed,
+        n_samples=_integer(overrides.get("samples", sim["n_samples"]), "n_samples", 1),
+        dt=_finite_real(overrides.get("dt", sim["dt"]), "dt"),
+        jump_threshold=_finite_real(overrides.get("epsilon", sim.get("epsilon", 1e-3)), "epsilon"),
+        seed=None if seed is None else _integer(seed, "seed", 0),
     )
+    if not isinstance(doc["times"], list):
+        raise ValidationError(f"times must be a list, got {doc['times']!r}")
     return Scenario(
         name=name,
         mech=mech,
@@ -182,14 +185,27 @@ def parse_scenario(doc: dict, overrides: dict | None = None,
         times=tuple(doc["times"]),
         checks=tuple(doc.get("checks", ())),
         lambda_probe=doc.get("lambda_probe"),
-        tamper=float(doc.get("tamper", 0.0)),
+        tamper=doc.get("tamper", 0.0),
     )
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write text to path through a temporary file, so that a failed write
+    never leaves a partial file under the final name."""
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _write_csv(path: Path, header: str, data: np.ndarray, fmt: str) -> None:
+    """Write the rows of data as CSV under a one-line header, atomically."""
+    buf = io.StringIO()
+    np.savetxt(buf, data, fmt=fmt, delimiter=",", header=header, comments="")
+    _write_atomic(path, buf.getvalue())
+
+
+def _columns(prefix: str, d: int) -> str:
+    return ",".join(f"{prefix}_{i + 1}" for i in range(d))
 
 
 def _out_dir(args) -> Path:
@@ -232,14 +248,9 @@ def cmd_mech_info(args) -> int:
     print(f"jump components: {n_jumps}")
     print(f"gamma matrix: {gamma_matrix(mech).tolist()}")
     bs = beta_star(mech)
-    rate = -float(np.max(np.linalg.eigvals(-np.diag(mech.b) + gamma_matrix(mech)).real))
     print(f"beta_star: {bs:.10g}")
-    print(f"moment decay rate: {rate:.10g}")
-    try:
-        grey = grey_condition(dominating_mechanism(mech))
-        print(f"Grey's condition: {'holds' if grey else 'fails'}")
-    except ValidationError as exc:
-        print(f"Grey's condition: no admissible dominating mechanism ({exc})")
+    print(f"moment decay rate: {moment_decay_rate(mech):.10g}")
+    print(ScenarioAnalytics(mech).grey_failure or "Grey's condition: holds")
     if sc.imm is not None:
         print(f"immigration beta: {sc.imm.beta.tolist()}")
         if bs > 0:
@@ -255,28 +266,25 @@ def cmd_cumulant(args) -> int:
     path = solve_cumulant(sc.mech, lam, t_end, tol=args.tolerance,
                           t_eval=grid[1:-1] if len(grid) > 2 else None, imm=sc.imm)
     out = _out_dir(args) / "cumulant.csv"
-    path.to_csv(out)
+    _write_csv(out, "t," + _columns("v", sc.mech.d),
+               np.column_stack([path.t_grid, path.v_values]), "%.18e")
     print(f"wrote {out}")
     print(f"v({t_end:g}, {lam.tolist()}) = {path.final.tolist()}")
-    if not ScenarioAnalytics(sc.mech).grey_failure:
-        vbar = vbar_vector(sc.mech, t_end)
-        print(f"vbar({t_end:g}) = {vbar.tolist()}")
-    elif args.vbar:
-        print("Grey's condition fails: the extinction envelope is infinite")
+    grey_failure = ScenarioAnalytics(sc.mech).grey_failure
+    if grey_failure:
+        print(f"vbar({t_end:g}) not available: {grey_failure}")
+    else:
+        print(f"vbar({t_end:g}) = {vbar_vector(sc.mech, t_end).tolist()}")
     return 0
 
 
 def cmd_moments(args) -> int:
     _, sc = _load(args.document, args)
-    times = sc.times or (1.0,)
-    rows = []
-    for t in (0.0,) + tuple(times):
-        m = mean_vector(sc.mech, sc.mu, t, imm=sc.imm)
-        rows.append((t, m))
+    times = (0.0,) + (sc.times or (1.0,))
+    means = [mean_vector(sc.mech, sc.mu, t, imm=sc.imm) for t in times]
     out = _out_dir(args) / "moments.csv"
-    header = "t," + ",".join(f"m_{i + 1}" for i in range(sc.mech.d))
-    body = "\n".join(f"{t:.12g}," + ",".join(f"{v:.12g}" for v in m) for t, m in rows)
-    _write_atomic(out, header + "\n" + body + "\n")
+    _write_csv(out, "t," + _columns("m", sc.mech.d),
+               np.column_stack([times, means]), "%.12g")
     print(f"wrote {out}")
     if sc.imm is not None and beta_star(sc.mech) > 0:
         print(f"stationary mean: {stationary_mean(sc.mech, sc.imm).tolist()}")
@@ -292,7 +300,7 @@ def cmd_simulate(args) -> int:
     else:
         x = sample_transition(sc.mu, sc.mech, t, sc.cfg, rng)
     out = _out_dir(args) / "samples.csv"
-    save_samples_csv(out, x)
+    _write_csv(out, _columns("x", sc.mech.d), x, "%.18e")
     print(f"wrote {out}")
     print(f"n={len(x)} t={t:g} mean={x.mean(axis=0).tolist()}")
     return 0
@@ -307,16 +315,8 @@ def cmd_couple(args) -> int:
     else:
         pair = couple_transitions(sc.mu, sc.nu, sc.mech, t, sc.cfg, rng)
     out = _out_dir(args) / "couple.csv"
-    d = pair.d
-    header = (",".join(f"left_{i + 1}" for i in range(d)) + ","
-              + ",".join(f"right_{i + 1}" for i in range(d)) + ",cost")
-    costs = pair.row_costs()
-    lines = [
-        ",".join(f"{v:.12g}" for v in pair.left[k]) + ","
-        + ",".join(f"{v:.12g}" for v in pair.right[k]) + f",{costs[k]:.12g}"
-        for k in range(pair.n)
-    ]
-    _write_atomic(out, header + "\n" + "\n".join(lines) + "\n")
+    _write_csv(out, f"{_columns('left', pair.d)},{_columns('right', pair.d)},cost",
+               np.column_stack([pair.left, pair.right, pair.row_costs()]), "%.12g")
     print(f"wrote {out}")
     print(f"t={t:g} cost={pair.cost():.8g} se={pair.cost_se():.3g} "
           f"differ={pair.differ():.6g}")
@@ -343,7 +343,7 @@ def cmd_stationary(args) -> int:
     m_inf = stationary_mean(sc.mech, sc.imm)  # validates beta_star > 0
     x = sample_stationary(sc.imm, sc.mech, sc.cfg, sc.cfg.rng())
     out = _out_dir(args) / "stationary.csv"
-    save_samples_csv(out, x)
+    _write_csv(out, _columns("x", sc.mech.d), x, "%.18e")
     print(f"wrote {out}")
     print(f"analytic mean: {m_inf.tolist()}")
     print(f"sample mean:   {x.mean(axis=0).tolist()}")
@@ -359,12 +359,31 @@ def _series_rows(report):
     return by_check
 
 
+def _report_csv(report) -> str:
+    """report.csv: one line per row; analytic and details as ;-joined key=value pairs."""
+    def flat(d):
+        return ";".join(f"{k}={v:.12g}" for k, v in d.items())
+
+    lines = ["check,t,verdict,estimate,ci,analytic,details,reason,claim"]
+    for r in report.rows:
+        lines.append(",".join([
+            r.check,
+            "" if r.t is None else f"{r.t:.6g}",
+            r.verdict,
+            "" if r.estimate is None else f"{r.estimate:.12g}",
+            "" if r.ci is None else f"{r.ci:.12g}",
+            flat(r.analytic),
+            flat(r.details),
+            r.reason.replace(",", ";"),
+            r.claim.replace(",", ";"),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
 def _write_report(report, doc: dict, out: Path) -> None:
     report.metadata["scenario_document"] = doc
     _write_atomic(out / "report.json", report.to_json() + "\n")
-    tmp = out / "report.csv.tmp"
-    report.save_csv(tmp)
-    os.replace(tmp, out / "report.csv")
+    _write_atomic(out / "report.csv", _report_csv(report))
     for check, rows in _series_rows(report).items():
         keys = sorted(set().union(*(r.analytic.keys() for r in rows)))
         header = "t," + ",".join(keys) + ",empirical,ci"
@@ -440,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", default=None, help="initial frequency (scalar or comma list)")
     p.add_argument("--t", type=float, default=None, help="horizon (default: last scenario time)")
     p.add_argument("--grid", type=int, default=201, help="output grid points")
-    p.add_argument("--vbar", action="store_true",
-                   help="report the extinction envelope (message when Grey's condition fails)")
     p.set_defaults(func=cmd_cumulant)
 
     p = sub.add_parser("moments", help="mean vectors on the scenario time grid")

@@ -90,12 +90,6 @@ class CoupledPair:
         p = self.differ()
         return float(np.sqrt(p * (1.0 - p) / self.n))
 
-    def save_csv(self, path) -> None:
-        d = self.d
-        header = ",".join([f"left_{i + 1}" for i in range(d)] + [f"right_{i + 1}" for i in range(d)])
-        np.savetxt(path, np.hstack([self.left, self.right]), delimiter=",",
-                   header=header, comments="")
-
 
 def jordan_decompose(mu, nu):
     """Componentwise Jordan decomposition of the signed vector mu - nu.
@@ -119,9 +113,14 @@ def couple_transitions(mu, nu, mech: BranchingMechanism, t: float,
     Draws independent batches from the meet, positive, and negative parts of
     the Jordan decomposition and recombines; each leg is a true transition
     sample by the branching property, and the legs share the meet part.
+    mu and nu are mass vectors, or both (n_samples, d) arrays giving each
+    row its own pair of initial states (decomposed rowwise), as
+    `sample_transition` accepts.
     """
-    mu = mass_vector(mu, d=mech.d)
-    nu = mass_vector(nu, d=mech.d)
+    if np.ndim(mu) != 2:
+        mu = mass_vector(mu, d=mech.d)
+    if np.ndim(nu) != 2:
+        nu = mass_vector(nu, d=mech.d)
     meet, pos, neg = jordan_decompose(mu, nu)
     shared = sample_transition(meet, mech, t, cfg, rng)
     upper = sample_transition(pos, mech, t, cfg, rng)
@@ -141,7 +140,7 @@ def couple_cbi(mu, nu, imm: ImmigrationMechanism, mech: BranchingMechanism,
 
 
 def couple_stationary(imm: ImmigrationMechanism, mech: BranchingMechanism,
-                      t: float, cfg: SimConfig, rng, bias: float = 1e-3) -> CoupledPair:
+                      t: float, cfg: SimConfig, rng) -> CoupledPair:
     """Couple the time-t immigration law with the stationary law.
 
     left is a time-t immigration draw; right adds to it an independent
@@ -150,33 +149,26 @@ def couple_stationary(imm: ImmigrationMechanism, mech: BranchingMechanism,
     exactly the mean mass remaining from immigration older than t.
 
     Requires a subcritical mechanism (propagated from the stationary
-    sampler); `bias` is its horizon-truncation tolerance.
+    sampler).
     """
     fresh = sample_immigration(imm, mech, t, cfg, rng)
-    old = sample_stationary(imm, mech, cfg, rng, bias=bias)
+    old = sample_stationary(imm, mech, cfg, rng)
     evolved = sample_transition(old, mech, t, cfg, rng)
     return CoupledPair(fresh, fresh + evolved)
 
 
 def couple_cbi_to_stationary(mu, imm: ImmigrationMechanism, mech: BranchingMechanism,
-                             t: float, cfg: SimConfig, rng, bias: float = 1e-3) -> CoupledPair:
+                             t: float, cfg: SimConfig, rng) -> CoupledPair:
     """Couple the with-immigration transition law from mu with the stationary law.
 
-    Each row draws its own stationary state eta, Jordan-decomposes (mu, eta)
-    rowwise, evolves the three parts independently, and adds one shared
-    immigration draw to both legs.  left is then the time-t law started from
-    mu, right is stationary, and both the cost and the fraction of unequal
-    rows decay at the subcriticality rate — this is the pair the ergodicity
-    rate fits regress on.
+    Each row draws its own stationary state eta, and `couple_cbi` couples
+    the rows started from mu with the rows started from eta: a rowwise
+    Jordan decomposition of (mu, eta) plus one shared immigration draw.
+    left is then the time-t law started from mu, right is stationary, and
+    both the cost and the fraction of unequal rows decay at the
+    subcriticality rate — this is the pair the ergodicity rate fits
+    regress on.
     """
     mu = mass_vector(mu, d=mech.d)
-    if imm.d != mech.d:
-        raise ValidationError(f"immigration dimension {imm.d} != mechanism dimension {mech.d}")
-    eta = sample_stationary(imm, mech, cfg, rng, bias=bias)
-    rows = np.tile(mu, (cfg.n_samples, 1))
-    meet, pos, neg = jordan_decompose(rows, eta)
-    shared = sample_transition(meet, mech, t, cfg, rng)
-    upper = sample_transition(pos, mech, t, cfg, rng)
-    lower = sample_transition(neg, mech, t, cfg, rng)
-    influx = sample_immigration(imm, mech, t, cfg, rng)
-    return CoupledPair(shared + upper + influx, shared + lower + influx)
+    eta = sample_stationary(imm, mech, cfg, rng)
+    return couple_cbi(np.tile(mu, (cfg.n_samples, 1)), eta, imm, mech, t, cfg, rng)

@@ -53,6 +53,7 @@ __all__ = [
     "vbar_scalar",
     "vbar_vector",
     "moment_semigroup",
+    "moment_decay_rate",
     "integrated_moment_matrix",
     "mean_vector",
     "stationary_mean",
@@ -64,13 +65,16 @@ def discount_integral(rate: float, t) -> float:
     """int_0^t e^{-rate*s} ds, with the rate=0 limit handled exactly.
 
     Evaluates to (1 - e^{-rate*t})/rate for rate != 0 and to t at rate=0;
-    uses expm1 so small |rate*t| keeps full precision.
+    uses expm1 so small |rate*t| keeps full precision.  A subnormal
+    rate*t has too few significant bits for that quotient; there the
+    integral is t to double precision.
     """
     t = np.asarray(t, dtype=float)
     if rate == 0.0:
         out = t.copy()
     else:
-        out = -np.expm1(-rate * t) / rate
+        x = rate * t
+        out = np.where(np.abs(x) < np.finfo(float).tiny, t, -np.expm1(-x) / rate)
     return out if out.ndim else float(out)
 
 
@@ -221,13 +225,6 @@ class CumulantPath:
     @property
     def final(self) -> np.ndarray:
         return self.v_values[-1]
-
-    def to_csv(self, path) -> None:
-        """Write the path as CSV with columns t, v_1, ..., v_d."""
-        d = self.v_values.shape[1]
-        header = "t," + ",".join(f"v_{i + 1}" for i in range(d))
-        np.savetxt(path, np.column_stack([self.t_grid, self.v_values]),
-                   delimiter=",", header=header, comments="")
 
 
 def _record_times(t_end: float, t_eval) -> np.ndarray:
@@ -457,6 +454,14 @@ class MomentMatrix:
 def _mean_matrix(mech: BranchingMechanism) -> np.ndarray:
     """Generator of the mean flow: M = -diag(b) + gamma."""
     return -np.diag(mech.b) + gamma_matrix(mech)
+
+
+def moment_decay_rate(mech: BranchingMechanism) -> float:
+    """Decay rate of the mean flow: minus the spectral abscissa of M.
+
+    beta_star is the row-sum certificate for this rate, so it never
+    exceeds it."""
+    return -float(np.max(np.linalg.eigvals(_mean_matrix(mech)).real))
 
 
 def moment_semigroup(mech: BranchingMechanism, t: float) -> MomentMatrix:

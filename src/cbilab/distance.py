@@ -42,7 +42,7 @@ __all__ = [
     "tv_exact_quadratic",
 ]
 
-ASSIGNMENT_CAP = 2048
+ASSIGNMENT_CAP = 2048  # largest matched count the d >= 2 assignment solves
 
 
 @dataclass(frozen=True)
@@ -73,29 +73,29 @@ def _as_law(x) -> EmpiricalLaw:
     return x if isinstance(x, EmpiricalLaw) else EmpiricalLaw(x)
 
 
-def w1_exact_empirical(a, b, cap: int = ASSIGNMENT_CAP) -> float:
+def w1_exact_empirical(a, b) -> float:
     """Exact Wasserstein-1 between two empirical laws (l1 ground cost).
 
     In d=1 this is the sorted (comonotone) pairing, `w1_1d_quantile`, at
     any sample counts.  In d >= 2 it is a min-cost assignment: unequal
     sample counts are repeat-expanded to their least common multiple
-    first, and if the matched count exceeds `cap` the call refuses rather
-    than approximate.
+    first, and if the matched count exceeds ASSIGNMENT_CAP the call
+    refuses rather than approximate.
     """
     a, b = _as_law(a), _as_law(b)
     if a.d != b.d:
         raise ValidationError(f"dimension mismatch: {a.d} vs {b.d}")
     if a.d == 1:
         return w1_1d_quantile(a, b)
-    return _w1_assignment(a, b, cap)
+    return _w1_assignment(a, b)
 
 
-def _w1_assignment(a, b, cap: int = ASSIGNMENT_CAP) -> float:
+def _w1_assignment(a, b) -> float:
     """Exact Wasserstein-1 by min-cost assignment, in any dimension.
 
     The d >= 2 route of `w1_exact_empirical`, and the reference its 1-d
     route is tested against.  Refuses when the lcm-expanded count exceeds
-    `cap`.
+    ASSIGNMENT_CAP.
     """
     a, b = _as_law(a), _as_law(b)
     # canonical argument order: both orientations solve the identical
@@ -103,9 +103,9 @@ def _w1_assignment(a, b, cap: int = ASSIGNMENT_CAP) -> float:
     if (a.n, a.samples.tobytes()) > (b.n, b.samples.tobytes()):
         a, b = b, a
     n = math.lcm(a.n, b.n)
-    if n > cap:
+    if n > ASSIGNMENT_CAP:
         raise ValidationError(
-            f"assignment size {n} exceeds cap {cap}; use fewer samples or a larger cap")
+            f"assignment size {n} exceeds cap {ASSIGNMENT_CAP}; use fewer samples")
     left = np.repeat(a.samples, n // a.n, axis=0)
     right = np.repeat(b.samples, n // b.n, axis=0)
     cost = np.abs(left[:, None, :] - right[None, :, :]).sum(axis=2)

@@ -60,6 +60,9 @@ __all__ = [
 
 MassVector = np.ndarray
 
+DOMINATION_GRID_MAX = 50.0  # upper end of the minorant verification grid
+DOMINATION_GRID_STEP = 0.1  # its spacing
+
 
 def mass_vector(values, d=None) -> MassVector:
     """Validate and return a nonnegative mass vector as a float array.
@@ -476,23 +479,18 @@ def beta_star(mech: BranchingMechanism) -> float:
     return float(np.min(mech.b - gamma_matrix(mech).sum(axis=1)))
 
 
-def dominating_mechanism(
-    mech: BranchingMechanism,
-    grid_max: float = 50.0,
-    grid_step: float = 0.1,
-) -> ScalarMechanism:
+def dominating_mechanism(mech: BranchingMechanism) -> ScalarMechanism:
     """Componentwise-minimum scalar mechanism phi_* with phi_1(i,z) >= phi_*(z).
 
     b_* is the subcriticality rate, c_* = min_i c_i, and the jump part keeps
     a stable term only when every type carries a StableAxis on its own axis
     with a common index (then a_* = min of the per-type total scales).  The
     minorant property is verified on a grid at construction and a violation
-    raises with the offending (i, z).
+    raises with the offending (i, z).  The grid runs from 0 to
+    DOMINATION_GRID_MAX in steps of DOMINATION_GRID_STEP.
 
     Args:
         mech: branching mechanism to dominate.
-        grid_max: upper end of the verification grid.
-        grid_step: spacing of the verification grid.
 
     Returns:
         ScalarMechanism with the guaranteed minorant property.
@@ -510,7 +508,7 @@ def dominating_mechanism(
         m_star = (StableAxis(axis=0, alpha=float(next(iter(alphas))), scale=min(per_type_scale)),)
     phi_star = ScalarMechanism(b_star=bs, c_star=cs, m_star=m_star)
 
-    zs = np.arange(0.0, grid_max + 0.5 * grid_step, grid_step)
+    zs = np.arange(0.0, DOMINATION_GRID_MAX + 0.5 * DOMINATION_GRID_STEP, DOMINATION_GRID_STEP)
     lower = phi_star(zs)
     for i in range(mech.d):
         vals = np.array([local_projection(mech, i, z) for z in zs])

@@ -53,8 +53,10 @@ __all__ = [
     "sample_immigration",
     "sample_cbi_transition",
     "sample_stationary",
-    "save_samples_csv",
+    "has_exact_transition",
 ]
+
+STATIONARY_BIAS = 1e-3  # relative mean of the immigration tail a stationary draw omits
 
 
 @dataclass(frozen=True)
@@ -90,13 +92,6 @@ class SimConfig:
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
-
-
-def save_samples_csv(path, samples: np.ndarray) -> None:
-    """Write a sample batch as CSV, one row per sample, d columns."""
-    samples = np.atleast_2d(samples)
-    header = ",".join(f"x_{i + 1}" for i in range(samples.shape[1]))
-    np.savetxt(path, samples, delimiter=",", header=header, comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +207,19 @@ def _nu_tables(imm: ImmigrationMechanism):
     return atoms, exps
 
 
+def _add_influx(out: np.ndarray, imm: ImmigrationMechanism, atoms, exps,
+                h: float, rng) -> None:
+    """Add the immigration influx of a step of length h to the (n,d) batch out, in place."""
+    n = out.shape[0]
+    out += h * imm.beta
+    for rate, u in atoms:
+        K = rng.poisson(rate * h, size=n)
+        out += np.outer(K, u)
+    for axis, rate, th in exps:
+        K = rng.poisson(rate * h, size=n)
+        out[:, axis] += rng.gamma(shape=K, scale=th)
+
+
 def _stepped_batch(
     states: np.ndarray,
     mech: BranchingMechanism,
@@ -239,13 +247,7 @@ def _stepped_batch(
             # trapezoid arrival placement: half the influx rides this step's
             # drift flow, half lands after it, so an immigrant sees on
             # average half a step of inter-type drift
-            X = X + half * imm.beta
-            for rate, u in imm_atoms:
-                K = rng.poisson(rate * half, size=n)
-                X = X + np.outer(K, u)
-            for axis, rate, th in imm_exps:
-                K = rng.poisson(rate * half, size=n)
-                X[:, axis] += rng.gamma(shape=K, scale=th)
+            _add_influx(X, imm, imm_atoms, imm_exps, half, rng)
         incr = np.zeros_like(X)
         for i, rate, u in atoms:
             K = rng.poisson(X[:, i] * rate * h)
@@ -257,13 +259,7 @@ def _stepped_batch(
             Z = _stable_positive_batch(alpha, n, rng)
             incr[:, i] += (X[:, i] * scale * h) ** (1.0 / (1.0 + alpha)) * Z
         if imm is not None:
-            incr += half * imm.beta
-            for rate, u in imm_atoms:
-                K = rng.poisson(rate * half, size=n)
-                incr += np.outer(K, u)
-            for axis, rate, th in imm_exps:
-                K = rng.poisson(rate * half, size=n)
-                incr[:, axis] += rng.gamma(shape=K, scale=th)
+            _add_influx(incr, imm, imm_atoms, imm_exps, half, rng)
         X = np.maximum(X @ drift_flow + incr, 0.0)
         if np.any(X > cfg.ceiling):
             raise BlowUpError(f"simulated mass exceeded ceiling {cfg.ceiling:g}")
@@ -272,13 +268,15 @@ def _stepped_batch(
     return X
 
 
-def _has_exact_transition(mech: BranchingMechanism) -> bool:
-    # no jumps and no inter-type transfer: independent scalar quadratic laws
+def has_exact_transition(mech: BranchingMechanism) -> bool:
+    """True when the transition law is sampled exactly: no jumps and no
+    inter-type transfer, so the types evolve as independent scalar
+    quadratic laws.  Every other mechanism takes the stepped route."""
     return mech.is_quadratic() and not np.any(mech.eta > 0)
 
 
 def _transition_batch(states: np.ndarray, mech, t, cfg, rng) -> np.ndarray:
-    if _has_exact_transition(mech):
+    if has_exact_transition(mech):
         out = np.empty_like(states, dtype=float)
         for i in range(mech.d):
             out[:, i] = _cb_quadratic_batch(states[:, i].astype(float), mech.b[i], mech.c[i], t, rng)
@@ -366,23 +364,25 @@ def sample_cbi_transition(mu, imm: ImmigrationMechanism, mech: BranchingMechanis
     return sample_transition(mu, mech, t, cfg, rng) + sample_immigration(imm, mech, t, cfg, rng)
 
 
-def stationary_horizon(mech: BranchingMechanism, bias: float = 1e-3) -> float:
-    """Horizon T with e^{-beta* T} <= bias: the mean of mass immigrated after
-    lag T is below `bias` relative to the stationary mean."""
+def stationary_horizon(mech: BranchingMechanism) -> float:
+    """Horizon T with e^{-beta* T} <= STATIONARY_BIAS: the mean of mass
+    immigrated after lag T is below STATIONARY_BIAS relative to the
+    stationary mean."""
     bs = beta_star(mech)
     if bs <= 0:
         raise ValidationError(f"stationary law needs beta_star > 0, got {bs:.6g}")
-    return math.log(1.0 / bias) / bs
+    return math.log(1.0 / STATIONARY_BIAS) / bs
 
 
 def sample_stationary(imm: ImmigrationMechanism, mech: BranchingMechanism,
-                      cfg: SimConfig, rng, bias: float = 1e-3) -> np.ndarray:
+                      cfg: SimConfig, rng) -> np.ndarray:
     """Sample the stationary law of the process with immigration.
 
     Exact for the scalar quadratic mechanism with continuous-only
     immigration: Gamma(beta/c, c/b).  Otherwise the immigration sampler is
-    run to a horizon where the missing tail mean is below `bias` relative
-    (the scalar-quadratic-with-jumps case stays exact within that horizon).
+    run to `stationary_horizon`, where the missing tail mean is below
+    STATIONARY_BIAS relative (the scalar-quadratic-with-jumps case stays
+    exact within that horizon).
     """
     bs = beta_star(mech)
     if bs <= 0:
@@ -401,4 +401,4 @@ def sample_stationary(imm: ImmigrationMechanism, mech: BranchingMechanism,
         else:
             out[:, 0] = beta / b
         return out
-    return sample_immigration(imm, mech, stationary_horizon(mech, bias), cfg, rng)
+    return sample_immigration(imm, mech, stationary_horizon(mech), cfg, rng)

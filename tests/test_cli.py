@@ -87,6 +87,24 @@ class TestDocumentValidation:
             with pytest.raises(ValidationError, match="seed must be"):
                 parse_scenario(load_document(path))
         assert main(["mech-info", str(path)]) == 2
+        # malformed numbers are refused, never coerced
+        bad_numbers = [("samples", v) for v in (400.7, "400", True)]
+        bad_numbers += [(k, v) for k in ("dt", "epsilon") for v in ("0.01", True, math.nan)]
+        bad_numbers += [("epsilon", math.inf)]
+        for key, bad in bad_numbers:
+            with pytest.raises(ValidationError, match="must be"):
+                parse_scenario(doc, {key: bad})
+            sim_key = {"samples": "n_samples"}.get(key, key)
+            path = write_doc(tmp_path, sim={"n_samples": 400, "dt": 0.01} | {sim_key: bad})
+            with pytest.raises(ValidationError, match="must be|non-standard JSON constant"):
+                parse_scenario(load_document(path))
+        for bad in ("5", True, None):
+            with pytest.raises(ValidationError, match="tamper must be a finite number"):
+                parse_scenario(doc | {"tamper": bad})
+        for bad in (["1.0"], [0.5, True], "1", 1.0):
+            with pytest.raises(ValidationError, match="time"):
+                parse_scenario(doc | {"times": bad})
+        assert main(["mech-info", str(path)]) == 2
         assert main(["mech-info", str(write_doc(tmp_path)), "--samples", "0"]) == 2
         assert main(["mech-info", str(write_doc(tmp_path)), "--seed", "-1"]) == 2
 
@@ -156,8 +174,8 @@ class TestCumulant:
     def test_vbar_message_when_grey_fails(self, tmp_path, capsys):
         path = write_doc(tmp_path, mechanism={"b": [1.0], "c": [0.0]})
         assert main(["cumulant", str(path), "--lam", "1", "--t", "1",
-                     "--vbar", "--out", str(tmp_path)]) == 0
-        assert "Grey's condition fails" in capsys.readouterr().out
+                     "--out", str(tmp_path)]) == 0
+        assert "vbar(1) not available: Grey's condition fails" in capsys.readouterr().out
 
 
 class TestSmallCommands:
@@ -165,7 +183,29 @@ class TestSmallCommands:
         assert main(["mech-info", str(write_doc(tmp_path))]) == 0
         out = capsys.readouterr().out
         assert "beta_star: 1" in out
+        assert "moment decay rate: 1\n" in out
+        assert "Grey's condition: holds" in out
         assert "stationary mean: [2.0]" in out
+        path = write_doc(tmp_path, mechanism={"b": [1.0], "c": [0.0]})
+        assert main(["mech-info", str(path)]) == 0
+        assert "Grey's condition fails" in capsys.readouterr().out
+
+    def test_failed_write_leaves_existing_file(self, tmp_path, monkeypatch):
+        path = write_doc(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--samples", "5", "--out", str(out)]) == 0
+        before = (out / "samples.csv").read_bytes()
+        savetxt = np.savetxt
+
+        def interrupted(fname, X, *args, **kwargs):
+            savetxt(fname, X[:1], *args, **kwargs)  # part of the file, then a crash
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(np, "savetxt", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            main(["simulate", str(path), "--samples", "7", "--seed", "8", "--out", str(out)])
+        assert (out / "samples.csv").read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["samples.csv"]
 
     def test_moments_csv(self, tmp_path):
         path = write_doc(tmp_path)

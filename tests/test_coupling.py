@@ -9,6 +9,7 @@ Frozen targets:
     = 0.8198134136 by quadrature against the Gamma(2,1) stationary density
 """
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from cbilab.cli import main
 from cbilab.coupling import (
     CoupledPair,
     couple_cbi,
@@ -114,14 +116,25 @@ def test_pair_validation():
 
 
 def test_pair_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    pair = couple_transitions([2.0], [1.0], quad_mech(), 0.5, SimConfig(n_samples=40), rng)
-    path = tmp_path / "pair.csv"
-    pair.save_csv(path)
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert back.shape == (40, 2)
-    assert np.allclose(back[:, :1], pair.left)
-    assert np.allclose(back[:, 1:], pair.right)
+    # `cbilab couple` writes the pair that the document seed draws: one row
+    # per pair, legs then the row cost, at 12 significant digits
+    doc = {"schema_version": 1, "dimension": 2,
+           "motion": {"rates": [[-1.0, 1.0], [1.0, -1.0]]},
+           "mechanism": {"b": [1.0, 2.0], "c": [1.0, 3.0]},
+           "initial": {"mu": [2.0, 1.0], "nu": [1.0, 1.5]}, "times": [0.5],
+           "sim": {"n_samples": 40, "dt": 0.05, "seed": 4}}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    assert main(["couple", str(path), "--out", str(tmp_path)]) == 0
+    cfg = SimConfig(n_samples=40, dt=0.05, seed=4)
+    pair = couple_transitions([2.0, 1.0], [1.0, 1.5], folded_mech(), 0.5, cfg, cfg.rng())
+    lines = (tmp_path / "couple.csv").read_text().split("\n")
+    assert lines[0] == "left_1,left_2,right_1,right_2,cost"
+    back = np.loadtxt(tmp_path / "couple.csv", delimiter=",", skiprows=1)
+    assert back.shape == (40, 5)
+    np.testing.assert_allclose(back[:, :2], pair.left, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(back[:, 2:4], pair.right, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(back[:, 4], pair.row_costs(), rtol=1e-11, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +148,23 @@ def test_equal_starts_identical_legs():
                               SimConfig(n_samples=200, dt=0.02), rng)
     assert np.array_equal(pair.left, pair.right)
     assert pair.cost() == 0.0 and pair.differ() == 0.0
+
+
+def test_per_row_starts():
+    # (n, d) starts are decomposed rowwise; rows repeating one start draw
+    # exactly what the vector start draws
+    cfg = SimConfig(n_samples=60, dt=0.05)
+    mu, nu = [2.0, 0.5], [1.0, 1.5]
+    tiled = couple_transitions(np.tile(mu, (60, 1)), np.tile(nu, (60, 1)), folded_mech(),
+                               0.4, cfg, np.random.default_rng(3))
+    shared = couple_transitions(mu, nu, folded_mech(), 0.4, cfg, np.random.default_rng(3))
+    assert np.array_equal(tiled.left, shared.left)
+    assert np.array_equal(tiled.right, shared.right)
+    rows = np.random.default_rng(4).exponential(1.0, size=(60, 2))
+    pair = couple_transitions(rows, rows, folded_mech(), 0.4, cfg, np.random.default_rng(5))
+    assert np.array_equal(pair.left, pair.right)
+    with pytest.raises(ValidationError):
+        couple_transitions(rows[:10], rows[:10], folded_mech(), 0.4, cfg, np.random.default_rng(5))
 
 
 def test_ordered_cost_exactness():

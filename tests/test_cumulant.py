@@ -1,5 +1,6 @@
 """Cumulant solver vs closed forms, envelope routes, and moment-flow oracles."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from cbilab.cli import main
 from cbilab.cumulant import (
     closed_form_quadratic,
     discount_integral,
@@ -118,14 +120,22 @@ def test_path_structure_and_invariants():
 
 
 def test_csv_roundtrip(tmp_path):
-    mech = folded_two_type()
-    path = solve_cumulant(mech, [1.0, 1.0], 1.0, t_eval=[0.25, 0.5, 0.75, 1.0])
-    out = tmp_path / "path.csv"
-    path.to_csv(out)
-    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    # `cbilab cumulant` writes the solved path on its output grid, exactly
+    doc = {"schema_version": 1, "dimension": 2,
+           "motion": {"rates": [[-1.0, 1.0], [1.0, -1.0]]},
+           "mechanism": {"b": [1.0, 2.0], "c": [1.0, 3.0]},
+           "initial": {"mu": [1.0, 1.0]}, "times": [1.0],
+           "sim": {"n_samples": 10, "dt": 0.1}}
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))
+    assert main(["cumulant", str(doc_path), "--lam", "1", "--grid", "5",
+                 "--out", str(tmp_path)]) == 0
+    path = solve_cumulant(folded_two_type(), [1.0, 1.0], 1.0, t_eval=[0.25, 0.5, 0.75])
+    assert (tmp_path / "cumulant.csv").read_text().split("\n")[0] == "t,v_1,v_2"
+    data = np.loadtxt(tmp_path / "cumulant.csv", delimiter=",", skiprows=1)
     assert data.shape == (5, 3)
-    assert np.allclose(data[:, 0], path.t_grid)
-    assert np.allclose(data[:, 1:], path.v_values)
+    assert np.array_equal(data[:, 0], path.t_grid)
+    assert np.array_equal(data[:, 1:], path.v_values)
 
 
 def test_blow_up_detection():
@@ -216,6 +226,13 @@ def test_vbar_vector_matches_scalar_d1():
     assert vbar_vector(BranchingMechanism(b=[1.0], c=[1.0]), LN2, tol=1e-8)[0] == pytest.approx(
         1.0, abs=1e-7
     )
+    # the ladder reaches Vbar from below and within 1e-8 of the closed form
+    # 1/(e^t - 1); the exact-route tv_sandwich rows are identities whose
+    # 1e-9 pass window holds only because of that one-sided approach
+    mech = BranchingMechanism(b=[1.0], c=[1.0])
+    for t in (0.5, 1.0, 2.0, 3.0, 4.0):
+        gap = 1.0 / math.expm1(t) - vbar_vector(mech, t)[0]
+        assert 0.0 <= gap <= 1e-8, (t, gap)
 
 
 def test_vbar_vector_monotone_and_symmetric():

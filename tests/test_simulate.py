@@ -4,12 +4,14 @@ Statistical assertions use 4-sigma tolerances unless noted; seeds are fixed,
 so failures are deterministic and indicate a real bias, not flakiness.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from cbilab.cli import main
 from cbilab.cumulant import closed_form_quadratic, discount_integral, mean_vector, solve_cumulant
 from cbilab.errors import BlowUpError, ValidationError
 from cbilab.mechanism import (
@@ -31,7 +33,6 @@ from cbilab.simulate import (
     sample_immigration,
     sample_stationary,
     sample_transition,
-    save_samples_csv,
 )
 
 LN2 = math.log(2.0)
@@ -319,10 +320,18 @@ def test_determinism_same_seed():
 
 
 def test_samples_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(11)
-    x = sample_transition([1.0, 2.0], folded_mech(), 0.3, SimConfig(n_samples=50, dt=0.05), rng)
-    path = tmp_path / "samples.csv"
-    save_samples_csv(path, x)
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    # `cbilab simulate` writes the batch that the document seed draws, exactly
+    doc = {"schema_version": 1, "dimension": 2,
+           "motion": {"rates": [[-1.0, 1.0], [1.0, -1.0]]},
+           "mechanism": {"b": [1.0, 2.0], "c": [1.0, 3.0]},
+           "initial": {"mu": [1.0, 2.0]}, "times": [0.3],
+           "sim": {"n_samples": 50, "dt": 0.05, "seed": 11}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out", str(tmp_path)]) == 0
+    cfg = SimConfig(n_samples=50, dt=0.05, seed=11)
+    x = sample_transition([1.0, 2.0], folded_mech(), 0.3, cfg, cfg.rng())
+    assert (tmp_path / "samples.csv").read_text().split("\n")[0] == "x_1,x_2"
+    back = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1)
     assert back.shape == (50, 2)
-    assert np.allclose(back, x)
+    assert np.array_equal(back, x)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cbilab import verify
+from cbilab.cli import main
 from cbilab.errors import ValidationError
 from cbilab.mechanism import BranchingMechanism, ImmigrationMechanism, PointMass
 from cbilab.cumulant import vbar_vector
@@ -47,6 +48,9 @@ class TestScenario:
             reference_scenario(times=(0.0, 1.0))
         with pytest.raises(ValidationError):
             reference_scenario(times=(1.0, math.inf))
+        for bad in ("1.0", True, None):
+            with pytest.raises(ValidationError, match="each time must be a finite number"):
+                reference_scenario(times=(0.5, bad))
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValidationError, match="unknown checks"):
@@ -73,6 +77,21 @@ def small_report():
     sc = reference_scenario(cfg=SimConfig(n_samples=2_000, dt=0.02, seed=9),
                             times=(1.0,), checks=("laplace", "tv_sandwich"))
     return run_scenario(sc)
+
+
+@pytest.fixture(scope="module")
+def written_report(tmp_path_factory):
+    """(document, output folder) of `cbilab verify` on small_report's scenario."""
+    out = tmp_path_factory.mktemp("written")
+    doc = {"schema_version": 1, "name": "ref", "dimension": 1,
+           "mechanism": {"b": [1.0], "c": [1.0]}, "immigration": {"beta": [2.0]},
+           "initial": {"mu": [2.0], "nu": [1.0]}, "times": [1.0],
+           "sim": {"n_samples": 2000, "dt": 0.02, "seed": 9},
+           "checks": ["laplace", "tv_sandwich"]}
+    path = out / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--out", str(out)]) == 0
+    return doc, out
 
 
 class TestReferenceScenario:
@@ -252,24 +271,25 @@ class TestStationaryExponent:
 
 
 class TestReportSerialization:
-    def test_json_roundtrip(self, small_report, tmp_path):
-        path = tmp_path / "report.json"
-        small_report.save_json(path)
-        doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 1
-        assert doc["scenario"] == "ref"
-        assert len(doc["rows"]) == len(small_report.rows)
-        for row_doc, row in zip(doc["rows"], small_report.rows):
-            assert row_doc["check"] == row.check
-            assert row_doc["verdict"] == row.verdict
+    def test_json_roundtrip(self, small_report, written_report):
+        doc, out = written_report
+        report = json.loads((out / "report.json").read_text())
+        assert report["schema_version"] == 1
+        assert report["scenario"] == "ref"
+        assert report["metadata"]["scenario_document"] == doc
+        assert report["rows"] == [row.as_dict() for row in small_report.rows]
 
-    def test_csv_shape(self, small_report, tmp_path):
-        path = tmp_path / "report.csv"
-        small_report.save_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].startswith("check,t,verdict")
+    def test_csv_shape(self, small_report, written_report):
+        _, out = written_report
+        lines = (out / "report.csv").read_text().strip().split("\n")
+        assert lines[0] == "check,t,verdict,estimate,ci,analytic,details,reason,claim"
         assert len(lines) == 1 + len(small_report.rows)
         assert all(line.count(",") == lines[0].count(",") for line in lines[1:])
+        for line, row in zip(lines[1:], small_report.rows):
+            check, t, verdict, estimate = line.split(",")[:4]
+            assert (check, verdict) == (row.check, row.verdict)
+            assert float(t) == row.t
+            assert float(estimate) == pytest.approx(row.estimate, rel=1e-11)
 
     def test_summary_has_one_line_per_row_plus_total(self, small_report):
         lines = small_report.summary().split("\n")
