@@ -79,23 +79,54 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
         raise ValidationError(f"missing fields in {where}: {sorted(missing)}")
 
 
-def _build_jump(spec: dict, where: str):
+def _build_jump(spec: dict, where: str, d: int):
     _require_keys(spec, set().union(*_JUMP_KEYS.values()), {"kind"}, where)
     kind = spec["kind"]
-    if kind not in _JUMP_KEYS:
+    if not isinstance(kind, str) or kind not in _JUMP_KEYS:
         raise ValidationError(f"{where}: unknown jump kind {kind!r}; "
                               f"expected one of {sorted(_JUMP_KEYS)}")
     _require_keys(spec, _JUMP_KEYS[kind], _JUMP_KEYS[kind], where)
+
+    def real(key):
+        return _finite_real(spec[key], f"{where}.{key}")
+
     if kind == "point":
-        return PointMass(u=spec["u"], weight=spec["weight"])
+        return PointMass(u=_reals(spec["u"], f"{where}.u", (d,)), weight=real("weight"))
+    axis = _integer(spec["axis"], f"{where}.axis", 0)
     if kind == "exponential":
-        return ExponentialAxis(axis=spec["axis"], mean=spec["mean"], rate=spec["rate"])
-    return StableAxis(axis=spec["axis"], alpha=spec["alpha"], scale=spec["scale"])
+        return ExponentialAxis(axis=axis, mean=real("mean"), rate=real("rate"))
+    return StableAxis(axis=axis, alpha=real("alpha"), scale=real("scale"))
 
 
 def _integer(value, what: str, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _reals(value, what: str, shape: tuple) -> np.ndarray:
+    """value, nested lists of finite numbers of the given shape, as a float array.
+
+    A bool, a string, null, an object or a list of the wrong length is
+    refused with a message naming the field; every shape is set by the
+    dimension."""
+    def convert(v, dims):
+        if not dims:
+            return _finite_real(v, f"each entry of {what}")
+        if not isinstance(v, list) or len(v) != dims[0]:
+            raise ValidationError(
+                f"{what} must be a list of {dims[0]} entries (the dimension), got {v!r}")
+        return [convert(x, dims[1:]) for x in v]
+
+    return np.array(convert(value, shape), dtype=float)
+
+
+def _list(value, what: str) -> list:
+    """An optional list field: null or absent reads as empty."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a list, got {value!r}")
     return value
 
 
@@ -111,9 +142,10 @@ def load_document(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     _require_keys(doc, _TOP_KEYS, _REQUIRED_KEYS, f"{path}")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    version = doc["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:  # refuses true and 1.0
         raise ValidationError(
-            f"{path}: schema_version {doc['schema_version']} not supported "
+            f"{path}: schema_version {version!r} not supported "
             f"(this build reads version {SCHEMA_VERSION})")
     _require_keys(doc["mechanism"], {"b", "c", "eta", "jumps"}, {"b", "c"}, "mechanism")
     if "motion" in doc:
@@ -144,27 +176,29 @@ def parse_scenario(doc: dict, overrides: dict | None = None,
             f"name must be a non-empty single path component, got {name!r}")
     d = _integer(doc["dimension"], "dimension", 1)
     mech_doc = doc["mechanism"]
-    if len(mech_doc["b"]) != d:
+    b = _reals(mech_doc["b"], "mechanism.b", (d,))
+    c = _reals(mech_doc["c"], "mechanism.c", (d,))
+    eta = mech_doc.get("eta")
+    if eta is not None:
+        eta = _reals(eta, "mechanism.eta", (d, d))
+    jumps = _list(mech_doc.get("jumps"), "mechanism.jumps")
+    if jumps and len(jumps) != d:
         raise ValidationError(
-            f"dimension is {d} but mechanism.b has length {len(mech_doc['b'])}")
-    jumps = ()
-    if mech_doc.get("jumps"):
-        if len(mech_doc["jumps"]) != d:
-            raise ValidationError(
-                f"mechanism.jumps must list components per type ({d} lists)")
-        jumps = tuple(
-            tuple(_build_jump(spec, f"mechanism.jumps[{i}]") for spec in comps)
-            for i, comps in enumerate(mech_doc["jumps"]))
-    mech = BranchingMechanism(b=mech_doc["b"], c=mech_doc["c"],
-                              eta=mech_doc.get("eta"), jumps=jumps)
+            f"mechanism.jumps must list components per type ({d} lists)")
+    jumps = tuple(
+        tuple(_build_jump(spec, f"mechanism.jumps[{i}]", d)
+              for spec in _list(comps, f"mechanism.jumps[{i}]"))
+        for i, comps in enumerate(jumps))
+    mech = BranchingMechanism(b=b, c=c, eta=eta, jumps=jumps)
     if "motion" in doc:
-        mech = fold_motion(mech, MotionGenerator(doc["motion"]["rates"]))
+        rates = _reals(doc["motion"]["rates"], "motion.rates", (d, d))
+        mech = fold_motion(mech, MotionGenerator(rates))
     imm = None
     if "immigration" in doc:
         imm_doc = doc["immigration"]
-        nu = tuple(_build_jump(spec, "immigration.jumps")
-                   for spec in imm_doc.get("jumps", ()))
-        imm = ImmigrationMechanism(beta=imm_doc["beta"], nu=nu)
+        nu = tuple(_build_jump(spec, f"immigration.jumps[{k}]", d)
+                   for k, spec in enumerate(_list(imm_doc.get("jumps"), "immigration.jumps")))
+        imm = ImmigrationMechanism(beta=_reals(imm_doc["beta"], "immigration.beta", (d,)), nu=nu)
     sim = doc["sim"]
     seed = overrides.get("seed", sim.get("seed"))
     cfg = SimConfig(
@@ -175,16 +209,21 @@ def parse_scenario(doc: dict, overrides: dict | None = None,
     )
     if not isinstance(doc["times"], list):
         raise ValidationError(f"times must be a list, got {doc['times']!r}")
+    checks = doc.get("checks", [])
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise ValidationError(f"checks must be a list of check names, got {checks!r}")
+    nu = doc["initial"].get("nu")
+    probe = doc.get("lambda_probe")
     return Scenario(
         name=name,
         mech=mech,
         imm=imm,
         cfg=cfg,
-        mu=doc["initial"]["mu"],
-        nu=doc["initial"].get("nu"),
+        mu=_reals(doc["initial"]["mu"], "initial.mu", (d,)),
+        nu=None if nu is None else _reals(nu, "initial.nu", (d,)),
         times=tuple(doc["times"]),
-        checks=tuple(doc.get("checks", ())),
-        lambda_probe=doc.get("lambda_probe"),
+        checks=tuple(checks),
+        lambda_probe=None if probe is None else _reals(probe, "lambda_probe", (d,)),
         tamper=doc.get("tamper", 0.0),
     )
 
@@ -222,8 +261,30 @@ def _load(path, args) -> tuple:
     return doc, parse_scenario(doc, overrides, Path(path).stem)
 
 
+def _horizon(args, sc) -> float:
+    """--t, a finite number >= 0, or else the last scenario time."""
+    if args.t is None:
+        return max(sc.times, default=1.0)
+    t = _finite_real(args.t, "--t")
+    if t < 0:
+        raise ValidationError(f"--t must be >= 0, got {t!r}")
+    return t
+
+
+def _read_samples(path) -> np.ndarray:
+    """The rows of a sample CSV (one header line, numeric rows)."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not a numeric sample CSV ({exc})") from exc
+
+
 def _parse_lam(text: str, d: int) -> np.ndarray:
-    vals = [float(x) for x in text.split(",")]
+    try:
+        vals = [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"--lam must be a number or a comma list of numbers, "
+                              f"got {text!r}") from exc
     if len(vals) == 1:
         vals = vals * d
     if len(vals) != d:
@@ -260,9 +321,9 @@ def cmd_mech_info(args) -> int:
 
 def cmd_cumulant(args) -> int:
     _, sc = _load(args.document, args)
-    t_end = args.t if args.t is not None else max(sc.times, default=1.0)
+    t_end = _horizon(args, sc)
     lam = _parse_lam(args.lam, sc.mech.d) if args.lam else sc.lambda_probe
-    grid = np.linspace(0.0, t_end, args.grid)
+    grid = np.linspace(0.0, t_end, _integer(args.grid, "--grid", 2))
     path = solve_cumulant(sc.mech, lam, t_end, tol=args.tolerance,
                           t_eval=grid[1:-1] if len(grid) > 2 else None, imm=sc.imm)
     out = _out_dir(args) / "cumulant.csv"
@@ -293,7 +354,7 @@ def cmd_moments(args) -> int:
 
 def cmd_simulate(args) -> int:
     _, sc = _load(args.document, args)
-    t = args.t if args.t is not None else max(sc.times, default=1.0)
+    t = _horizon(args, sc)
     rng = sc.cfg.rng()
     if sc.imm is not None:
         x = sample_cbi_transition(sc.mu, sc.imm, sc.mech, t, sc.cfg, rng)
@@ -308,7 +369,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_couple(args) -> int:
     _, sc = _load(args.document, args)
-    t = args.t if args.t is not None else max(sc.times, default=1.0)
+    t = _horizon(args, sc)
     rng = sc.cfg.rng()
     if sc.imm is not None:
         pair = couple_cbi(sc.mu, sc.nu, sc.imm, sc.mech, t, sc.cfg, rng)
@@ -324,8 +385,8 @@ def cmd_couple(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    a = np.loadtxt(args.file_a, delimiter=",", skiprows=1, ndmin=2)
-    b = np.loadtxt(args.file_b, delimiter=",", skiprows=1, ndmin=2)
+    a = _read_samples(args.file_a)
+    b = _read_samples(args.file_b)
     if args.metric in ("w1", "both"):
         w1 = w1_exact_empirical(a, b)
         route = "quantile" if a.shape[1] == 1 else "assignment"
@@ -402,14 +463,17 @@ def cmd_verify(args) -> int:
     for several documents, `name` defaulting to the file stem (shared names
     are refused before anything runs).  A row's ci is the 99% half-width of
     its three-replicate mean estimate, Z99 * sqrt(sum_r se_r^2) / 3."""
+    workers = _integer(args.workers, "--workers", 1)
     docs, scenarios = zip(*(_load(p, args) for p in args.documents))
     shared = sorted(n for n, k in Counter(sc.name for sc in scenarios).items() if k > 1)
     if shared:
         raise ValidationError(f"documents share the output name(s) {shared}; "
                               "give each a distinct `name`")
     base = _out_dir(args)
-    if args.workers > 1 and len(scenarios) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a pool starts all of its workers at once; never more than there are documents
+    workers = min(workers, len(scenarios))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_scenario, scenarios))
     else:
         reports = [run_scenario(sc) for sc in scenarios]

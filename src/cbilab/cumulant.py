@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -32,7 +32,7 @@ from .errors import BlowUpError, GreyConditionError, NumericError, ValidationErr
 from .mechanism import (
     BranchingMechanism,
     ImmigrationMechanism,
-    ScalarMechanism,
+    _scalar_phi,
     beta_star,
     dominating_mechanism,
     eval_phi,
@@ -45,9 +45,7 @@ from .mechanism import (
 
 __all__ = [
     "CumulantPath",
-    "MomentMatrix",
     "solve_cumulant",
-    "solve_scalar_cumulant",
     "closed_form_quadratic",
     "discount_integral",
     "vbar_scalar",
@@ -208,16 +206,13 @@ class CumulantPath:
 
     Fields:
         t_grid: increasing times, starting at 0.
-        v_values: (len(t_grid), d) nonnegative cumulant values; v_values[0] = lambda0.
-        lambda0: initial condition.
-        tol: relative tolerance the solver ran at.
+        v_values: (len(t_grid), d) nonnegative cumulant values; v_values[0]
+            is the initial condition.
         imm_integral: optional accumulated int_0^t psi(v(s)) ds per grid time.
     """
 
     t_grid: np.ndarray
     v_values: np.ndarray
-    lambda0: np.ndarray
-    tol: float
     imm_integral: Optional[np.ndarray] = None
     n_steps: int = 0
     n_rejected: int = 0
@@ -285,7 +280,7 @@ def solve_cumulant(
             return -eval_phi(mech, np.maximum(y, 0.0))
 
         vals, n_acc, n_rej = _integrate(rhs, lam0, float(t_end), tol, atol, grid, ceiling)
-        return CumulantPath(grid, vals, lam0, tol, None, n_acc, n_rej)
+        return CumulantPath(grid, vals, None, n_acc, n_rej)
 
     def rhs_aug(y):
         v = np.maximum(y[:d], 0.0)
@@ -296,32 +291,7 @@ def solve_cumulant(
 
     y0 = np.concatenate([lam0, [0.0]])
     vals, n_acc, n_rej = _integrate(rhs_aug, y0, float(t_end), tol, atol, grid, ceiling)
-    return CumulantPath(grid, vals[:, :d], lam0, tol, vals[:, d], n_acc, n_rej)
-
-
-def solve_scalar_cumulant(
-    phi_star: ScalarMechanism,
-    lambda0: float,
-    t_end: float,
-    tol: float = 1e-10,
-    *,
-    t_eval=None,
-    ceiling: float = 1e12,
-) -> CumulantPath:
-    """Integrate the scalar dominating flow dv/dt = -phi_*(v)."""
-    if lambda0 < 0:
-        raise ValidationError(f"lambda0 must be >= 0, got {lambda0}")
-    if t_end < 0:
-        raise ValidationError(f"t_end must be >= 0, got {t_end}")
-    grid = _record_times(float(t_end), t_eval)
-    atol = tol * 1e-6 + 1e-300
-
-    def rhs(y):
-        return -np.atleast_1d(phi_star(np.maximum(y, 0.0)))
-
-    lam0 = np.array([float(lambda0)])
-    vals, n_acc, n_rej = _integrate(rhs, lam0, float(t_end), tol, atol, grid, ceiling)
-    return CumulantPath(grid, vals, lam0, tol, None, n_acc, n_rej)
+    return CumulantPath(grid, vals[:, :d], vals[:, d], n_acc, n_rej)
 
 
 # ---------------------------------------------------------------------------
@@ -329,24 +299,25 @@ def solve_scalar_cumulant(
 # ---------------------------------------------------------------------------
 
 
-def _positive_threshold(phi_star: ScalarMechanism) -> float:
+def _positive_threshold(phi_star: BranchingMechanism) -> float:
     """Largest root of phi_*(z) = 0; the tail integral only exists above it."""
-    if phi_star.b_star >= 0:
+    phi = _scalar_phi(phi_star)
+    if phi_star.b[0] >= 0:
         return 0.0
     z = 1.0
     for _ in range(200):
-        if phi_star(z) > 0:
+        if phi(z) > 0:
             break
         z *= 2.0
     else:
         raise NumericError("could not find where the dominating mechanism turns positive")
     lo = 1e-12
-    if phi_star(lo) > 0:  # negative drift but jumps dominate immediately
+    if phi(lo) > 0:  # negative drift but jumps dominate immediately
         return 0.0
-    return float(brentq(phi_star, lo, z, xtol=1e-15, rtol=1e-14))
+    return float(brentq(phi, lo, z, xtol=1e-15, rtol=1e-14))
 
 
-def vbar_scalar(phi_star: ScalarMechanism, t: float) -> float:
+def vbar_scalar(phi_star: BranchingMechanism, t: float) -> float:
     """Limit of the scalar cumulant as the initial value tends to infinity.
 
     Computed by root-finding x in  int_x^inf dz / phi_*(z) = t,  and for
@@ -386,10 +357,9 @@ def vbar_scalar(phi_star: ScalarMechanism, t: float) -> float:
         raise NumericError("vbar bracketing failed near the positivity threshold")
     root = float(brentq(gap, lo, hi, xtol=1e-14, rtol=1e-12))
 
-    if phi_star.c_star > 0 and not phi_star.m_star:
-        exact = math.exp(-phi_star.b_star * t) / (
-            phi_star.c_star * discount_integral(phi_star.b_star, t)
-        )
+    b_star, c_star = float(phi_star.b[0]), float(phi_star.c[0])
+    if c_star > 0 and not phi_star.has_jumps:
+        exact = math.exp(-b_star * t) / (c_star * discount_integral(b_star, t))
         if abs(root - exact) > 1e-8 * abs(exact):
             raise NumericError(
                 f"vbar cross-check failed: root-finding gives {root!r}, "
@@ -438,19 +408,6 @@ def vbar_vector(mech: BranchingMechanism, t: float, tol: float = 1e-8) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
-    """First-moment semigroup at a fixed time: mean of X_t(f) from X_0=mu is <mu, P f>."""
-
-    t: float
-    P: np.ndarray
-
-    def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        P.setflags(write=False)
-        object.__setattr__(self, "P", P)
-
-
 def _mean_matrix(mech: BranchingMechanism) -> np.ndarray:
     """Generator of the mean flow: M = -diag(b) + gamma."""
     return -np.diag(mech.b) + gamma_matrix(mech)
@@ -464,11 +421,16 @@ def moment_decay_rate(mech: BranchingMechanism) -> float:
     return -float(np.max(np.linalg.eigvals(_mean_matrix(mech)).real))
 
 
-def moment_semigroup(mech: BranchingMechanism, t: float) -> MomentMatrix:
-    """First-moment semigroup exp(tM), M = -diag(b) + gamma."""
+def moment_semigroup(mech: BranchingMechanism, t: float) -> np.ndarray:
+    """First-moment semigroup P = exp(tM), M = -diag(b) + gamma, read-only.
+
+    The mean of X_t(f) from X_0 = mu is <mu, P f>.
+    """
     if t < 0:
         raise ValidationError(f"moment semigroup needs t >= 0, got {t}")
-    return MomentMatrix(t=float(t), P=expm(float(t) * _mean_matrix(mech)))
+    P = expm(float(t) * _mean_matrix(mech))
+    P.setflags(write=False)
+    return P
 
 
 def integrated_moment_matrix(mech: BranchingMechanism, t: float) -> np.ndarray:
@@ -499,7 +461,7 @@ def mean_vector(
     (int_0^t pi_s ds)^T (beta + first moment of nu) when imm is given.
     """
     mu = mass_vector(mu, d=mech.d)
-    out = moment_semigroup(mech, t).P.T @ mu
+    out = moment_semigroup(mech, t).T @ mu
     if imm is not None:
         influx = imm.beta + imm.first_moment()
         out = out + integrated_moment_matrix(mech, t).T @ influx

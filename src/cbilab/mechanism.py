@@ -28,9 +28,10 @@ the cumulant flow is always the plain ODE system dv/dt = -phi(v).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -43,7 +44,6 @@ __all__ = [
     "StableAxis",
     "JumpComponent",
     "BranchingMechanism",
-    "ScalarMechanism",
     "ImmigrationMechanism",
     "MotionGenerator",
     "mass_vector",
@@ -197,25 +197,6 @@ def _psi_jump_term(comp: JumpComponent, lam: np.ndarray) -> float:
     raise ValidationError(f"immigration measure cannot contain {type(comp).__name__}")
 
 
-def _local_jump_term(comp: JumpComponent, z: float, i: int) -> float:
-    """int (e^{-z u_i} - 1 + z u_i) comp(du): the on-axis compensated integral."""
-    if isinstance(comp, PointMass):
-        ui = comp.u[i]
-        if ui == 0.0:
-            return 0.0
-        return comp.weight * (math.exp(-z * ui) - 1.0 + z * ui)
-    if isinstance(comp, ExponentialAxis):
-        if comp.axis != i:
-            return 0.0
-        th = comp.mean
-        return comp.rate * th * th * z * z / (1.0 + th * z)
-    if isinstance(comp, StableAxis):
-        if comp.axis != i:
-            return 0.0
-        return comp.scale * stable_constant(comp.alpha) * z ** (1.0 + comp.alpha)
-    raise TypeError(f"unknown jump component {comp!r}")
-
-
 def _first_moment(comp: JumpComponent, d: int) -> np.ndarray:
     """int u comp(du) as a d-vector; inf on a stable axis."""
     m = np.zeros(d)
@@ -302,47 +283,6 @@ class BranchingMechanism:
     def is_quadratic(self) -> bool:
         """True when there are no jump components (pure b/c/eta mechanism)."""
         return not self.has_jumps
-
-
-@dataclass(frozen=True)
-class ScalarMechanism:
-    """Spatially independent mechanism phi_*(z) = b_* z + c_* z^2 + jump part."""
-
-    b_star: float
-    c_star: float
-    m_star: tuple = ()
-
-    def __post_init__(self):
-        if not np.isfinite(self.b_star):
-            raise ValidationError("b_star must be finite")
-        if not (np.isfinite(self.c_star) and self.c_star >= 0):
-            raise ValidationError(f"c_star must be nonnegative, got {self.c_star}")
-        comps = tuple(self.m_star)
-        for comp in comps:
-            if not _component_dim_ok(comp, 1):
-                raise ValidationError("ScalarMechanism jump components must be 1-dimensional")
-        object.__setattr__(self, "m_star", comps)
-
-    @property
-    def has_stable(self) -> bool:
-        return any(isinstance(comp, StableAxis) for comp in self.m_star)
-
-    def __call__(self, z):
-        """Evaluate phi_*(z); accepts scalars or arrays, z >= 0."""
-        z = np.asarray(z, dtype=float)
-        if np.any(z < 0):
-            raise ValidationError("phi_* is only defined for z >= 0")
-        out = self.b_star * z + self.c_star * z * z
-        for comp in self.m_star:
-            if isinstance(comp, PointMass):
-                u = float(comp.u[0])
-                out = out + comp.weight * (np.exp(-z * u) - 1.0 + z * u)
-            elif isinstance(comp, ExponentialAxis):
-                th = comp.mean
-                out = out + comp.rate * th * th * z * z / (1.0 + th * z)
-            elif isinstance(comp, StableAxis):
-                out = out + comp.scale * stable_constant(comp.alpha) * z ** (1.0 + comp.alpha)
-        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -448,7 +388,10 @@ def eval_phi(mech: BranchingMechanism, lam) -> np.ndarray:
 def local_projection(mech: BranchingMechanism, i: int, z: float) -> float:
     """On-diagonal projection phi_1(i, z) of the mechanism at type i.
 
-    phi_1(i,z) = (b_i - gamma_i(1)) z + c_i z^2 + int (e^{-z u_i} - 1 + z u_i) H_i(du).
+    phi_1(i,z) = (b_i - gamma_i(1)) z + c_i z^2 + int (e^{-z u_i} - 1 + z u_i) H_i(du),
+
+    the jump part being phi_i's jump integral at lam = z e_i.  For one type
+    gamma = 0, so this is phi_1 itself.
     """
     if not 0 <= i < mech.d:
         raise ValidationError(f"type index {i} out of range for dimension {mech.d}")
@@ -456,8 +399,11 @@ def local_projection(mech: BranchingMechanism, i: int, z: float) -> float:
         raise ValidationError(f"local projection needs z >= 0, got {z}")
     gamma_row = gamma_matrix(mech)[i]
     out = (mech.b[i] - gamma_row.sum()) * z + mech.c[i] * z * z
-    for comp in mech.jumps[i]:
-        out += _local_jump_term(comp, float(z), i)
+    if mech.jumps[i]:
+        lam = np.zeros(mech.d)
+        lam[i] = z
+        for comp in mech.jumps[i]:
+            out += _phi_jump_term(comp, lam, i)
     return float(out)
 
 
@@ -479,7 +425,7 @@ def beta_star(mech: BranchingMechanism) -> float:
     return float(np.min(mech.b - gamma_matrix(mech).sum(axis=1)))
 
 
-def dominating_mechanism(mech: BranchingMechanism) -> ScalarMechanism:
+def dominating_mechanism(mech: BranchingMechanism) -> BranchingMechanism:
     """Componentwise-minimum scalar mechanism phi_* with phi_1(i,z) >= phi_*(z).
 
     b_* is the subcriticality rate, c_* = min_i c_i, and the jump part keeps
@@ -493,7 +439,8 @@ def dominating_mechanism(mech: BranchingMechanism) -> ScalarMechanism:
         mech: branching mechanism to dominate.
 
     Returns:
-        ScalarMechanism with the guaranteed minorant property.
+        One-type BranchingMechanism (b_*, c_*, jumps m_*) with the
+        guaranteed minorant property.
     """
     bs = beta_star(mech)
     cs = float(np.min(mech.c))
@@ -506,10 +453,10 @@ def dominating_mechanism(mech: BranchingMechanism) -> ScalarMechanism:
         alphas.update(round(comp.alpha, 14) for comp in own)
     if all(s > 0 for s in per_type_scale) and len(alphas) == 1:
         m_star = (StableAxis(axis=0, alpha=float(next(iter(alphas))), scale=min(per_type_scale)),)
-    phi_star = ScalarMechanism(b_star=bs, c_star=cs, m_star=m_star)
+    phi_star = BranchingMechanism(b=[bs], c=[cs], jumps=(m_star,))
 
     zs = np.arange(0.0, DOMINATION_GRID_MAX + 0.5 * DOMINATION_GRID_STEP, DOMINATION_GRID_STEP)
-    lower = phi_star(zs)
+    lower = np.array([local_projection(phi_star, 0, z) for z in zs])
     for i in range(mech.d):
         vals = np.array([local_projection(mech, i, z) for z in zs])
         bad = np.nonzero(vals < lower - 1e-12)[0]
@@ -522,7 +469,19 @@ def dominating_mechanism(mech: BranchingMechanism) -> ScalarMechanism:
     return phi_star
 
 
-def grey_condition(phi_star: ScalarMechanism) -> bool:
+def _scalar_phi(phi_star: BranchingMechanism) -> Callable[[float], float]:
+    """phi_* as a function of z >= 0.
+
+    That is local_projection(phi_star, 0, .), which is phi_* itself since
+    gamma = 0 for one type.  A dominating mechanism has exactly one type;
+    any other dimension is refused.
+    """
+    if phi_star.d != 1:
+        raise ValidationError(f"a dominating mechanism has one type, got dimension {phi_star.d}")
+    return functools.partial(local_projection, phi_star, 0)
+
+
+def grey_condition(phi_star: BranchingMechanism) -> bool:
     """True iff phi_* is eventually positive with integrable tail of 1/phi_*.
 
     For the admissible jump kinds the tail of phi_* grows superlinearly iff a
@@ -531,7 +490,8 @@ def grey_condition(phi_star: ScalarMechanism) -> bool:
     c_* > 0 or a stable component present.  The test suite cross-checks this
     decision against direct numerical integration of 1/phi_*.
     """
-    return phi_star.c_star > 0 or phi_star.has_stable
+    _scalar_phi(phi_star)  # refuses d != 1
+    return bool(phi_star.c[0] > 0) or any(isinstance(comp, StableAxis) for comp in phi_star.jumps[0])
 
 
 def eval_psi(imm: ImmigrationMechanism, lam) -> float:
@@ -547,17 +507,18 @@ def eval_psi(imm: ImmigrationMechanism, lam) -> float:
     return out
 
 
-def phi_star_tail_integral(phi_star: ScalarMechanism, z0: float, upper: float = np.inf) -> float:
+def phi_star_tail_integral(phi_star: BranchingMechanism, z0: float, upper: float = np.inf) -> float:
     """Numerically integrate int_{z0}^{upper} dz / phi_*(z) (oracle helper).
 
     Used to cross-check grey_condition and vbar root-finding.  Substitutes
     w = 1/z so the infinite tail becomes a finite interval.
     """
+    phi = _scalar_phi(phi_star)
     if z0 <= 0:
         raise ValidationError("tail integral needs z0 > 0")
 
     def integrand(w):
-        return 1.0 / (w * w * phi_star(1.0 / w))
+        return 1.0 / (w * w * phi(1.0 / w))
 
     hi = 1.0 / z0
     lo = 0.0 if upper == np.inf else 1.0 / upper

@@ -48,7 +48,6 @@ from .mechanism import (
 
 __all__ = [
     "SimConfig",
-    "sample_cb_quadratic",
     "sample_transition",
     "sample_immigration",
     "sample_cbi_transition",
@@ -113,17 +112,6 @@ def _cb_quadratic_batch(x: np.ndarray, b: float, c: float, t, rng) -> np.ndarray
     if np.any(t <= 0):
         out = np.where(t > 0, out, x)
     return out
-
-
-def sample_cb_quadratic(x: float, b: float, c: float, t: float, rng) -> float:
-    """One exact draw from the scalar quadratic transition law started at x."""
-    if x < 0:
-        raise ValidationError(f"initial mass must be >= 0, got {x}")
-    if c < 0:
-        raise ValidationError(f"branching coefficient c must be >= 0, got {c}")
-    if t < 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
-    return float(_cb_quadratic_batch(np.asarray([float(x)]), b, c, float(t), rng)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +286,8 @@ def sample_transition(mu, mech: BranchingMechanism, t: float, cfg: SimConfig, rn
     quadratic systems) use the exact sampler; all others take dt-steps of
     the symmetric split scheme.
     """
-    if t < 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValidationError(f"time must be finite and >= 0, got {t}")
     mu = np.asarray(mu, dtype=float)
     if mu.ndim == 2:
         if mu.shape != (cfg.n_samples, mech.d):
@@ -324,8 +312,8 @@ def sample_immigration(imm: ImmigrationMechanism, mech: BranchingMechanism,
     """
     if imm.d != mech.d:
         raise ValidationError(f"immigration dimension {imm.d} != mechanism dimension {mech.d}")
-    if t < 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValidationError(f"time must be finite and >= 0, got {t}")
     n = cfg.n_samples
     if t == 0.0 or imm.is_trivial():
         return np.zeros((n, mech.d))

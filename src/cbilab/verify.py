@@ -97,9 +97,14 @@ ASSIGN_SUBSAMPLE = 1024  # rows fed to the exact empirical W1 estimator
 
 def _finite_real(value, what: str) -> float:
     """value as a float; a bool, a string or a non-finite number is refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValidationError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -256,7 +261,7 @@ class ScenarioAnalytics:
         self.mech = mech
         self._vbar = functools.cache(lambda t: _frozen(vbar_vector(mech, t)))
         self.pt1 = functools.cache(
-            lambda t: _frozen(moment_semigroup(mech, t).P @ np.ones(mech.d)))
+            lambda t: _frozen(moment_semigroup(mech, t) @ np.ones(mech.d)))
 
     def vbar(self, t: float) -> np.ndarray:
         """Extinction envelope Vbar_t; GreyConditionError when Grey's condition fails."""

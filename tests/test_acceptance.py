@@ -122,7 +122,7 @@ def test_wasserstein_sandwich():
         mu, nu = np.array([1.0, 2.0]), np.array([2.0, 1.0])
         cfg = SimConfig(n_samples=20_000, dt=sc.cfg.dt, seed=0)
         for t in (0.25, math.log(2.0), 2.0):
-            pt1 = moment_semigroup(sc.mech, t).P @ np.ones(2)
+            pt1 = moment_semigroup(sc.mech, t) @ np.ones(2)
             lower = abs(float((mu - nu) @ pt1))
             upper = float(np.abs(mu - nu) @ pt1)
             pair = couple_transitions(mu, nu, sc.mech, t, cfg, rng)
@@ -190,19 +190,19 @@ def test_multitype_domination():
     with criterion(9, "multi-type cumulant dominated by the scalar envelope; moments decay at beta*"):
         sc = parse_scenario(load_document(SCENARIOS / "ref_d2_folded.json"))
         phi = dominating_mechanism(sc.mech)
-        assert not phi.m_star  # quadratic envelope, closed form applies
+        assert not phi.has_jumps  # quadratic envelope, closed form applies
         ts = [0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0]
         for lam in (1.0, 10.0, 100.0):
             for t in ts:
                 v = solve_cumulant(sc.mech, lam * np.ones(2), t).final
-                v_star = closed_form_quadratic(phi.b_star, phi.c_star, lam, t)
+                v_star = closed_form_quadratic(phi.b[0], phi.c[0], lam, t)
                 assert float(v.max()) <= v_star + 1e-8, (lam, t)
 
         bs = beta_star(sc.mech)
         rng = _rng(90)
         fs = rng.uniform(-1.0, 1.0, size=(20, 2))
         for t in ts:
-            p = moment_semigroup(sc.mech, t).P
+            p = moment_semigroup(sc.mech, t)
             for f in fs:
                 lhs = float(np.abs(p @ f).max())
                 assert lhs <= math.exp(-bs * t) * float(np.abs(f).max()) + 1e-10, t

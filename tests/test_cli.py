@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,21 @@ class TestDocumentValidation:
         assert main(["mech-info", str(path)]) == 2
         assert "dimension must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("changes, field", [
+        ({"mechanism": {"b": 1.0, "c": [1.0]}}, "mechanism.b"),
+        ({"mechanism": {"b": [1.0], "c": [1.0], "jumps": 5}}, "mechanism.jumps"),
+        ({"mechanism": {"b": [1.0], "c": ["a"]}}, "mechanism.c"),
+        ({"initial": {"mu": "abc"}}, "initial.mu"),
+        ({"lambda_probe": ["x"]}, "lambda_probe"),
+        ({"schema_version": True}, "schema_version"),
+    ])
+    def test_wrongly_typed_value_names_field(self, tmp_path, capsys, changes, field):
+        path = write_doc(tmp_path, **changes)
+        with pytest.raises(ValidationError, match=re.escape(field)):
+            parse_scenario(load_document(path))
+        assert main(["mech-info", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_non_standard_json_constant_rejected(self, tmp_path):
         path = write_doc(tmp_path)
         path.write_text(path.read_text().replace('"seed": 5', '"seed": NaN'))
@@ -142,6 +158,29 @@ class TestExitCodes:
     def test_unknown_field_is_input_error(self, tmp_path, capsys):
         assert main(["mech-info", str(write_doc(tmp_path, extra=1))]) == 2
         assert "unknown fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "{doc}", "--t", "nan"], "--t"),
+        (["simulate", "{doc}", "--t", "-1"], "--t"),
+        (["couple", "{doc}", "--t", "nan"], "--t"),
+        (["simulate", f"{SCENARIOS}/ref_d1_stable.json", "--t", "inf"], "--t"),
+        (["cumulant", "{doc}", "--lam", "abc"], "--lam"),
+        (["cumulant", "{doc}", "--grid", "-1"], "--grid"),
+        (["verify", "{doc}", "--workers", "0"], "--workers"),
+        (["verify", "{doc}", "--workers", "-3"], "--workers"),
+        (["distance", "{csv}", "{csv}"], "bad.csv"),
+    ])
+    def test_bad_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, flag):
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("x_1\nabc\n")
+        doc = write_doc(tmp_path)
+        argv = [a.format(doc=doc, csv=bad_csv) for a in argv]
+        out = tmp_path / "out"
+        if argv[0] != "distance":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_blow_up_is_numeric_error(self, tmp_path, capsys):
         # linear supercritical flow grows like e^{2t}; past the solver
@@ -361,3 +400,33 @@ class TestVerifyCommand:
                      "--out", str(tmp_path / "batch")]) == 0
         assert (tmp_path / "batch" / "scen-a" / "report.json").exists()
         assert (tmp_path / "batch" / "scen-b" / "report.json").exists()
+
+    def test_workers_capped_at_document_count(self, tmp_path, monkeypatch):
+        # a pool starts all of its workers up front, so verify asks for no
+        # more than it has documents; the recording pool starts no process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("cbilab.cli.ProcessPoolExecutor", RecordingPool)
+        docs = [write_doc(tmp_path, name=f"{nm}.json", checks=["laplace"])
+                for nm in ("a", "b")]
+        for p, nm in zip(docs, ("scen-a", "scen-b")):
+            p.write_text(json.dumps(json.loads(p.read_text()) | {"name": nm}))
+        assert main(["verify", *map(str, docs), "--workers", "64",
+                     "--out", str(tmp_path / "batch")]) == 0
+        assert sizes == [2]
+        assert main(["verify", str(docs[0]), "--workers", "64",
+                     "--out", str(tmp_path / "one")]) == 0
+        assert sizes == [2]  # one document runs in this process

@@ -180,7 +180,7 @@ def test_cost_sandwich_non_ordered():
     mech = folded_mech()
     mu, nu = np.array([1.0, 2.0]), np.array([2.0, 0.5])
     t = 0.7
-    P = moment_semigroup(mech, t).P
+    P = moment_semigroup(mech, t)
     ones = np.ones(2)
     lower = abs((mu - nu) @ (P @ ones))
     upper = np.abs(mu - nu) @ (P @ ones)

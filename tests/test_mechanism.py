@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from cbilab.cumulant import vbar_scalar
 from cbilab.errors import ValidationError
 from cbilab.mechanism import (
     BranchingMechanism,
@@ -19,7 +20,6 @@ from cbilab.mechanism import (
     ImmigrationMechanism,
     MotionGenerator,
     PointMass,
-    ScalarMechanism,
     StableAxis,
     beta_star,
     dominating_mechanism,
@@ -147,11 +147,12 @@ def test_dominating_mechanism_folded_quadratic():
         MotionGenerator([[-1.0, 1.0], [1.0, -1.0]]),
     )
     phi_star = dominating_mechanism(mech)
-    assert phi_star.b_star == pytest.approx(1.0)
-    assert phi_star.c_star == pytest.approx(1.0)
-    assert phi_star.m_star == ()
+    assert phi_star.d == 1
+    assert phi_star.b[0] == pytest.approx(1.0)
+    assert phi_star.c[0] == pytest.approx(1.0)
+    assert not phi_star.has_jumps
     # phi_*(z) = z + z^2
-    assert phi_star(2.0) == pytest.approx(6.0)
+    assert local_projection(phi_star, 0, 2.0) == pytest.approx(6.0)
     assert grey_condition(phi_star)
     # int_1^inf dz/(z+z^2) = ln 2, quadrature cross-check of the tail helper
     assert phi_star_tail_integral(phi_star, 1.0) == pytest.approx(math.log(2.0), abs=1e-10)
@@ -164,34 +165,45 @@ def test_dominating_mechanism_keeps_common_stable_part():
         jumps=((StableAxis(axis=0, alpha=0.5, scale=0.25),),),
     )
     phi_star = dominating_mechanism(mech)
-    assert phi_star.has_stable
+    assert any(isinstance(comp, StableAxis) for comp in phi_star.jumps[0])
     assert grey_condition(phi_star)
     z = 1.7
-    assert phi_star(z) == pytest.approx(
+    assert local_projection(phi_star, 0, z) == pytest.approx(
         0.6 * z + 0.3 * z * z + 0.25 * stable_constant(0.5) * z ** 1.5, abs=1e-12
     )
 
 
 def test_grey_condition_fails_for_linear_tail():
     # c_* = 0 and only finite-mean jumps: integral of 1/phi_* diverges
-    phi_star = ScalarMechanism(b_star=1.0, c_star=0.0, m_star=(PointMass(u=[1.0], weight=0.5),))
+    phi_star = BranchingMechanism(b=[1.0], c=[0.0], jumps=((PointMass(u=[1.0], weight=0.5),),))
     assert not grey_condition(phi_star)
     # numeric cross-check: truncated tails keep growing like log(upper)
     i1 = phi_star_tail_integral(phi_star, 1.0, upper=1e3)
     i2 = phi_star_tail_integral(phi_star, 1.0, upper=1e6)
     assert i2 - i1 > 1.0
     # while the quadratic case has already converged
-    quadratic = ScalarMechanism(b_star=1.0, c_star=1.0)
+    quadratic = BranchingMechanism(b=[1.0], c=[1.0])
     j1 = phi_star_tail_integral(quadratic, 1.0, upper=1e3)
     j2 = phi_star_tail_integral(quadratic, 1.0, upper=1e6)
     assert j2 - j1 < 1e-3
+
+
+def test_scalar_envelope_functions_refuse_several_types():
+    # phi_* is a one-type mechanism; the functions that read it as a scalar
+    # refuse any other dimension
+    mech = two_type_mechanism()
+    for call in (lambda: grey_condition(mech),
+                 lambda: phi_star_tail_integral(mech, 1.0),
+                 lambda: vbar_scalar(mech, 1.0)):
+        with pytest.raises(ValidationError, match="one type"):
+            call()
 
 
 def test_dominating_minorant_on_grid():
     mech = two_type_mechanism()
     phi_star = dominating_mechanism(mech)  # raises if the minorant fails
     for z in np.linspace(0.0, 40.0, 173):
-        lower = phi_star(float(z))
+        lower = local_projection(phi_star, 0, float(z))
         for i in range(mech.d):
             assert local_projection(mech, i, float(z)) >= lower - 1e-12
 

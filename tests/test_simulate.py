@@ -28,7 +28,6 @@ from cbilab.simulate import (
     SimConfig,
     _cb_quadratic_batch,
     _stable_positive_batch,
-    sample_cb_quadratic,
     sample_cbi_transition,
     sample_immigration,
     sample_stationary,
@@ -79,11 +78,18 @@ def test_quadratic_sampler_identity():
 
 def test_quadratic_sampler_trap_and_fallback():
     rng = np.random.default_rng(0)
-    assert sample_cb_quadratic(0.0, 1.0, 1.0, 2.0, rng) == 0.0
+    cfg = SimConfig(n_samples=4)
+    assert np.all(sample_transition([0.0], quad_mech(), 2.0, cfg, rng) == 0.0)
     # no branching noise: deterministic decay
-    assert sample_cb_quadratic(3.0, 2.0, 0.0, 1.0, rng) == pytest.approx(3 * math.exp(-2.0))
+    decay = BranchingMechanism(b=[2.0], c=[0.0])
+    assert sample_transition([3.0], decay, 1.0, cfg, rng) == pytest.approx(
+        np.full((4, 1), 3 * math.exp(-2.0)))
     with pytest.raises(ValidationError):
-        sample_cb_quadratic(-1.0, 1.0, 1.0, 1.0, rng)
+        sample_transition([-1.0], quad_mech(), 1.0, cfg, rng)
+    with pytest.raises(ValidationError):
+        sample_transition([1.0], quad_mech(), -1.0, cfg, rng)
+    with pytest.raises(ValidationError):
+        BranchingMechanism(b=[1.0], c=[-1.0])
 
 
 def test_quadratic_sampler_law():
