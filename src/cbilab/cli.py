@@ -26,6 +26,7 @@ import numpy as np
 
 from .coupling import couple_cbi, couple_transitions
 from .cumulant import (
+    _check_tol,
     mean_vector,
     moment_decay_rate,
     solve_cumulant,
@@ -324,7 +325,7 @@ def cmd_cumulant(args) -> int:
     t_end = _horizon(args, sc)
     lam = _parse_lam(args.lam, sc.mech.d) if args.lam else sc.lambda_probe
     grid = np.linspace(0.0, t_end, _integer(args.grid, "--grid", 2))
-    path = solve_cumulant(sc.mech, lam, t_end, tol=args.tolerance,
+    path = solve_cumulant(sc.mech, lam, t_end, tol=_check_tol(args.tolerance, "--tolerance"),
                           t_eval=grid[1:-1] if len(grid) > 2 else None, imm=sc.imm)
     out = _out_dir(args) / "cumulant.csv"
     _write_csv(out, "t," + _columns("v", sc.mech.d),
@@ -385,6 +386,7 @@ def cmd_couple(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    bins = _integer(args.bins, "--bins", 2)
     a = _read_samples(args.file_a)
     b = _read_samples(args.file_b)
     if args.metric in ("w1", "both"):
@@ -392,7 +394,7 @@ def cmd_distance(args) -> int:
         route = "quantile" if a.shape[1] == 1 else "assignment"
         print(f"w1 = {w1:.12g} ({route})")
     if args.metric in ("tv", "both"):
-        tv = tv_empirical(a, b, bins=args.bins)
+        tv = tv_empirical(a, b, bins=bins)
         print(f"tv = {float(tv):.12g} (spread {tv.spread:.3g})")
     return 0
 

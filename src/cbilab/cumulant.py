@@ -16,6 +16,14 @@ and phi is only defined there), (ii) strict relative error control on
 values that decay through many orders of magnitude, and (iii) exact
 landing on requested output times; keeping the stepper local makes those
 three behaviours explicit and testable.
+
+The stepper advances a batch of independent lanes at once: one mechanism,
+one horizon, one start per lane.  Each lane keeps its own time, step size,
+stages and step counts, and its values are bit for bit those of a solve of
+that lane alone: stage sums stay per-lane matrix-vector products, and the
+step-size factor err^(-1/5) is taken per lane in Python floats.  A lane
+that fails stops alone.  solve_cumulant is the one-lane case; the
+extinction envelope runs its whole lambda ladder as one batch.
 """
 
 from __future__ import annotations
@@ -94,11 +102,12 @@ def closed_form_quadratic(b_star: float, c_star: float, lam, t):
 
 
 # ---------------------------------------------------------------------------
-# adaptive Dormand-Prince 5(4) stepper
+# adaptive Dormand-Prince 5(4) stepper over a batch of lanes
 # ---------------------------------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = (
+# stage rows of the tableau; the system is autonomous, so the nodes c_s
+# never enter
+_DP_A = tuple(np.array(row) for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -106,93 +115,176 @@ _DP_A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+))
 # fifth-order weights coincide with the last tableau row (FSAL)
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 
 _MAX_STEPS = 1_000_000
+_MIN_TOL = 1e-14  # tighter relative tolerances ask for more than double precision holds
 
 
-def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(x))))
+def _check_tol(tol, what: str = "tol") -> float:
+    """tol as a float, refused unless it is a number in [_MIN_TOL, 1)."""
+    if not _MIN_TOL <= tol < 1.0:
+        raise ValidationError(f"{what} must be a relative tolerance in [{_MIN_TOL:g}, 1), got {tol!r}")
+    return float(tol)
+
+
+def _rms(x: np.ndarray) -> np.ndarray:
+    """Root mean square of each lane (row) of x."""
+    return np.sqrt(np.square(x).sum(axis=-1) / x.shape[-1])
+
+
+def _eval_lanes(f, Y):
+    """f on the (m, n) lane states Y, and the (row, exception) pairs of the
+    rows outside f's domain.
+
+    A bad row makes the batched call raise; then every row is evaluated
+    alone, so each failing lane gets the exception a solve of that lane
+    alone would raise.  A failed row's derivative is zero."""
+    try:
+        return f(Y), []
+    except (ValidationError, NumericError):
+        out = np.zeros(Y.shape)
+        failures = []
+        for r in range(len(Y)):
+            try:
+                out[r] = f(Y[r:r + 1])[0]
+            except (ValidationError, NumericError) as exc:
+                failures.append((r, exc))
+        return out, failures
 
 
 def _initial_step(f, y0, f0, t_end, rtol, atol):
-    """Standard two-probe starting-step heuristic, capped at the horizon."""
+    """Standard two-probe starting-step heuristic per lane, capped at the
+    horizon.  Returns the steps and the failures of the probe evaluation."""
     scale = atol + rtol * np.abs(y0)
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = f(y1)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end)
+    d0 = _rms(y0 / scale).tolist()
+    d1 = _rms(f0 / scale).tolist()
+    h0 = np.array([1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b for a, b in zip(d0, d1)])
+    f1, failures = _eval_lanes(f, y0 + h0[:, None] * f0)
+    d2 = (_rms((f1 - f0) / scale) / h0).tolist()
+    h = []
+    for a, b, c in zip(h0.tolist(), d1, d2):
+        h1 = max(1e-6, a * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
+        h.append(min(100 * a, h1, t_end))
+    return h, failures
 
 
 def _integrate(f, y0, t_end, rtol, atol, t_record, ceiling):
-    """Integrate y' = f(y) from 0 to t_end, recording y at t_record exactly.
+    """Integrate y' = f(y) from 0 to t_end for a batch of independent lanes,
+    recording y at t_record exactly.
 
-    f must accept (and internally clamp) slightly-negative stage values.
-    Returns (values at t_record, accepted steps, rejected steps).
+    y0 is (L, n), one start per lane.  f maps (m, n) lane states to their
+    derivatives, row by row, and must accept (and internally clamp)
+    slightly-negative stage values.  Every lane keeps its own time, step
+    size, stage array and step counts, and takes exactly the floating-point
+    operations of a batch holding that lane alone: the states and stages
+    are stacked arrays, the step control runs per lane on Python floats.  A
+    lane that fails stops there and the others go on.
+
+    Returns (values (L, len(t_record), n), accepted steps, rejected steps,
+    errors), the last three lists by lane: errors[l] is the exception lane l
+    ended with, or None.
     """
     y = np.array(y0, dtype=float)
-    n = y.size
-    out = np.empty((len(t_record), n))
-    idx = 0
-    if t_record[0] == 0.0:
-        out[0] = y
-        idx = 1
+    L, n = y.shape
+    times = t_record.tolist()
+    n_rec = len(times)
+    out = np.empty((L, n_rec, n))
+    n_acc, n_rej, errors = [0] * L, [0] * L, [None] * L
+    first = 0
+    if times[0] == 0.0:
+        out[:, 0] = y
+        first = 1
     if t_end == 0.0:
-        return out, 0, 0
-    k = np.empty((7, n))
-    k[0] = f(y)
-    h = _initial_step(f, y, k[0], t_end, rtol, atol)
-    t = 0.0
-    n_acc = n_rej = 0
-    while t < t_end:
-        if n_acc + n_rej > _MAX_STEPS:
-            raise NumericError(f"cumulant integration exceeded {_MAX_STEPS} steps at t={t:.6g}")
-        h = min(h, t_end - t)
-        # land exactly on the next requested output time
-        hit_record = idx < len(t_record) and t + h >= t_record[idx] - 1e-15 * max(1.0, t_record[idx])
-        if hit_record:
-            h = t_record[idx] - t
-        if h <= 1e-14 * max(1.0, t):
-            raise NumericError(f"step size underflow at t={t:.6g}")
+        return out, n_acc, n_rej, errors
+
+    def fail(row_lanes, failures):
+        """Give each failed row's lane its exception, unless it has one."""
+        for r, exc in failures:
+            if errors[row_lanes[r]] is None:
+                errors[row_lanes[r]] = exc
+
+    k = np.empty((L, 7, n))
+    k[:, 0], failures = _eval_lanes(f, y)
+    fail(range(L), failures)
+    h, failures = _initial_step(f, y, k[:, 0], t_end, rtol, atol)
+    fail(range(L), failures)
+    # per running row: its lane, time, step, next output index, landing flag
+    lanes, t, idx, hit = list(range(L)), [0.0] * L, [first] * L, [False] * L
+    while True:
+        keep = []
+        for r, lane in enumerate(lanes):
+            if errors[lane] is not None:
+                continue
+            if t[r] >= t_end:
+                if idx[r] != n_rec:
+                    errors[lane] = NumericError("integration finished without hitting all output times")
+                continue
+            if n_acc[lane] + n_rej[lane] > _MAX_STEPS:
+                errors[lane] = NumericError(f"cumulant integration exceeded {_MAX_STEPS} steps at t={t[r]:.6g}")
+                continue
+            h[r] = min(h[r], t_end - t[r])
+            # land exactly on the next requested output time
+            hit[r] = idx[r] < n_rec and t[r] + h[r] >= times[idx[r]] - 1e-15 * max(1.0, times[idx[r]])
+            if hit[r]:
+                h[r] = times[idx[r]] - t[r]
+            if h[r] <= 1e-14 * max(1.0, t[r]):
+                errors[lane] = NumericError(f"step size underflow at t={t[r]:.6g}")
+                continue
+            keep.append(r)
+        if not keep:
+            break
+        if len(keep) < len(lanes):
+            lanes, t, h, idx, hit = ([a[r] for r in keep] for a in (lanes, t, h, idx, hit))
+            y, k = y[keep], k[keep]
+        kt = k.swapaxes(1, 2)  # (m, n, 7): stage sums are (n, s) @ (s,) per lane
+        hc = np.array(h)[:, None]
         for s in range(1, 7):
-            y_stage = y + h * (k[:s].T @ np.asarray(_DP_A[s]))
-            k[s] = f(y_stage)
-        y5 = y + h * (k.T @ _DP_B5)
-        y4 = y + h * (k.T @ _DP_B4)
+            k[:, s], failures = _eval_lanes(f, y + hc * (kt[:, :, :s] @ _DP_A[s]))
+            if failures:
+                fail(lanes, failures)
+                k[[r for r, _ in failures]] = 0.0  # a failed lane idles through the rest of the step
+        y5 = y + hc * (kt @ _DP_B5)
+        y4 = y + hc * (kt @ _DP_B4)
         scale = atol + rtol * np.maximum(np.abs(y), np.maximum(np.abs(y5), np.abs(y4)))
-        err = _rms((y5 - y4) / scale)
-        if err <= 1.0:
-            t = t + h
-            y_new = np.maximum(y5, 0.0)  # positivity clamp: the flow is invariant on the orthant
-            if np.any(np.abs(y_new) > ceiling):
-                raise BlowUpError(f"cumulant flow exceeded ceiling {ceiling:g} at t={t:.6g}")
-            if np.array_equal(y_new, y5):
-                k[0] = k[6]  # first-same-as-last: reuse the final stage
+        err = _rms((y5 - y4) / scale).tolist()
+        y_new = np.maximum(y5, 0.0)  # positivity clamp: the flow is invariant on the orthant
+        high = (np.abs(y_new) > ceiling).any(axis=1).tolist()
+        same = (y_new == y5).all(axis=1).tolist()
+        accepted, fresh = [], []
+        for r, (lane, e) in enumerate(zip(lanes, err)):
+            if errors[lane] is not None:
+                continue
+            if not math.isfinite(e):
+                errors[lane] = NumericError(f"non-finite error estimate at t={t[r]:.6g}")
+                continue
+            if e <= 1.0:
+                t[r] = t[r] + h[r]
+                if high[r]:
+                    errors[lane] = BlowUpError(f"cumulant flow exceeded ceiling {ceiling:g} at t={t[r]:.6g}")
+                    continue
+                accepted.append(r)
+                if not same[r]:
+                    fresh.append(r)
+                n_acc[lane] += 1
+                factor = 5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** -0.2))
             else:
-                k[0] = f(y_new)
-            y = y_new
-            if hit_record:
-                out[idx] = y
-                idx += 1
-            n_acc += 1
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        else:
-            n_rej += 1
-            factor = max(0.2, 0.9 * err ** -0.2)
-        h = h * factor
-    if idx != len(t_record):
-        raise NumericError("integration finished without hitting all output times")
-    return out, n_acc, n_rej
+                n_rej[lane] += 1
+                factor = max(0.2, 0.9 * e ** -0.2)
+            h[r] = h[r] * factor
+        y[accepted] = y_new[accepted]
+        k[accepted, 0] = k[accepted, 6]  # first-same-as-last: reuse the final stage
+        if fresh:
+            k[fresh, 0], failures = _eval_lanes(f, y_new[fresh])
+            fail([lanes[r] for r in fresh], failures)
+        for r in accepted:
+            if hit[r] and errors[lanes[r]] is None:
+                out[lanes[r], idx[r]] = y[r]
+                idx[r] += 1
+    return out, n_acc, n_rej, errors
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +330,32 @@ def _record_times(t_end: float, t_eval) -> np.ndarray:
     return grid
 
 
+def _flow_lanes(mech, lam0, t_end, tol, grid, imm=None, ceiling=1e12):
+    """The cumulant flow from each row of lam0 (L, d), as one batch of lanes.
+
+    Returns _integrate's (values, accepted, rejected, errors); with imm the
+    values carry int_0^t psi(v(s)) ds as an extra last column.
+    """
+    tol = _check_tol(tol)
+    atol = tol * 1e-6 + 1e-300  # tiny absolute floor; control is effectively relative
+    d = mech.d
+    if imm is None:
+        def rhs(Y):
+            return -eval_phi(mech, np.maximum(Y, 0.0))
+
+        return _integrate(rhs, lam0, float(t_end), tol, atol, grid, ceiling)
+
+    def rhs_aug(Y):
+        V = np.maximum(Y[:, :d], 0.0)
+        out = np.empty(Y.shape)
+        out[:, :d] = -eval_phi(mech, V)
+        out[:, d] = [eval_psi(imm, v) for v in V]
+        return out
+
+    y0 = np.concatenate([lam0, np.zeros((len(lam0), 1))], axis=1)
+    return _integrate(rhs_aug, y0, float(t_end), tol, atol, grid, ceiling)
+
+
 def solve_cumulant(
     mech: BranchingMechanism,
     lambda0,
@@ -250,11 +368,13 @@ def solve_cumulant(
 ) -> CumulantPath:
     """Integrate dv/dt = -phi(v) from v(0) = lambda0 up to t_end.
 
+    The one-lane case of the batched stepper.
+
     Args:
         mech: branching mechanism (fold any motion first).
         lambda0: nonnegative initial vector.
         t_end: horizon, >= 0.
-        tol: relative local error target per step.
+        tol: relative local error target per step, in [1e-14, 1).
         t_eval: optional increasing output times in [0, t_end]; the stepper
             lands on them exactly (no interpolation).
         imm: when given, co-integrate int_0^t psi(v(s)) ds and expose it as
@@ -267,31 +387,15 @@ def solve_cumulant(
     lam0 = mass_vector(lambda0, d=mech.d)
     if t_end < 0:
         raise ValidationError(f"t_end must be >= 0, got {t_end}")
-    if not tol > 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
     if imm is not None and imm.d != mech.d:
         raise ValidationError(f"immigration dimension {imm.d} != mechanism dimension {mech.d}")
     grid = _record_times(float(t_end), t_eval)
-    atol = tol * 1e-6 + 1e-300  # tiny absolute floor; control is effectively relative
+    vals, n_acc, n_rej, errors = _flow_lanes(mech, lam0[None, :], t_end, tol, grid, imm, ceiling)
+    if errors[0] is not None:
+        raise errors[0]
     d = mech.d
-
-    if imm is None:
-        def rhs(y):
-            return -eval_phi(mech, np.maximum(y, 0.0))
-
-        vals, n_acc, n_rej = _integrate(rhs, lam0, float(t_end), tol, atol, grid, ceiling)
-        return CumulantPath(grid, vals, None, n_acc, n_rej)
-
-    def rhs_aug(y):
-        v = np.maximum(y[:d], 0.0)
-        out = np.empty(d + 1)
-        out[:d] = -eval_phi(mech, v)
-        out[d] = eval_psi(imm, v)
-        return out
-
-    y0 = np.concatenate([lam0, [0.0]])
-    vals, n_acc, n_rej = _integrate(rhs_aug, y0, float(t_end), tol, atol, grid, ceiling)
-    return CumulantPath(grid, vals[:, :d], vals[:, d], n_acc, n_rej)
+    imm_integral = None if imm is None else vals[0, :, d]
+    return CumulantPath(grid, vals[0, :, :d], imm_integral, n_acc[0], n_rej[0])
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +476,9 @@ def vbar_scalar(phi_star: BranchingMechanism, t: float) -> float:
 def vbar_vector(mech: BranchingMechanism, t: float, tol: float = 1e-8) -> np.ndarray:
     """Componentwise extinction envelope: limit of v(t, L*(1,..,1)) as L grows.
 
-    Runs the cumulant flow over the geometric ladder L in {10, 100, ...},
-    stopping when successive values differ by less than tol.  Every iterate
+    Runs the cumulant flow over the geometric ladder L in {10, ..., 1e12},
+    all rungs as lanes of one batch, and takes the first rung whose value
+    differs from the previous one by less than tol.  Every iterate
     is certified against the scalar envelope of the dominating mechanism
     (the flow started from any L is bounded by the scalar flow started at
     its sup-norm, hence by the scalar envelope).
@@ -387,11 +492,15 @@ def vbar_vector(mech: BranchingMechanism, t: float, tol: float = 1e-8) -> np.nda
     phi_star = dominating_mechanism(mech)
     cap = vbar_scalar(phi_star, t)  # raises GreyConditionError when infinite
     ode_tol = min(tol * 1e-2, 1e-10)
-    prev = None
-    ones = np.ones(mech.d)
     ladder = 10.0 ** np.arange(1, 13)
-    for lam in ladder:
-        v = solve_cumulant(mech, lam * ones, t, ode_tol).final
+    grid = _record_times(float(t), None)
+    # every rung is one lane of a single batch; a rung past the stop may
+    # fail without consequence, and the first failing rung before it raises
+    vals, _, _, errors = _flow_lanes(mech, ladder[:, None] * np.ones(mech.d), t, ode_tol, grid)
+    prev = None
+    for lam, v, error in zip(ladder, vals[:, -1], errors):
+        if error is not None:
+            raise error
         if np.any(v > cap * (1.0 + 1e-6) + tol):
             raise NumericError(
                 f"envelope certificate violated at ladder value {lam:g}: "

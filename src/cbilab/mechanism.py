@@ -372,16 +372,27 @@ def fold_motion(mech: BranchingMechanism, motion: MotionGenerator) -> BranchingM
 
 
 def eval_phi(mech: BranchingMechanism, lam) -> np.ndarray:
-    """Evaluate (phi_1(lam), ..., phi_d(lam)) with all jump integrals in closed form."""
+    """Evaluate (phi_1(lam), ..., phi_d(lam)) with all jump integrals in closed form.
+
+    lam is one point (d,) or a stack of points (m, d), validated once; each
+    row of the result has the bits of a call on that row alone.
+    """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.size != mech.d:
-        raise ValidationError(f"lambda has dimension {lam.size}, expected {mech.d}")
-    if np.any(lam < 0) or not np.all(np.isfinite(lam)):
-        raise ValidationError(f"phi is only defined for finite lambda >= 0, got {lam}")
-    out = mech.b * lam + mech.c * lam * lam - mech.eta @ lam
-    for i in range(mech.d):
-        for comp in mech.jumps[i]:
-            out[i] += _phi_jump_term(comp, lam, i)
+    d = mech.d
+    if lam.ndim > 2 or lam.shape[-1] != d:
+        raise ValidationError(f"lambda has dimension {lam.shape[-1]}, expected {d}")
+    ok = (lam >= 0) & np.isfinite(lam)
+    if not ok.all():
+        bad = lam if lam.ndim == 1 else lam[~ok.all(axis=1)][0]
+        raise ValidationError(f"phi is only defined for finite lambda >= 0, got {bad}")
+    # eta @ each row as a matrix-vector product, the same kernel as for one row
+    out = mech.b * lam + mech.c * lam * lam - (mech.eta @ lam[..., None])[..., 0]
+    # jump terms row by row, keeping scalar math.exp and **: vectorised
+    # transcendentals round differently from libm
+    for i, comps in enumerate(mech.jumps):
+        for comp in comps:
+            for row, out_row in zip(lam.reshape(-1, d), out.reshape(-1, d)):
+                out_row[i] += _phi_jump_term(comp, row, i)
     return out
 
 

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 STATIONARY_BIAS = 1e-3  # relative mean of the immigration tail a stationary draw omits
+_MAX_SPLIT_STEPS = 10_000_000  # a finer dt gives Poisson means past what the RNG draws
 
 
 @dataclass(frozen=True)
@@ -221,6 +222,10 @@ def _stepped_batch(
     if t == 0.0:
         return X
     n, d = X.shape
+    if t / cfg.dt > _MAX_SPLIT_STEPS:
+        raise ValidationError(
+            f"dt = {cfg.dt:g} needs {t / cfg.dt:.3g} split steps to reach t = {t:g}; "
+            f"at most {_MAX_SPLIT_STEPS} are allowed, so raise dt")
     n_steps = max(1, math.ceil(t / cfg.dt))
     h = t / n_steps
     D, atoms, exps, stables = _step_tables(mech, cfg.jump_threshold)

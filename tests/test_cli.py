@@ -169,17 +169,26 @@ class TestExitCodes:
         (["verify", "{doc}", "--workers", "0"], "--workers"),
         (["verify", "{doc}", "--workers", "-3"], "--workers"),
         (["distance", "{csv}", "{csv}"], "bad.csv"),
+        (["distance", "{good}", "{good}", "--bins", "0"], "--bins"),
+        (["cumulant", "{doc}", "--tolerance", "1e-300", "--t", "1", "--grid", "3"], "--tolerance"),
+        (["cumulant", "{doc}", "--tolerance", "inf"], "--tolerance"),
+        (["simulate", f"{SCENARIOS}/ref_d1_stable.json", "--dt", "1e-300", "--samples", "1",
+          "--t", "1"], "dt = 1e-300"),
     ])
     def test_bad_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, flag):
         bad_csv = tmp_path / "bad.csv"
         bad_csv.write_text("x_1\nabc\n")
+        good_csv = tmp_path / "good.csv"
+        good_csv.write_text("x_1\n1.0\n2.0\n")
         doc = write_doc(tmp_path)
-        argv = [a.format(doc=doc, csv=bad_csv) for a in argv]
+        argv = [a.format(doc=doc, csv=bad_csv, good=good_csv) for a in argv]
         out = tmp_path / "out"
         if argv[0] != "distance":
             argv += ["--out", str(out)]
         assert main(argv) == 2
-        assert flag in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_blow_up_is_numeric_error(self, tmp_path, capsys):

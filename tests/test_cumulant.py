@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from cbilab import cumulant
 from cbilab.cli import main
 from cbilab.cumulant import (
     closed_form_quadratic,
@@ -23,7 +24,7 @@ from cbilab.cumulant import (
     vbar_scalar,
     vbar_vector,
 )
-from cbilab.errors import BlowUpError, GreyConditionError, ValidationError
+from cbilab.errors import BlowUpError, GreyConditionError, NumericError, ValidationError
 from cbilab.mechanism import (
     BranchingMechanism,
     ExponentialAxis,
@@ -192,6 +193,83 @@ def test_jensen_mean_bound():
 
 
 # ---------------------------------------------------------------------------
+# the stepper's lanes
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def lane_problems(draw):
+    """A mechanism of 1-3 types (any jump kinds, maybe eta), immigration or
+    not, and a batch of starts with one horizon and output grid."""
+    d = draw(st.integers(1, 3))
+
+    def reals(lo, hi, n=d):
+        return draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+
+    eta = np.array(reals(0.0, 0.5, d * d)).reshape(d, d) * draw(st.booleans())
+    np.fill_diagonal(eta, 0.0)
+    jumps = []
+    for i in range(d):
+        comps = []
+        if draw(st.booleans()):
+            comps.append(PointMass(u=np.array(reals(0.0, 1.0)) + np.eye(d)[i],
+                                   weight=draw(st.floats(0.1, 1.0))))
+        if draw(st.booleans()):
+            comps.append(ExponentialAxis(axis=draw(st.integers(0, d - 1)),
+                                         mean=draw(st.floats(0.1, 1.0)), rate=draw(st.floats(0.1, 1.0))))
+        if draw(st.booleans()):
+            comps.append(StableAxis(axis=i, alpha=draw(st.floats(0.1, 0.9)), scale=draw(st.floats(0.1, 1.0))))
+        jumps.append(tuple(comps))
+    mech = BranchingMechanism(b=reals(-1.0, 2.0), c=reals(0.0, 2.0), eta=eta, jumps=tuple(jumps))
+    imm = ImmigrationMechanism(beta=reals(0.0, 1.0)) if draw(st.booleans()) else None
+    starts = np.array([reals(0.0, 1e3) for _ in range(draw(st.integers(1, 5)))])
+    t_end = draw(st.floats(0.05, 3.0))
+    t_eval = sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=3))))
+    tol = draw(st.sampled_from([1e-10, 1e-8, 1e-6]))
+    ceiling = draw(st.sampled_from([1e12, 50.0]))
+    return mech, imm, starts, t_end, [s * t_end for s in t_eval] or None, tol, ceiling
+
+
+@given(lane_problems())
+@settings(max_examples=60, deadline=None)
+def test_lanes_match_one_lane_solves_bit_for_bit(problem):
+    mech, imm, starts, t_end, t_eval, tol, ceiling = problem
+    grid = cumulant._record_times(t_end, t_eval)
+    vals, n_acc, n_rej, errors = cumulant._flow_lanes(mech, starts, t_end, tol, grid, imm, ceiling)
+    for lane, lam in enumerate(starts):
+        try:
+            alone = solve_cumulant(mech, lam, t_end, tol, t_eval=t_eval, imm=imm, ceiling=ceiling)
+        except (NumericError, ValidationError) as exc:
+            assert type(errors[lane]) is type(exc) and str(errors[lane]) == str(exc)
+            continue
+        assert errors[lane] is None
+        assert np.array_equal(vals[lane, :, :mech.d], alone.v_values)
+        if imm is not None:
+            assert np.array_equal(vals[lane, :, mech.d], alone.imm_integral)
+        assert (n_acc[lane], n_rej[lane]) == (alone.n_steps, alone.n_rejected)
+        assert type(alone.n_steps) is int and type(alone.n_rejected) is int
+
+
+def test_tolerance_outside_double_precision_refused():
+    mech = BranchingMechanism(b=[1.0], c=[1.0])
+    for tol in (0.0, 1e-300, 1e-15, 1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="tol must be"):
+            solve_cumulant(mech, [1.0], 1.0, tol=tol)
+    assert solve_cumulant(mech, [1.0], 0.1, tol=1e-14).n_steps > 0
+
+
+def test_non_finite_error_estimate_stops_the_lane():
+    # a derivative that turns NaN past y = 1.5 used to be retried with
+    # ever smaller steps until the step size underflowed
+    def f(Y):
+        return np.where(Y < 1.5, 1.0, np.nan)
+
+    grid = np.array([0.0, 3.0])
+    _, _, _, errors = cumulant._integrate(f, np.array([[0.0], [2.0]]), 3.0, 1e-8, 1e-14, grid, 1e12)
+    assert all(isinstance(e, NumericError) and "non-finite error estimate" in str(e) for e in errors)
+
+
+# ---------------------------------------------------------------------------
 # extinction envelopes
 # ---------------------------------------------------------------------------
 
@@ -245,6 +323,72 @@ def test_vbar_vector_monotone_and_symmetric():
     )
     v = vbar_vector(sym, 1.0, tol=1e-8)
     assert v[0] == pytest.approx(v[1], abs=1e-7)
+
+
+def _ladder_rungs(mech, t):
+    """The ladder, and the step counts of one solve per rung up to the
+    stopping rung, whose index comes last."""
+    ladder = 10.0 ** np.arange(1, 13)
+    paths = []
+    for lam in ladder:
+        paths.append(solve_cumulant(mech, lam * np.ones(mech.d), t, 1e-10))
+        if len(paths) > 1 and np.max(np.abs(paths[-1].final - paths[-2].final)) < 1e-8:
+            break
+    return ladder, [p.n_steps + p.n_rejected for p in paths], len(paths) - 1
+
+
+def test_vbar_ladder_lanes_fail_in_isolation(monkeypatch):
+    mech, t = BranchingMechanism(b=[1.0], c=[1.0]), 1.0
+    expected = vbar_vector(mech, t)
+    ladder, steps, stop = _ladder_rungs(mech, t)
+    assert steps == sorted(set(steps))  # higher rungs take strictly more steps
+    # a step limit that the rungs up to the stop meet and the next one does not
+    monkeypatch.setattr(cumulant, "_MAX_STEPS", steps[stop] - 1)
+    with pytest.raises(NumericError, match="exceeded"):
+        solve_cumulant(mech, [ladder[stop + 1]], t, 1e-10)
+    assert np.array_equal(vbar_vector(mech, t), expected)
+    # the rung before the stop exceeds the limit: the error of that rung's own solve
+    monkeypatch.setattr(cumulant, "_MAX_STEPS", steps[stop - 1] - 2)
+    with pytest.raises(NumericError) as alone:
+        solve_cumulant(mech, [ladder[stop - 1]], t, 1e-10)
+    with pytest.raises(NumericError) as batch:
+        vbar_vector(mech, t)
+    assert str(batch.value) == str(alone.value)
+
+
+def test_vbar_ladder_lanes_fail_in_isolation_on_evaluation(monkeypatch):
+    mech, t = folded_two_type(), 1.0
+    expected = vbar_vector(mech, t)
+    _, _, stop = _ladder_rungs(mech, t)
+    real_phi = cumulant.eval_phi
+
+    def phi_below(limit):
+        def phi(mech, lam):
+            if np.any(np.asarray(lam) > limit):
+                raise ValidationError(f"phi refused above {limit:g}")
+            return real_phi(mech, lam)
+        return phi
+
+    # rungs past the stop cannot be evaluated at all
+    monkeypatch.setattr(cumulant, "eval_phi", phi_below(10.0 ** (stop + 1.5)))
+    assert np.array_equal(vbar_vector(mech, t), expected)
+    # nor can the second rung, well before the stop
+    monkeypatch.setattr(cumulant, "eval_phi", phi_below(50.0))
+    with pytest.raises(ValidationError, match="phi refused above 50"):
+        vbar_vector(mech, t)
+
+
+def test_vbar_vector_runs_the_ladder_as_one_batch(monkeypatch):
+    batches = []
+    real = cumulant._integrate
+
+    def counting(f, y0, *args):
+        batches.append(np.shape(y0))
+        return real(f, y0, *args)
+
+    monkeypatch.setattr(cumulant, "_integrate", counting)
+    vbar_vector(folded_two_type(), 1.0)
+    assert batches == [(12, 2)]
 
 
 def test_vbar_vector_rejects_linear_mechanism():

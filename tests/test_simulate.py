@@ -219,6 +219,22 @@ def test_extinction_atom_quadratic_and_stable():
     assert abs((y[:, 0] == 0).mean() - p) < 4 * math.sqrt(p * (1 - p) / n) + 2e-3
 
 
+def test_split_step_count_capped_before_any_draw():
+    # a dt too fine to sample is refused up front: a Poisson mean of order
+    # x / dt would overflow the generator mid-run
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for mu, mech, imm in (([1.0], stable_mech(), None),
+                          ([0.0, 0.0], folded_mech(), ImmigrationMechanism(beta=[0.4, 0.2]))):
+        cfg = SimConfig(n_samples=4, dt=1e-300)
+        with pytest.raises(ValidationError, match="dt = 1e-300"):
+            if imm is None:
+                sample_transition(mu, mech, 1.0, cfg, rng)
+            else:
+                sample_immigration(imm, mech, 1.0, cfg, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_blow_up_abort():
     mech = BranchingMechanism(b=[-2.0, -2.0], c=[0.01, 0.01], eta=[[0.0, 1.0], [1.0, 0.0]])
     cfg = SimConfig(n_samples=16, dt=0.05, ceiling=1e6)
