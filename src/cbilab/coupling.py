@@ -77,6 +77,15 @@ class CoupledPair:
     def row_costs(self) -> np.ndarray:
         return np.abs(self.left - self.right).sum(axis=1)
 
+    def dual_rows(self) -> np.ndarray:
+        """<s, left_k - right_k> for s the sign vector of mean(left - right).
+
+        <s, .> is 1-Lipschitz for the l1 cost, so by Kantorovich-Rubinstein
+        duality their mean bounds the exact W1 of the two batches below, as
+        cost() does above.  They equal row_costs() where each row agrees with s."""
+        diff = self.left - self.right
+        return np.where(diff.mean(axis=0) >= 0, diff, self.right - self.left).sum(axis=1)
+
     def cost(self) -> float:
         return float(self.row_costs().mean())
 

@@ -319,8 +319,8 @@ def _record_times(t_end: float, t_eval) -> np.ndarray:
         grid = np.array([0.0, t_end]) if t_end > 0 else np.array([0.0])
     else:
         grid = np.atleast_1d(np.asarray(t_eval, dtype=float))
-        if np.any(np.diff(grid) <= 0):
-            raise ValidationError("t_eval must be strictly increasing")
+        if grid.size == 0 or np.any(np.diff(grid) <= 0):
+            raise ValidationError("t_eval must be non-empty and strictly increasing")
         if grid[0] < 0 or grid[-1] > t_end + 1e-12:
             raise ValidationError("t_eval must lie inside [0, t_end]")
         if grid[0] != 0.0:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 from scipy.optimize import brentq, linear_sum_assignment
 
 from .cumulant import discount_integral
@@ -219,16 +219,15 @@ def tv_exact_quadratic(x: float, y: float, b: float, c: float, t: float) -> floa
     atom_gap = abs(math.exp(-mx) - math.exp(-my))
 
     k_max = int(max(mx, my) + 10 * math.sqrt(max(mx, my)) + 20)
-    while stats.poisson.sf(k_max, max(mx, my)) >= 1e-12:
+    while special.pdtrc(k_max, max(mx, my)) >= 1e-12:  # Poisson upper tail
         k_max *= 2
     ks = np.arange(1, k_max + 1)
-    pk_x = stats.poisson.pmf(ks, mx)
-    pk_y = stats.poisson.pmf(ks, my)
+    pk_x, pk_y = (np.exp(special.xlogy(ks, m) - special.gammaln(ks + 1) - m) for m in (mx, my))
 
     def diff(w):
         return _poisson_gamma_density(w, pk_x, theta) - _poisson_gamma_density(w, pk_y, theta)
 
-    upper = float(stats.gamma.ppf(1 - 1e-13, k_max, scale=theta))
+    upper = float(special.gammaincinv(k_max, 1 - 1e-13) * theta)  # Gamma(k_max, theta) quantile
     grid = np.logspace(math.log10(theta) - 9.0, math.log10(upper), 600)
     sign = np.sign(diff(grid))
     crossings = []

@@ -49,7 +49,7 @@ from .cumulant import (
     tail_immigrant_mass,
     vbar_vector,
 )
-from .distance import tv_empirical, tv_exact_quadratic, w1_exact_empirical
+from .distance import tv_empirical, tv_exact_quadratic
 from .errors import (
     BlowUpError,
     GreyConditionError,
@@ -92,7 +92,6 @@ __all__ = [
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 SIGMAS = 4.0  # pass threshold in standard errors
 REPLICATES = 3
-ASSIGN_SUBSAMPLE = 1024  # rows fed to the exact empirical W1 estimator
 
 
 def _finite_real(value, what: str) -> float:
@@ -298,25 +297,19 @@ def _stable_rel_floor(mech: BranchingMechanism, n: int) -> float:
 
 
 def _w1_replicate(pair, lower: float, upper: float, scale: float, sc: Scenario) -> tuple:
-    """One replicate of a W1 row: (subsample w1, its se, ok, coupling cost).
+    """One replicate of a W1 row: (mean dual row, its se, ok, coupling cost).
 
-    The full-batch coupling cost and the exact empirical W1 on a capped
-    subsample (sorted pairing in d=1, min-cost assignment in d >= 2) must
-    both lie in [lower, upper] up to four standard errors or a relative
-    floor of scale.  The se of that W1, the invariant w1 <= identity-matching
-    cost and the tolerance all refer to the subsample, not the full batch."""
-    n = min(pair.n, ASSIGN_SUBSAMPLE)
-    w1 = w1_exact_empirical(pair.left[:n], pair.right[:n])
-    cost_sub, se_sub = _mean_se(pair.row_costs()[:n])
+    The mean dual row and the coupling cost bracket the exact W1 of the
+    full batches (`CoupledPair.dual_rows`) and agree on ordered legs, as on
+    every shipped row.  The dual must not sit below lower and the cost must
+    lie in [lower, upper], each up to four of its own standard errors or a
+    relative floor of scale."""
+    dual, dual_se = _mean_se(pair.dual_rows())
     cost = pair.cost()
-    tol = max(max(0.01, _stable_rel_floor(sc.mech, sc.cfg.n_samples)) * scale,
-              SIGMAS * pair.cost_se())
-    tol_sub = max(max(0.01, _stable_rel_floor(sc.mech, ASSIGN_SUBSAMPLE)) * scale,
-                  SIGMAS * se_sub)
-    ok = (lower - tol <= cost <= upper + tol
-          and lower - tol_sub <= w1 <= upper + tol_sub
-          and w1 <= cost_sub + 1e-9)  # the optimal plan can only improve the pairing
-    return w1, se_sub, ok, cost
+    floor = max(0.01, _stable_rel_floor(sc.mech, sc.cfg.n_samples)) * scale
+    tol_dual, tol_cost = (max(floor, SIGMAS * se) for se in (dual_se, pair.cost_se()))
+    ok = lower - tol_dual <= dual and lower - tol_cost <= cost <= upper + tol_cost
+    return dual, dual_se, ok, cost
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +339,7 @@ def check_wasserstein_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> lis
             rows.append(CheckRow(
                 check=check_name, claim=claim, t=t,
                 analytic={"lower": lower, "upper": upper}, **fields,
-                details=_per_rep("cost_rep", cols[3]) | _per_rep("w1_rep", cols[0]),
+                details=_per_rep("cost_rep", cols[3]) | _per_rep("dual_rep", cols[0]),
             ))
     return rows
 
@@ -589,17 +582,15 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         by_tail = tail_immigrant_mass(mech, imm, t)
         routes_agree = abs(analytic_w1 - by_tail) <= 1e-8 * max(1.0, analytic_w1)
 
-        def draw_w1(rng):
-            w1, se_sub, ok, cost = _w1_replicate(couple_stationary(imm, mech, t, sc.cfg, rng),
-                                                 analytic_w1, analytic_w1, analytic_w1, sc)
-            return w1, se_sub, ok and routes_agree, cost
-
-        fields, cols = _replicated(rngs, draw_w1)
+        fields, cols = _replicated(rngs, lambda rng: _w1_replicate(
+            couple_stationary(imm, mech, t, sc.cfg, rng), analytic_w1, analytic_w1, analytic_w1, sc))
+        if not routes_agree:
+            fields["verdict"] = "fail"
         rows.append(CheckRow(
             check="stationary_w1_identity",
             claim="W1(N_t, N_infty) equals the mean mass immigrated before time -t, <m_infty, pi_t 1>",
             t=t, analytic={"w1": analytic_w1, "by_tail_integral": by_tail}, **fields,
-            details=_per_rep("cost_rep", cols[3]),
+            details=_per_rep("cost_rep", cols[3]) | _per_rep("dual_rep", cols[0]),
         ))
 
     bound_claim = "||N_t - N_infty||_var <= 2 E[1 - e^{-<X_infty, Vbar_t>}]"

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -28,6 +28,7 @@ from cbilab.coupling import (
     jordan_decompose,
 )
 from cbilab.cumulant import moment_semigroup
+from cbilab.distance import _w1_assignment, w1_exact_empirical
 from cbilab.errors import ValidationError
 from cbilab.mechanism import (
     BranchingMechanism,
@@ -106,6 +107,31 @@ def test_pair_statistics_small():
     assert pair.cost() == pytest.approx(0.5)
     assert pair.differ() == pytest.approx(0.5)
     assert np.array_equal(pair.row_costs(), [1.0, 0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(1, 48), st.booleans(), st.integers(0, 2**32 - 1))
+def test_dual_rows_bracket_exact_w1(d, n, ordered, seed):
+    # mean dual row <= exact empirical W1 <= coupling cost; ordered legs
+    # (left - right of one sign per coordinate, as the couplings produce)
+    # close the bracket with the dual rows equal to the row costs
+    rng = np.random.default_rng(seed)
+
+    def batch():  # exact zeros and ties, as the samplers produce them
+        return rng.exponential(1.0, size=(n, d)).round(2) * (rng.random((n, d)) < 0.7)
+
+    if ordered:
+        base, gap = batch(), batch()
+        up = rng.random(d) < 0.5
+        pair = CoupledPair(base + up * gap, base + ~up * gap)
+    else:
+        pair = CoupledPair(batch(), batch())
+    dual, cost = float(pair.dual_rows().mean()), pair.cost()
+    assert dual == pytest.approx(np.abs((pair.left - pair.right).mean(axis=0)).sum(), abs=1e-12)
+    for w1 in (w1_exact_empirical(pair.left, pair.right), _w1_assignment(pair.left, pair.right)):
+        assert dual <= w1 + 1e-12 and w1 <= cost + 1e-12
+    if ordered:
+        assert pair.dual_rows().tobytes() == pair.row_costs().tobytes()
 
 
 def test_pair_validation():

@@ -487,5 +487,7 @@ def test_t_eval_validation():
         solve_cumulant(mech, [1.0], 1.0, t_eval=[0.5, 0.25])
     with pytest.raises(ValidationError):
         solve_cumulant(mech, [1.0], 1.0, t_eval=[0.5, 2.0])
+    with pytest.raises(ValidationError, match="t_eval"):
+        solve_cumulant(mech, [1.0], 1.0, t_eval=[])
     with pytest.raises(ValidationError):
         solve_cumulant(mech, [-1.0], 1.0)

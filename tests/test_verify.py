@@ -2,12 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cbilab import verify
-from cbilab.cli import main
+from cbilab import coupling, distance, verify
+from cbilab.cli import load_document, main, parse_scenario
 from cbilab.errors import ValidationError
 from cbilab.mechanism import BranchingMechanism, ImmigrationMechanism, PointMass
 from cbilab.cumulant import vbar_vector
@@ -24,6 +26,7 @@ from cbilab.verify import (
 
 MECH = BranchingMechanism(b=[1.0], c=[1.0])
 IMM = ImmigrationMechanism(beta=[2.0])
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def reference_scenario(**overrides):
@@ -164,6 +167,50 @@ class TestNegativeControl:
         sc = reference_scenario(cfg=SimConfig(n_samples=3_000, dt=0.01, seed=20),
                                 times=(1.0,), checks=("wasserstein_sandwich",))
         assert run_scenario(sc).passed
+
+
+class TestW1Rows:
+    W1_ROWS = ("wasserstein_sandwich", "wasserstein_sandwich_imm")
+
+    def test_mixed_sign_pair_needs_no_w1_solver(self, monkeypatch):
+        # criterion 4's unordered pair: the dual sits strictly below the
+        # coupling cost, and the rows are decided on the full batch alone
+        def refuse(*args):
+            raise AssertionError("verify solved an empirical W1")
+
+        for name in ("w1_exact_empirical", "_w1_assignment", "w1_1d_quantile"):
+            monkeypatch.setattr(distance, name, refuse)
+        sc = parse_scenario(load_document(SCENARIOS / "ref_d2_folded.json"))
+        sc = replace(sc, mu=np.array([1.0, 2.0]), nu=np.array([2.0, 1.0]),
+                     cfg=replace(sc.cfg, n_samples=2000), checks=("wasserstein_sandwich",))
+        rows = run_scenario(sc).rows
+        assert [r.check for r in rows] == list(self.W1_ROWS) * len(sc.times)
+        assert all(r.verdict == "pass" for r in rows), [(r.check, r.t) for r in rows]
+        for r in rows:
+            assert all(r.details[f"dual_rep{i}"] < r.details[f"cost_rep{i}"] for i in (1, 2, 3))
+
+    def test_scaled_positive_leg_is_caught(self, monkeypatch):
+        # a sampler that inflates the positive Jordan leg by 5% fails the
+        # rows where the sandwich is tight enough to see it
+        real_decompose, real_sample = coupling.jordan_decompose, coupling.sample_transition
+        positive = []
+
+        def decompose(mu, nu):
+            parts = real_decompose(mu, nu)
+            positive.append(parts[1])
+            return parts
+
+        def sample(x0, *args):
+            x = real_sample(x0, *args)
+            return 1.05 * x if any(x0 is p for p in positive) else x
+
+        monkeypatch.setattr(coupling, "jordan_decompose", decompose)
+        monkeypatch.setattr(coupling, "sample_transition", sample)
+        sc = parse_scenario(load_document(SCENARIOS / "ref_d1_quadratic.json"))
+        sc = replace(sc, checks=("wasserstein_sandwich",))
+        assert sc.cfg.seed == 1
+        failed = {(r.check, r.t) for r in run_scenario(sc).rows if r.verdict == "fail"}
+        assert failed == {(c, t) for c in self.W1_ROWS for t in (0.5, 1.0)}
 
 
 class TestSkipPaths:
