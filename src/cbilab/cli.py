@@ -265,7 +265,7 @@ def _load(path, args) -> tuple:
 def _horizon(args, sc) -> float:
     """--t, a finite number >= 0, or else the last scenario time."""
     if args.t is None:
-        return max(sc.times, default=1.0)
+        return sc.times[-1]
     t = _finite_real(args.t, "--t")
     if t < 0:
         raise ValidationError(f"--t must be >= 0, got {t!r}")
@@ -312,7 +312,7 @@ def cmd_mech_info(args) -> int:
     bs = beta_star(mech)
     print(f"beta_star: {bs:.10g}")
     print(f"moment decay rate: {moment_decay_rate(mech):.10g}")
-    print(ScenarioAnalytics(mech).grey_failure or "Grey's condition: holds")
+    print(ScenarioAnalytics(sc).grey_failure or "Grey's condition: holds")
     if sc.imm is not None:
         print(f"immigration beta: {sc.imm.beta.tolist()}")
         if bs > 0:
@@ -323,6 +323,8 @@ def cmd_mech_info(args) -> int:
 def cmd_cumulant(args) -> int:
     _, sc = _load(args.document, args)
     t_end = _horizon(args, sc)
+    if t_end == 0:  # vbar needs t > 0
+        raise ValidationError(f"cumulant needs --t > 0, got {t_end!r}")
     lam = _parse_lam(args.lam, sc.mech.d) if args.lam else sc.lambda_probe
     grid = np.linspace(0.0, t_end, _integer(args.grid, "--grid", 2))
     path = solve_cumulant(sc.mech, lam, t_end, tol=_check_tol(args.tolerance, "--tolerance"),
@@ -332,17 +334,15 @@ def cmd_cumulant(args) -> int:
                np.column_stack([path.t_grid, path.v_values]), "%.18e")
     print(f"wrote {out}")
     print(f"v({t_end:g}, {lam.tolist()}) = {path.final.tolist()}")
-    grey_failure = ScenarioAnalytics(sc.mech).grey_failure
-    if grey_failure:
-        print(f"vbar({t_end:g}) not available: {grey_failure}")
-    else:
-        print(f"vbar({t_end:g}) = {vbar_vector(sc.mech, t_end).tolist()}")
+    grey_failure = ScenarioAnalytics(sc).grey_failure
+    print(f"vbar({t_end:g}) not available: {grey_failure}" if grey_failure
+          else f"vbar({t_end:g}) = {vbar_vector(sc.mech, t_end).tolist()}")
     return 0
 
 
 def cmd_moments(args) -> int:
     _, sc = _load(args.document, args)
-    times = (0.0,) + (sc.times or (1.0,))
+    times = (0.0,) + sc.times
     means = [mean_vector(sc.mech, sc.mu, t, imm=sc.imm) for t in times]
     out = _out_dir(args) / "moments.csv"
     _write_csv(out, "t," + _columns("m", sc.mech.d),

@@ -194,11 +194,8 @@ def _integrate(f, y0, t_end, rtol, atol, t_record, ceiling):
     n_rec = len(times)
     out = np.empty((L, n_rec, n))
     n_acc, n_rej, errors = [0] * L, [0] * L, [None] * L
-    first = 0
-    if times[0] == 0.0:
-        out[:, 0] = y
-        first = 1
     if t_end == 0.0:
+        out[:, 0] = y
         return out, n_acc, n_rej, errors
 
     def fail(row_lanes, failures):
@@ -213,13 +210,17 @@ def _integrate(f, y0, t_end, rtol, atol, t_record, ceiling):
     h, failures = _initial_step(f, y, k[:, 0], t_end, rtol, atol)
     fail(range(L), failures)
     # per running row: its lane, time, step, next output index, landing flag
-    lanes, t, idx, hit = list(range(L)), [0.0] * L, [first] * L, [False] * L
+    lanes, t, idx, hit = list(range(L)), [0.0] * L, [0] * L, [False] * L
     while True:
         keep = []
         for r, lane in enumerate(lanes):
             if errors[lane] is not None:
                 continue
-            if t[r] >= t_end:
+            # an output time closer to t than a step can resolve takes the value at t
+            while idx[r] < n_rec and times[idx[r]] - t[r] <= 1e-14 * max(1.0, t[r]):
+                out[lane, idx[r]] = y[r]
+                idx[r] += 1
+            if t[r] >= t_end or idx[r] == n_rec:
                 if idx[r] != n_rec:
                     errors[lane] = NumericError("integration finished without hitting all output times")
                 continue

@@ -1,11 +1,9 @@
 """Bound and identity checks: analytic values vs Monte Carlo estimates.
 
-Every check evaluates its analytic side from (mechanism, immigration, t)
-alone, estimates the matching distance or functional from samples, and
-records a pass/fail/skipped verdict with the numbers that produced it.
-Analytic quantities shared between checks (the Grey verdict, the
-extinction envelope and pi_t 1) are computed once per scenario by
-ScenarioAnalytics.  A failed bound never raises — it is recorded and
+Every check reads its analytic side from ScenarioAnalytics, which builds
+each analytic grid once per scenario by the flow's semigroup property,
+estimates the matching quantity from samples, and records a verdict with
+the numbers behind it.  A failed bound never raises — it is recorded and
 surfaces in the exit status of the batch front end.
 
 Statistical policy: every sampling-based verdict is required to hold on
@@ -28,6 +26,7 @@ import json
 import math
 import numbers
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -114,9 +113,9 @@ class Scenario:
     mech: BranchingMechanism
     cfg: SimConfig
     mu: np.ndarray
+    times: tuple
     nu: Optional[np.ndarray] = None
     imm: Optional[ImmigrationMechanism] = None
-    times: tuple = ()
     checks: tuple = ()
     lambda_probe: Optional[np.ndarray] = None
     tamper: float = 0.0
@@ -131,8 +130,8 @@ class Scenario:
             raise ValidationError(
                 f"immigration dimension {self.imm.d} != mechanism dimension {self.mech.d}")
         times = tuple(_finite_real(t, "each time") for t in self.times)
-        if any(t <= 0 for t in times) or any(a >= b for a, b in zip(times, times[1:])):
-            raise ValidationError("times must be positive, finite and strictly increasing")
+        if not times or any(t <= 0 for t in times) or any(a >= b for a, b in zip(times, times[1:])):
+            raise ValidationError("times must be non-empty, positive, finite and strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "tamper", _finite_real(self.tamper, "tamper"))
         if self.lambda_probe is None:
@@ -168,17 +167,9 @@ class CheckRow:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "claim": self.claim,
-            "t": self.t,
-            "analytic": {k: _finite(v) for k, v in self.analytic.items()},
-            "estimate": _finite(self.estimate),
-            "ci": _finite(self.ci),
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "details": {k: _finite(v) for k, v in self.details.items()},
-        }
+        return vars(self) | {"analytic": {k: _finite(v) for k, v in self.analytic.items()},
+                             "estimate": _finite(self.estimate), "ci": _finite(self.ci),
+                             "details": {k: _finite(v) for k, v in self.details.items()}}
 
 
 @dataclass(frozen=True)
@@ -192,19 +183,11 @@ class VerificationReport:
         return all(r.verdict != "fail" for r in self.rows)
 
     def counts(self) -> dict:
-        out = {"pass": 0, "fail": 0, "skipped": 0}
-        for r in self.rows:
-            out[r.verdict] = out.get(r.verdict, 0) + 1
-        return out
+        return {"pass": 0, "fail": 0, "skipped": 0} | Counter(r.verdict for r in self.rows)
 
     def to_json(self) -> str:
-        doc = {
-            "schema_version": 1,
-            "scenario": self.scenario,
-            "metadata": self.metadata,
-            "rows": [r.as_dict() for r in self.rows],
-        }
-        return json.dumps(doc, indent=2, sort_keys=False, allow_nan=False)
+        return json.dumps({"schema_version": 1, "scenario": self.scenario, "metadata": self.metadata,
+                           "rows": [r.as_dict() for r in self.rows]}, indent=2, allow_nan=False)
 
     def summary(self) -> str:
         lines = []
@@ -251,33 +234,109 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _psi_integrals(mech, imm, lam, lags) -> list:
+    """(int_lag^inf psi(v(s, lam)) ds, bound on its tail past lag + H) for
+    each lag of an increasing grid from 0, by one solve that runs
+    H = max(10/beta*, 20) past the last lag on nodes at most H/2000 apart.
+    Each ODE value is checked by Simpson on the nodes past its lag."""
+    bs = beta_star(mech)
+    if bs <= 0:
+        raise ValidationError(f"stationary exponent needs beta_star > 0, got {bs:.6g}")
+    horizon = max(10.0 / bs, 20.0)
+    ends = [*lags, lags[-1] + horizon]
+    pieces = [np.linspace(a, b, 2 * max(1, math.ceil((b - a) * 1000.0 / horizon - 1e-9)) + 1)
+              for a, b in zip(ends, ends[1:])]
+    grid = np.concatenate([piece[:-1] for piece in pieces[:-1]] + pieces[-1:])
+    path = solve_cumulant(mech, lam, ends[-1], tol=1e-10, t_eval=grid, imm=imm)
+    psi_vals = np.array([eval_psi(imm, v) for v in path.v_values])
+    influx = float((imm.beta + imm.first_moment()).sum())
+    out = []
+    for k in np.searchsorted(grid, lags):
+        by_simpson = float(simpson(psi_vals[k:], x=grid[k:]))
+        by_ode = float(path.imm_integral[-1] - path.imm_integral[k])
+        if abs(by_simpson - by_ode) > 1e-6 * max(1.0, abs(by_ode)):
+            raise NumericError(f"stationary quadrature mismatch past lag {grid[k]:g}: "
+                               f"simpson {by_simpson:.12g} vs ode {by_ode:.12g}")
+        tail = influx * float(path.v_values[k].max()) * math.exp(-bs * horizon) / bs
+        out.append((by_ode, tail))
+    return out
+
+
+def _stationary_laplace_exponent(mech, imm, lam):
+    """(int_0^H psi(v(s, lam)) ds, bound on the rest to inf), H = max(10/beta*, 20)."""
+    return _psi_integrals(mech, imm, lam, [0.0])[0]
+
+
 class ScenarioAnalytics:
-    """The Grey verdict, Vbar_t and pi_t 1 of one scenario, each computed on
-    first use and shared by its checks.  A failed envelope solve is not
-    cached; asking again raises again."""
+    """The analytic side of one scenario, each part built once, on first use.
+    Its grids over the times: the probe flow (one solve), the envelope (a
+    ladder at t0 carried by Vbar_{t0+s} = v(s, Vbar_t0), checked by a ladder
+    at the last time) and the stationary TV exponents (one psi solve)."""
 
-    def __init__(self, mech: BranchingMechanism):
-        self.mech = mech
-        self._vbar = functools.cache(lambda t: _frozen(vbar_vector(mech, t)))
+    def __init__(self, sc: Scenario):
+        self.sc = sc
+        self.lags = [t - sc.times[0] for t in sc.times]
         self.pt1 = functools.cache(
-            lambda t: _frozen(moment_semigroup(mech, t) @ np.ones(mech.d)))
-
-    def vbar(self, t: float) -> np.ndarray:
-        """Extinction envelope Vbar_t; GreyConditionError when Grey's condition fails."""
-        if self.grey_failure:
-            raise GreyConditionError(self.grey_failure)
-        return self._vbar(t)
+            lambda t: _frozen(moment_semigroup(sc.mech, t) @ np.ones(sc.mech.d)))
 
     @functools.cached_property
     def grey_failure(self) -> str:
         """Why Grey's condition fails for the dominating mechanism; "" if it holds."""
         try:
-            if grey_condition(dominating_mechanism(self.mech)):
+            if grey_condition(dominating_mechanism(self.sc.mech)):
                 return ""
             reason = "dominating mechanism fails the finite-extinction test"
         except ValidationError as exc:
             reason = str(exc)
         return f"Grey's condition fails: {reason}"
+
+    @functools.cached_property
+    def probe(self) -> tuple:
+        """(v(t, lambda_probe), int_0^t psi(v(s)) ds, or 0 without immigration), a row per time."""
+        sc = self.sc
+        path = solve_cumulant(sc.mech, sc.lambda_probe, sc.times[-1], tol=1e-10,
+                              t_eval=sc.times, imm=sc.imm)
+        integral = np.zeros(len(sc.times)) if sc.imm is None else path.imm_integral[1:]
+        return path.v_values[1:], integral
+
+    @functools.cached_property
+    def envelope(self) -> tuple:
+        """(Vbar_t, a row per time, "") or (None, why it is unavailable)."""
+        mech, times = self.sc.mech, self.sc.times
+        if self.grey_failure:
+            return None, self.grey_failure
+        try:
+            grid = vbar_vector(mech, times[0])[None, :]
+            if len(times) > 1:
+                grid = solve_cumulant(mech, grid[0], self.lags[-1], tol=1e-10, t_eval=self.lags).v_values
+                ladder = vbar_vector(mech, times[-1])
+                if float(np.max(np.abs(grid[-1] - ladder))) > 1e-7:  # ten times the ladder's tol
+                    raise NumericError(f"extinction envelope routes disagree at t={times[-1]:g}: "
+                                       f"propagated {grid[-1].tolist()}, ladder {ladder.tolist()}")
+        except (GreyConditionError, NumericError) as exc:
+            return None, str(exc)
+        return _frozen(grid), ""
+
+    @functools.cached_property
+    def stationary_tv(self) -> tuple:
+        """((exponent, tail bound) per time, "") or (None, why not)."""
+        vbar, reason = self.envelope
+        if vbar is None:
+            return None, reason
+        try:
+            return _psi_integrals(self.sc.mech, self.sc.imm, vbar[0], self.lags), ""
+        except NumericError as exc:
+            return None, str(exc)
+
+    @functools.cached_property
+    def stationary_laplace(self) -> tuple:
+        """(exponent, tail bound) of the stationary Laplace functional at lambda_probe."""
+        return _stationary_laplace_exponent(self.sc.mech, self.sc.imm, self.sc.lambda_probe)
+
+
+def _skipped(check: str, claim: str, times, reason: str) -> list:
+    """One skipped row per time, for rows whose analytic side is unavailable."""
+    return [CheckRow(check=check, claim=claim, t=t, verdict="skipped", reason=reason) for t in times]
 
 
 def _stable_rel_floor(mech: BranchingMechanism, n: int) -> float:
@@ -349,15 +408,12 @@ def check_tv_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     mech = sc.mech
     rows = []
     claim = "2|e^{-mu(Vbar_t)} - e^{-nu(Vbar_t)}| <= ||Q_t(mu)-Q_t(nu)||_var <= 2(1 - e^{-|mu-nu|(Vbar_t)})"
+    vbars, reason = an.envelope
+    if vbars is None:
+        return _skipped("tv_sandwich", claim, sc.times, reason)
     exact_route = mech.d == 1 and mech.is_quadratic() and float(mech.c[0]) > 0
     se = math.sqrt(2.0 / sc.cfg.n_samples)  # bounded-differences scale of the TV estimate
-    for t in sc.times:
-        try:
-            vbar = an.vbar(t)
-        except (GreyConditionError, NumericError) as exc:
-            rows.append(CheckRow(check="tv_sandwich", t=t, claim=claim,
-                                 verdict="skipped", reason=str(exc)))
-            continue
+    for t, vbar in zip(sc.times, vbars):
         lower = 2.0 * abs(math.exp(-float(sc.mu @ vbar)) - math.exp(-float(sc.nu @ vbar))) + sc.tamper
         upper = 2.0 * (1.0 - math.exp(-float(np.abs(sc.mu - sc.nu) @ vbar)))
         if exact_route:
@@ -396,18 +452,14 @@ def check_lipschitz_contraction(sc: Scenario, rngs, an: ScenarioAnalytics) -> li
     sit below both the moment bound ||pi_t 1|| L(F) and, under the
     extinction condition, the bound 2 ||Vbar_t|| ||F||."""
     mech = sc.mech
-    lam = sc.lambda_probe
-    lip_f = float(lam.max())  # gradient sup-norm of e^{-<lam,.>} at the origin
+    lip_f = float(sc.lambda_probe.max())  # gradient sup-norm of e^{-<lam,.>} at the origin
     rows = []
     claim = "sup |Q_tF(mu)-Q_tF(nu)| / ||mu-nu||_1 <= ||pi_t 1|| L(F), and <= 2||Vbar_t|| ||F|| when extinction is instant"
-    for t in sc.times:
-        v = solve_cumulant(mech, lam, t, tol=1e-10).final
-        bound_moment = float(np.max(an.pt1(t))) * lip_f
-        analytic = {"bound_moment": bound_moment}
-        try:
-            analytic["bound_vbar"] = 2.0 * float(an.vbar(t).max())
-        except (GreyConditionError, NumericError):
-            pass
+    vbars, _ = an.envelope
+    for i, (t, v) in enumerate(zip(sc.times, an.probe[0])):
+        analytic = {"bound_moment": float(np.max(an.pt1(t))) * lip_f}
+        if vbars is not None:
+            analytic["bound_vbar"] = 2.0 * float(vbars[i].max())
         sup_ratio = 0.0
         for rng in rngs:
             for scale in (0.05, 1.0, 10.0):
@@ -432,12 +484,9 @@ def check_laplace(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     mech, imm, lam = sc.mech, sc.imm, sc.lambda_probe
     rows = []
     claim = "E[e^{-<lam, X_t>}] = exp(-<mu, v(t,lam)> - integral of psi(v(s,lam)))"
-    for t in sc.times:
-        path = solve_cumulant(mech, lam, t, tol=1e-10, imm=imm)
-        exponent = float(sc.mu @ path.final)
-        if imm is not None:
-            exponent += float(path.imm_integral[-1])
-        target = math.exp(-exponent)
+    v, integral = an.probe
+    for i, t in enumerate(sc.times):
+        target = math.exp(-(float(sc.mu @ v[i]) + float(integral[i])))
 
         def draw(rng):
             if imm is None:
@@ -463,13 +512,10 @@ def check_extinction_atom(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     # stepped simulation carries a small positive-part bias near zero; the
     # exact scalar sampler needs no allowance
     atol = 0.0 if has_exact_transition(mech) else 2e-3
-    for t in sc.times:
-        try:
-            vbar = an.vbar(t)
-        except (GreyConditionError, NumericError) as exc:
-            rows.append(CheckRow(check="extinction_atom", claim=claim, t=t,
-                                 verdict="skipped", reason=str(exc)))
-            continue
+    vbars, reason = an.envelope
+    if vbars is None:
+        return _skipped("extinction_atom", claim, sc.times, reason)
+    for t, vbar in zip(sc.times, vbars):
         target = math.exp(-float(sc.mu @ vbar))
         se = math.sqrt(max(target * (1 - target), 1e-12) / sc.cfg.n_samples)
 
@@ -491,29 +537,6 @@ def check_extinction_atom(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _stationary_laplace_exponent(mech, imm, lam):
-    """integral over [0, inf) of psi(v(s, lam)), with a certified tail bound.
-
-    Returns (exponent, tail_bound): the quadrature value over [0, T] for
-    T = max(10/beta*, 20) and the analytic bound on the discarded tail."""
-    bs = beta_star(mech)
-    if bs <= 0:
-        raise ValidationError(f"stationary exponent needs beta_star > 0, got {bs:.6g}")
-    horizon = max(10.0 / bs, 20.0)
-    n_grid = 2001
-    grid = np.linspace(0.0, horizon, n_grid)
-    path = solve_cumulant(mech, lam, horizon, tol=1e-10, t_eval=grid, imm=imm)
-    psi_vals = np.array([eval_psi(imm, v) for v in path.v_values])
-    by_simpson = float(simpson(psi_vals, x=grid))
-    by_ode = float(path.imm_integral[-1])
-    if abs(by_simpson - by_ode) > 1e-6 * max(1.0, abs(by_ode)):
-        raise NumericError(
-            f"stationary quadrature mismatch: simpson {by_simpson:.12g} vs ode {by_ode:.12g}")
-    influx = float((imm.beta + imm.first_moment()).sum())
-    tail = influx * float(lam.max()) * math.exp(-bs * horizon) / bs
-    return by_ode, tail
-
-
 def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     """Stationary law: mean, Laplace functional, distance identities, rates."""
     mech, imm = sc.mech, sc.imm
@@ -525,7 +548,7 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     if imm is None or imm.is_trivial():
         # without immigration the limit law is the zero state; at finite
         # horizons the mean follows the decaying moment flow
-        t_h = max(sc.times, default=1.0)
+        t_h = sc.times[-1]
         target = float(sc.mu @ an.pt1(t_h))
 
         def draw_decay(rng):
@@ -561,7 +584,7 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
 
     # Laplace functional at the probe frequency
     lam = sc.lambda_probe
-    exponent, tail = _stationary_laplace_exponent(mech, imm, lam)
+    exponent, tail = an.stationary_laplace
     target = math.exp(-exponent)
 
     def draw_laplace(rng):
@@ -594,13 +617,11 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         ))
 
     bound_claim = "||N_t - N_infty||_var <= 2 E[1 - e^{-<X_infty, Vbar_t>}]"
-    for t in sc.times:
-        try:
-            exponent_v, tail_v = _stationary_laplace_exponent(mech, imm, an.vbar(t))
-        except (GreyConditionError, NumericError) as exc:
-            rows.append(CheckRow(check="stationary_tv_bound", t=t, claim=bound_claim,
-                                 verdict="skipped", reason=str(exc)))
-            continue
+    tv, reason = an.stationary_tv
+    if tv is None:
+        rows.extend(_skipped("stationary_tv_bound", bound_claim, sc.times, reason))
+        tv = []
+    for t, (exponent_v, tail_v) in zip(sc.times, tv):
         bound = 2.0 * (1.0 - math.exp(-exponent_v))
 
         def draw_tv(rng):
@@ -679,7 +700,7 @@ def run_scenario(sc: Scenario) -> VerificationReport:
     start = time.time()
     rows = []
     registry = list(CHECKS)
-    analytics = ScenarioAnalytics(sc.mech)
+    analytics = ScenarioAnalytics(sc)
     for name in sc.checks:
         seq = np.random.SeedSequence((0 if sc.cfg.seed is None else sc.cfg.seed,
                                       registry.index(name)))
@@ -689,14 +710,7 @@ def run_scenario(sc: Scenario) -> VerificationReport:
         except (NumericError, BlowUpError, ValidationError) as exc:
             rows.append(CheckRow(check=name, claim="check aborted before producing rows",
                                  verdict="fail", reason=f"{type(exc).__name__}: {exc}"))
-    meta = {
-        "scenario": sc.name,
-        "seed": sc.cfg.seed,
-        "n_samples": sc.cfg.n_samples,
-        "dt": sc.cfg.dt,
-        "replicates": REPLICATES,
-        "version": __version__,
-        "numpy": np.__version__,
-        "runtime_s": round(time.time() - start, 3),
-    }
+    meta = {"scenario": sc.name, "seed": sc.cfg.seed, "n_samples": sc.cfg.n_samples,
+            "dt": sc.cfg.dt, "replicates": REPLICATES, "version": __version__,
+            "numpy": np.__version__, "runtime_s": round(time.time() - start, 3)}
     return VerificationReport(scenario=sc.name, rows=tuple(rows), metadata=meta)

@@ -102,7 +102,7 @@ class TestDocumentValidation:
         for bad in ("5", True, None):
             with pytest.raises(ValidationError, match="tamper must be a finite number"):
                 parse_scenario(doc | {"tamper": bad})
-        for bad in (["1.0"], [0.5, True], "1", 1.0):
+        for bad in (["1.0"], [0.5, True], "1", 1.0, []):
             with pytest.raises(ValidationError, match="time"):
                 parse_scenario(doc | {"times": bad})
         assert main(["mech-info", str(path)]) == 2
@@ -174,6 +174,7 @@ class TestExitCodes:
         (["cumulant", "{doc}", "--tolerance", "inf"], "--tolerance"),
         (["simulate", f"{SCENARIOS}/ref_d1_stable.json", "--dt", "1e-300", "--samples", "1",
           "--t", "1"], "dt = 1e-300"),
+        (["cumulant", "{doc}", "--t", "0"], "--t"),
     ])
     def test_bad_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, flag):
         bad_csv = tmp_path / "bad.csv"
@@ -329,14 +330,16 @@ class TestVerifyCommand:
         assert all(r["verdict"] == "fail" for r in report["rows"])
 
     def test_reference_document_end_to_end(self, tmp_path, capsys):
-        code = main(["verify", f"{SCENARIOS}/ref_d1_quadratic.json",
-                     "--samples", "4000", "--out", str(tmp_path)])
+        # the shipped document as is: 20000 samples, seed 1
+        code = main(["verify", f"{SCENARIOS}/ref_d1_quadratic.json", "--out", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "0 fail" in out
+        assert "total: 44 pass, 0 fail, 0 skipped" in out
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["schema_version"] == 1
-        assert report["metadata"]["n_samples"] == 4000
+        assert report["metadata"]["n_samples"] == 20000
+        assert report["metadata"]["seed"] == 1
+        assert [r["verdict"] for r in report["rows"]] == ["pass"] * 44
         # scenario echo round-trips through the parser
         echo = report["metadata"]["scenario_document"]
         assert echo == json.loads(open(f"{SCENARIOS}/ref_d1_quadratic.json").read())

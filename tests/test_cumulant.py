@@ -491,3 +491,15 @@ def test_t_eval_validation():
         solve_cumulant(mech, [1.0], 1.0, t_eval=[])
     with pytest.raises(ValidationError):
         solve_cumulant(mech, [-1.0], 1.0)
+
+
+def test_output_times_within_rounding_share_a_value():
+    # times an ulp or two apart are below the stepper's resolution; the later
+    # one takes the value at the earlier one instead of ending in an underflow
+    mech = BranchingMechanism(b=[1.0], c=[1.0])
+    near = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
+    path = solve_cumulant(mech, [1.0], near, t_eval=[0.5, 1.0, near])
+    assert path.v_values[-1] == path.v_values[-2]
+    assert path.v_values[-2] == pytest.approx(closed_form_quadratic(1.0, 1.0, 1.0, 1.0), rel=1e-8)
+    lags = [0.0, near - 1.0]  # the envelope grid of the times (1, near)
+    assert np.array_equal(*solve_cumulant(mech, [2.0], lags[-1], t_eval=lags).v_values)

@@ -12,13 +12,14 @@ from cbilab import coupling, distance, verify
 from cbilab.cli import load_document, main, parse_scenario
 from cbilab.errors import ValidationError
 from cbilab.mechanism import BranchingMechanism, ImmigrationMechanism, PointMass
-from cbilab.cumulant import vbar_vector
+from cbilab.cumulant import solve_cumulant, vbar_vector
 from cbilab.simulate import SimConfig
 from cbilab.verify import (
     CHECKS,
     Z99,
     CheckRow,
     Scenario,
+    ScenarioAnalytics,
     VerificationReport,
     _stationary_laplace_exponent,
     run_scenario,
@@ -51,6 +52,8 @@ class TestScenario:
             reference_scenario(times=(0.0, 1.0))
         with pytest.raises(ValidationError):
             reference_scenario(times=(1.0, math.inf))
+        with pytest.raises(ValidationError, match="non-empty"):
+            reference_scenario(times=())
         for bad in ("1.0", True, None):
             with pytest.raises(ValidationError, match="each time must be a finite number"):
                 reference_scenario(times=(0.5, bad))
@@ -281,6 +284,13 @@ class TestDeterminism:
         laplace_alone = [r for r in alone.rows if r.check == "laplace"]
         laplace_paired = [r for r in paired.rows if r.check == "laplace"]
         assert laplace_alone == laplace_paired
+        # the analytic grids do not depend on which checks read them first
+        shared = ("tv_sandwich", "extinction_atom", "lipschitz_contraction")
+        together = run_scenario(reference_scenario(
+            cfg=cfg, times=(1.0, 2.0), checks=("laplace", *shared))).rows
+        for check in shared:
+            alone = run_scenario(reference_scenario(cfg=cfg, times=(1.0, 2.0), checks=(check,)))
+            assert list(alone.rows) == [r for r in together if r.check == check]
 
 
 class TestSharedAnalytics:
@@ -300,6 +310,76 @@ class TestSharedAnalytics:
         assert {r.check for r in report.rows} >= {"extinction_atom", "tv_sandwich",
                                                    "lipschitz_contraction", "stationary_tv_bound"}
         assert sorted(calls) == [0.5, 1.0]
+
+
+def shipped(name: str) -> Scenario:
+    return parse_scenario(load_document(SCENARIOS / f"{name}.json"))
+
+
+@pytest.fixture(scope="module", params=["ref_d1_quadratic", "ref_d1_stable", "ref_d2_folded"])
+def grids(request):
+    """A shipped scenario's analytics, and the per-t envelope of each time."""
+    sc = shipped(request.param)
+    return sc, ScenarioAnalytics(sc), [vbar_vector(sc.mech, t) for t in sc.times]
+
+
+class TestAnalyticGrids:
+    def test_envelope_grid_matches_per_time_ladders(self, grids):
+        sc, an, per_t = grids
+        vbars, reason = an.envelope
+        assert reason == ""
+        np.testing.assert_allclose(vbars, per_t, rtol=0, atol=1e-7)
+        if sc.name == "ref_d1_quadratic":  # b = c = 1: Vbar_t = 1/(e^t - 1)
+            assert sc.times == (0.5, 1.0, 2.0, 3.0, 4.0)
+            np.testing.assert_allclose(vbars[:, 0], 1.0 / np.expm1(sc.times), rtol=0, atol=1e-9)
+
+    def test_lag_exponents_match_per_time_solves(self, grids):
+        sc, an, per_t = grids
+        tv, reason = an.stationary_tv
+        assert reason == ""
+        for (exponent, tail), vbar in zip(tv, per_t):
+            ref, ref_tail = _stationary_laplace_exponent(sc.mech, sc.imm, vbar)
+            assert abs(exponent - ref) <= ref_tail + 1e-8
+            assert tail == pytest.approx(ref_tail, rel=1e-6)
+
+    def test_one_solve_per_grid_on_the_quadratic_scenario(self, monkeypatch):
+        ladders, solves = [], []
+
+        def ladder(mech, t):
+            ladders.append(t)
+            return vbar_vector(mech, t)
+
+        def solve(*args, **kwargs):
+            solves.append(args[2])
+            return solve_cumulant(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "vbar_vector", ladder)
+        monkeypatch.setattr(verify, "solve_cumulant", solve)
+        assert run_scenario(shipped("ref_d1_quadratic")).passed
+        assert ladders == [0.5, 4.0]
+        # probe flow, envelope propagation, stationary-TV lags, stationary Laplace
+        assert len(solves) == 4
+
+    def test_disagreeing_routes_skip_the_envelope_rows(self, monkeypatch):
+        sc = reference_scenario(cfg=SimConfig(n_samples=300, dt=0.02, seed=3), times=(0.5, 1.0),
+                                checks=("tv_sandwich", "extinction_atom",
+                                        "lipschitz_contraction", "stationary"))
+
+        def shifted(mech, t):
+            return vbar_vector(mech, t) + (1e-6 if t == sc.times[-1] else 0.0)
+
+        monkeypatch.setattr(verify, "vbar_vector", shifted)
+        report = run_scenario(sc)
+        skipped = [r for r in report.rows if r.check in {"tv_sandwich", "extinction_atom",
+                                                         "stationary_tv_bound"}]
+        assert len(skipped) == 3 * len(sc.times)
+        for r in skipped:
+            assert r.verdict == "skipped"
+            assert "propagated" in r.reason and "ladder" in r.reason
+        lipschitz = [r for r in report.rows if r.check == "lipschitz_contraction"]
+        assert len(lipschitz) == len(sc.times)
+        assert all(set(r.analytic) == {"bound_moment"} for r in lipschitz)
+        assert not any(r.claim == "check aborted before producing rows" for r in report.rows)
 
 
 class TestStationaryExponent:
