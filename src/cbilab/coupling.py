@@ -14,6 +14,9 @@ decomposition of the stationary law: a stationary state is an independent
 sum of the time-t immigration mass and a time-t evolution of a stationary
 state, so pairing a fresh immigration draw with that decomposition couples
 the time-t law with its limit.
+
+`couple_paths` runs the transition coupling along a grid of times, one
+path per Jordan part, so the pairs at different times share their draws.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .mechanism import BranchingMechanism, ImmigrationMechanism, mass_vector
 from .simulate import (
     SimConfig,
     sample_immigration,
+    sample_path,
     sample_stationary,
     sample_transition,
 )
@@ -35,6 +39,7 @@ __all__ = [
     "CoupledPair",
     "jordan_decompose",
     "couple_transitions",
+    "couple_paths",
     "couple_cbi",
     "couple_stationary",
     "couple_cbi_to_stationary",
@@ -135,6 +140,25 @@ def couple_transitions(mu, nu, mech: BranchingMechanism, t: float,
     upper = sample_transition(pos, mech, t, cfg, rng)
     lower = sample_transition(neg, mech, t, cfg, rng)
     return CoupledPair(shared + upper, shared + lower)
+
+
+def couple_paths(mu, nu, mech: BranchingMechanism, times, cfg: SimConfig, rng,
+                 influx=None) -> list:
+    """`couple_transitions` along an increasing grid: one CoupledPair per time.
+
+    The meet, positive and negative parts each run one path (`sample_path`),
+    so the pairs at different times share their randomness.  influx, a
+    (len(times), n_samples, d) immigration path, is added to both legs, as
+    `couple_cbi` adds its shared immigration draw."""
+    if np.ndim(mu) != 2:
+        mu = mass_vector(mu, d=mech.d)
+    if np.ndim(nu) != 2:
+        nu = mass_vector(nu, d=mech.d)
+    shared, upper, lower = (sample_path(part, mech, times, cfg, rng)
+                            for part in jordan_decompose(mu, nu))
+    if influx is not None:
+        shared = shared + influx
+    return [CoupledPair(s + u, s + v) for s, u, v in zip(shared, upper, lower)]
 
 
 def couple_cbi(mu, nu, imm: ImmigrationMechanism, mech: BranchingMechanism,

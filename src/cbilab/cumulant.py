@@ -486,7 +486,9 @@ def vbar_vector(mech: BranchingMechanism, t: float, tol: float = 1e-8) -> np.nda
 
     Raises:
         GreyConditionError: dominating mechanism fails the tail-integrability test.
-        NumericError: ladder exhausted without stabilizing, or certificate violated.
+        NumericError: ladder exhausted without stabilizing (also when its
+            last rung fails), or certificate violated.  A lower rung that fails
+            before the stop raises its own error.
     """
     if not t > 0:
         raise ValidationError(f"vbar needs t > 0, got {t}")
@@ -497,9 +499,13 @@ def vbar_vector(mech: BranchingMechanism, t: float, tol: float = 1e-8) -> np.nda
     grid = _record_times(float(t), None)
     # every rung is one lane of a single batch; a rung past the stop may
     # fail without consequence, and the first failing rung before it raises
+    # its own error, or the ladder's own when it is the last rung
     vals, _, _, errors = _flow_lanes(mech, ladder[:, None] * np.ones(mech.d), t, ode_tol, grid)
     prev = None
     for lam, v, error in zip(ladder, vals[:, -1], errors):
+        if error is not None and lam == ladder[-1]:
+            raise NumericError(f"extinction envelope ladder failed to stabilize within tol={tol:g}: "
+                               f"its last rung {lam:g} failed: {error}") from error
         if error is not None:
             raise error
         if np.any(v > cap * (1.0 + 1e-6) + tol):

@@ -22,6 +22,9 @@ block as drift through their means; stable jump parts are never truncated —
 their compensated one-step increment (X_i a dt)^{1/(1+alpha)} Z is sampled
 exactly with a Chambers–Mallows–Stuck draw of the spectrally positive
 stable variable Z.
+
+`sample_path` observes one run at several times by chaining these
+samplers over the gaps of the grid, which is exact by the Markov property.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
     "sample_immigration",
     "sample_cbi_transition",
     "sample_stationary",
+    "sample_path",
     "has_exact_transition",
 ]
 
@@ -109,7 +113,15 @@ def _cb_quadratic_batch(x: np.ndarray, b: float, c: float, t, rng) -> np.ndarray
     theta = c * discount_integral(b, t)
     theta_safe = np.where(theta > 0, theta, 1.0)
     mean_counts = np.where(theta > 0, x * a / theta_safe, 0.0)
-    out = rng.gamma(shape=rng.poisson(mean_counts), scale=theta_safe)
+    live = mean_counts > 0
+    if live.all():
+        out = rng.gamma(shape=rng.poisson(mean_counts), scale=theta_safe)
+    else:
+        # a zero Poisson mean and a zero Gamma shape draw no random numbers, so
+        # drawing on the live entries alone leaves every value and the stream as is
+        out = np.zeros(mean_counts.shape)
+        scale = theta_safe if theta_safe.ndim == 0 else theta_safe[live]
+        out[live] = rng.gamma(shape=rng.poisson(mean_counts[live]), scale=scale)
     if np.any(t <= 0):
         out = np.where(t > 0, out, x)
     return out
@@ -261,6 +273,11 @@ def _stepped_batch(
     return X
 
 
+def _exact_immigration(mech: BranchingMechanism) -> bool:
+    """True when the immigration mass is sampled exactly (scalar quadratic)."""
+    return mech.d == 1 and mech.is_quadratic()
+
+
 def has_exact_transition(mech: BranchingMechanism) -> bool:
     """True when the transition law is sampled exactly: no jumps and no
     inter-type transfer, so the types evolve as independent scalar
@@ -282,6 +299,19 @@ def _transition_batch(states: np.ndarray, mech, t, cfg, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _initial_states(mu, mech: BranchingMechanism, cfg: SimConfig) -> np.ndarray:
+    """(n_samples, d) starts from a mass vector or from per-run rows."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 2:
+        return np.tile(mass_vector(mu, d=mech.d), (cfg.n_samples, 1))
+    if mu.shape != (cfg.n_samples, mech.d):
+        raise ValidationError(
+            f"per-run initial states must be ({cfg.n_samples}, {mech.d}), got {mu.shape}")
+    if np.any(mu < 0) or not np.all(np.isfinite(mu)):
+        raise ValidationError("initial states must be finite and >= 0")
+    return mu.copy()
+
+
 def sample_transition(mu, mech: BranchingMechanism, t: float, cfg: SimConfig, rng) -> np.ndarray:
     """Sample the branching transition law started from the mass vector mu.
 
@@ -293,17 +323,40 @@ def sample_transition(mu, mech: BranchingMechanism, t: float, cfg: SimConfig, rn
     """
     if not 0 <= t < math.inf:
         raise ValidationError(f"time must be finite and >= 0, got {t}")
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim == 2:
-        if mu.shape != (cfg.n_samples, mech.d):
-            raise ValidationError(
-                f"per-run initial states must be ({cfg.n_samples}, {mech.d}), got {mu.shape}")
-        if np.any(mu < 0) or not np.all(np.isfinite(mu)):
-            raise ValidationError("initial states must be finite and >= 0")
-        states = mu.copy()
-    else:
-        states = np.tile(mass_vector(mu, d=mech.d), (cfg.n_samples, 1))
-    return _transition_batch(states, mech, float(t), cfg, rng)
+    return _transition_batch(_initial_states(mu, mech, cfg), mech, float(t), cfg, rng)
+
+
+def sample_path(mu, mech: BranchingMechanism, times, cfg: SimConfig, rng,
+                imm: Optional[ImmigrationMechanism] = None) -> np.ndarray:
+    """One path per run, observed at each of an increasing grid of times.
+
+    Returns a (len(times), n_samples, d) array: entry k holds the runs at
+    times[k].  The path chains segments by the Markov property,
+    X_{t_k} = Q_{t_k - t_{k-1}} X_{t_{k-1}}, plus, with imm, the mass that
+    immigrates over the segment; on the stepped route a segment is one
+    split-step run with the influx inside.  mu is a mass vector or per-run
+    rows, as for `sample_transition`.  A single time draws exactly what
+    `sample_transition` draws, and, from the zero state with imm, what
+    `sample_immigration` draws.
+    """
+    times = [float(t) for t in times]
+    if not times or not all(0 <= t < math.inf for t in times) or any(
+            a >= b for a, b in zip(times, times[1:])):
+        raise ValidationError(f"times must be non-empty, finite, >= 0 and increasing, got {times}")
+    if imm is not None and imm.d != mech.d:
+        raise ValidationError(f"immigration dimension {imm.d} != mechanism dimension {mech.d}")
+    states = _initial_states(mu, mech, cfg)
+    stepped_influx = imm is not None and not imm.is_trivial() and not _exact_immigration(mech)
+    out = np.empty((len(times), *states.shape))
+    for k, (start, end) in enumerate(zip([0.0, *times], times)):
+        if stepped_influx:
+            states = _stepped_batch(states, mech, imm, end - start, cfg, rng)
+        else:
+            states = _transition_batch(states, mech, end - start, cfg, rng)
+            if imm is not None:
+                states += sample_immigration(imm, mech, end - start, cfg, rng)
+        out[k] = states
+    return out
 
 
 def sample_immigration(imm: ImmigrationMechanism, mech: BranchingMechanism,
@@ -322,7 +375,7 @@ def sample_immigration(imm: ImmigrationMechanism, mech: BranchingMechanism,
     n = cfg.n_samples
     if t == 0.0 or imm.is_trivial():
         return np.zeros((n, mech.d))
-    if mech.d == 1 and mech.is_quadratic():
+    if _exact_immigration(mech):
         b, c = float(mech.b[0]), float(mech.c[0])
         out = np.zeros((n, 1))
         beta = float(imm.beta[0])

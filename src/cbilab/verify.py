@@ -13,7 +13,9 @@ multi-row report is not expected to fail by chance.  A row's estimate is
 the mean of its replicate estimates and its `ci` the 99% half-width of
 that mean, Z99 * sqrt(sum_r se_r^2) / R, where se_r is the standard error
 of replicate r's estimate.  Exact (non-sampling) rows use absolute
-tolerances around 1e-9 and report ci = 0.
+tolerances around 1e-9 and report ci = 0.  The stationary rows of one
+replicate read one shared draw, so they are correlated with one another;
+the replicates stay independent.
 
 The `tamper` field of a scenario shifts analytic lower bounds upward and
 exists so that a deliberately corrupted fixture demonstrably fails — a
@@ -35,9 +37,9 @@ from scipy.integrate import simpson
 
 from . import __version__
 from .coupling import (
+    CoupledPair,
     couple_cbi,
-    couple_cbi_to_stationary,
-    couple_stationary,
+    couple_paths,
     couple_transitions,
 )
 from .cumulant import (
@@ -69,6 +71,7 @@ from .simulate import (
     SimConfig,
     has_exact_transition,
     sample_cbi_transition,
+    sample_path,
     sample_stationary,
     sample_transition,
 )
@@ -213,13 +216,14 @@ def _mean_se(vals: np.ndarray) -> tuple:
     return float(vals.mean()), float(vals.std() / math.sqrt(len(vals)))
 
 
-def _replicated(rngs, draw) -> tuple:
-    """Run draw(rng) -> (estimate, se, ok, *extras) on each stream, in order.
+def _replicated(replicates, draw) -> tuple:
+    """Run draw(r) -> (estimate, se, ok, *extras) on each replicate, in order:
+    its random stream, or draws already taken from that stream.
 
     Returns the CheckRow fields of the row (mean estimate, its ci, a verdict
     that passes only if every replicate passes) and the draws transposed:
     columns[0] holds the replicate estimates, columns[3:] the extras."""
-    columns = list(zip(*(draw(rng) for rng in rngs)))
+    columns = list(zip(*(draw(r) for r in replicates)))
     ests, ses, oks = columns[:3]
     fields = {
         "estimate": float(np.mean(ests)),
@@ -561,20 +565,38 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
             claim="with no immigration the mean mass follows the decaying moment flow (limit law = zero state)",
             t=t_h, analytic={"mean_mass": target}, **fields, details=_per_rep("rep", cols[0]),
         )]
+    # one bundle per replicate serves every row: a stationary batch S, one
+    # fresh-immigration path and S evolved along the times, so that by the
+    # flow decomposition (fresh_t, fresh_t + Q_t S) couples N_t with N_infty;
+    # the rate fits take S as eta, with the fresh path as the shared influx
+    fit_ts = [t for t in sc.times if t >= 1.0]
+
+    def draw_bundle(rng):
+        s = sample_stationary(imm, mech, sc.cfg, rng)
+        fresh = sample_path(np.zeros(mech.d), mech, sc.times, sc.cfg, rng, imm=imm)
+        evolved = sample_path(s, mech, sc.times, sc.cfg, rng)
+        pairs = [CoupledPair(f, f + e) for f, e in zip(fresh, evolved)]
+        fits = []
+        if len(fit_ts) >= 3:
+            fits = couple_paths(np.tile(sc.mu, (sc.cfg.n_samples, 1)), s, mech, fit_ts, sc.cfg,
+                                rng, influx=fresh[len(sc.times) - len(fit_ts):])
+        return s, pairs, fits
+
+    bundles = [draw_bundle(rng) for rng in rngs]
     rows = []
 
     # mean vector: the resolvent of the moment generator applied to the influx
     m_inf = stationary_mean(mech, imm)
     rel_floor = max(5e-3, _stable_rel_floor(mech, sc.cfg.n_samples))
 
-    def draw_mean(rng):
-        x = sample_stationary(imm, mech, sc.cfg, rng)
+    def draw_mean(bundle):
+        x = bundle[0]
         emp = x.mean(axis=0)
         se = x.std(axis=0) / math.sqrt(len(x))
         ok = bool(np.all(np.abs(emp - m_inf) <= SIGMAS * se + rel_floor * np.abs(m_inf)))
         return emp.sum(), _mean_se(x.sum(axis=1))[1], ok, emp
 
-    fields, cols = _replicated(rngs, draw_mean)
+    fields, cols = _replicated(bundles, draw_mean)
     rows.append(CheckRow(
         check="stationary_mean",
         claim="the stationary mean solves the linear balance equation of branching drift and influx",
@@ -587,11 +609,11 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     exponent, tail = an.stationary_laplace
     target = math.exp(-exponent)
 
-    def draw_laplace(rng):
-        emp, se = _mean_se(np.exp(-(sample_stationary(imm, mech, sc.cfg, rng) @ lam)))
+    def draw_laplace(bundle):
+        emp, se = _mean_se(np.exp(-(bundle[0] @ lam)))
         return emp, se, abs(emp - target) <= SIGMAS * se + 2 * tail + 2e-3 * target
 
-    fields, cols = _replicated(rngs, draw_laplace)
+    fields, cols = _replicated(bundles, draw_laplace)
     rows.append(CheckRow(
         check="stationary_laplace",
         claim="E[e^{-<lam, X_infty>}] = exp(-integral over all time of psi(v(s,lam)))",
@@ -600,13 +622,13 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     ))
 
     # distance identities on the time grid
-    for t in sc.times:
+    for k, t in enumerate(sc.times):
         analytic_w1 = float(m_inf @ an.pt1(t))
         by_tail = tail_immigrant_mass(mech, imm, t)
         routes_agree = abs(analytic_w1 - by_tail) <= 1e-8 * max(1.0, analytic_w1)
 
-        fields, cols = _replicated(rngs, lambda rng: _w1_replicate(
-            couple_stationary(imm, mech, t, sc.cfg, rng), analytic_w1, analytic_w1, analytic_w1, sc))
+        fields, cols = _replicated(bundles, lambda bundle: _w1_replicate(
+            bundle[1][k], analytic_w1, analytic_w1, analytic_w1, sc))
         if not routes_agree:
             fields["verdict"] = "fail"
         rows.append(CheckRow(
@@ -621,11 +643,11 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     if tv is None:
         rows.extend(_skipped("stationary_tv_bound", bound_claim, sc.times, reason))
         tv = []
-    for t, (exponent_v, tail_v) in zip(sc.times, tv):
+    for k, (t, (exponent_v, tail_v)) in enumerate(zip(sc.times, tv)):
         bound = 2.0 * (1.0 - math.exp(-exponent_v))
 
-        def draw_tv(rng):
-            pair = couple_stationary(imm, mech, t, sc.cfg, rng)
+        def draw_tv(bundle):
+            pair = bundle[1][k]
             diff, se = 2.0 * pair.differ(), 2.0 * pair.differ_se()
             # the construction makes P(legs differ) exactly the bound integrand
             ok = (abs(diff - bound) <= SIGMAS * se + 2 * tail_v + 2e-3
@@ -633,7 +655,7 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
                   <= bound + SIGMAS * math.sqrt(2.0 / sc.cfg.n_samples) + 2e-2)
             return diff, se, ok
 
-        fields, _ = _replicated(rngs, draw_tv)
+        fields, _ = _replicated(bundles, draw_tv)
         rows.append(CheckRow(
             check="stationary_tv_bound", t=t,
             claim=bound_claim + ", attained by the shared-history coupling",
@@ -644,15 +666,12 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     # at the moment-semigroup rate (the spectral bound of -diag(b) + gamma);
     # beta* is the row-sum certificate for that rate, so rate >= beta* is a
     # deterministic side condition rather than the fit target.
-    fit_ts = [t for t in sc.times if t >= 1.0]
     if len(fit_ts) < 3:
         return rows
     rate = moment_decay_rate(mech)
-    costs, differs = [], []  # one series along fit_ts per replicate
-    for rng in rngs:
-        pairs = [couple_cbi_to_stationary(sc.mu, imm, mech, t, sc.cfg, rng) for t in fit_ts]
-        costs.append([pair.cost() for pair in pairs])
-        differs.append([2.0 * pair.differ() for pair in pairs])
+    # one series along fit_ts per replicate
+    costs = [[pair.cost() for pair in fits] for _, _, fits in bundles]
+    differs = [[2.0 * pair.differ() for pair in fits] for _, _, fits in bundles]
 
     def rate_row(check: str, claim: str, series: list, within) -> CheckRow:
         slopes = [float(np.polyfit(fit_ts, np.log(pts), 1)[0]) for pts in series if min(pts) > 0]

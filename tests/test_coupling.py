@@ -23,6 +23,7 @@ from cbilab.coupling import (
     CoupledPair,
     couple_cbi,
     couple_cbi_to_stationary,
+    couple_paths,
     couple_stationary,
     couple_transitions,
     jordan_decompose,
@@ -229,6 +230,31 @@ def test_transition_marginals_match_direct_sampler():
         for j in range(2):
             assert stats.ks_2samp(leg[:, j], ref[:, j]).pvalue > 0.01
         assert stats.ks_2samp(leg.sum(axis=1), ref.sum(axis=1)).pvalue > 0.01
+
+
+def test_path_coupling_with_one_time_is_the_transition_coupling():
+    cfg = SimConfig(n_samples=300, dt=0.05)
+    for mech, mu, nu in ((quad_mech(), [2.0], [1.0]), (folded_mech(), [2.0, 0.5], [1.0, 1.5])):
+        (pair,) = couple_paths(mu, nu, mech, [0.6], cfg, np.random.default_rng(6))
+        ref = couple_transitions(mu, nu, mech, 0.6, cfg, np.random.default_rng(6))
+        assert np.array_equal(pair.left, ref.left) and np.array_equal(pair.right, ref.right)
+
+
+def test_path_coupling_cost_and_shared_influx():
+    # ordered quadratic starts along one path: cost (mu - nu) e^{-t} at each
+    # time, and a shared influx path leaves every leg gap as it is
+    times = (0.5, LN2, 2.0)
+    cfg = SimConfig(n_samples=40_000)
+    influx = np.random.default_rng(2).gamma(2.0, 1.0, size=(3, 40_000, 1))
+    pairs = couple_paths([2.0], [1.0], quad_mech(), times, cfg, np.random.default_rng(14))
+    shifted = couple_paths([2.0], [1.0], quad_mech(), times, cfg, np.random.default_rng(14),
+                           influx=influx)
+    for t, pair, with_influx in zip(times, pairs, shifted):
+        assert abs(pair.cost() - math.exp(-t)) < 4 * pair.cost_se(), t
+        assert np.all(pair.left >= pair.right)
+        np.testing.assert_allclose(with_influx.left - with_influx.right,
+                                   pair.left - pair.right, rtol=0, atol=1e-12)
+    assert pairs[0].cost() > pairs[1].cost() > pairs[2].cost()
 
 
 # ---------------------------------------------------------------------------

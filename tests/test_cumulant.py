@@ -378,6 +378,19 @@ def test_vbar_ladder_lanes_fail_in_isolation_on_evaluation(monkeypatch):
         vbar_vector(mech, t)
 
 
+def test_vbar_ladder_whose_last_rung_fails_has_not_stabilized():
+    # on the ref_d2_folded mechanism the rungs at 1e10 and 1e11 differ by
+    # about 3e-10, so tol = 1e-10 sends the scan to the 1e12 rung, which the
+    # stepper cannot start from
+    mech = folded_two_type()
+    with pytest.raises(NumericError, match="underflow") as top:
+        solve_cumulant(mech, [1e12, 1e12], 0.5, 1e-12)
+    with pytest.raises(NumericError, match="failed to stabilize within tol=1e-10") as ladder:
+        vbar_vector(mech, 0.5, tol=1e-10)
+    assert str(top.value) in str(ladder.value)
+    assert not isinstance(ladder.value, GreyConditionError)
+
+
 def test_vbar_vector_runs_the_ladder_as_one_batch(monkeypatch):
     batches = []
     real = cumulant._integrate

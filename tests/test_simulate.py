@@ -6,12 +6,13 @@ so failures are deterministic and indicate a real bias, not flakiness.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from cbilab.cli import main
+from cbilab.cli import load_document, main, parse_scenario
 from cbilab.cumulant import closed_form_quadratic, discount_integral, mean_vector, solve_cumulant
 from cbilab.errors import BlowUpError, ValidationError
 from cbilab.mechanism import (
@@ -30,11 +31,13 @@ from cbilab.simulate import (
     _stable_positive_batch,
     sample_cbi_transition,
     sample_immigration,
+    sample_path,
     sample_stationary,
     sample_transition,
 )
 
 LN2 = math.log(2.0)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def quad_mech():
@@ -111,6 +114,30 @@ def test_quadratic_sampler_short_time_identity():
     n = 20_000
     x = _cb_quadratic_batch(np.full(n, 2.0), 1.0, 1.0, 1e-4, rng)
     assert abs(x.mean() - 2.0) < 4 * x.std() / math.sqrt(n) + 1e-3
+
+
+def test_quadratic_sampler_zero_means_keep_values_and_stream():
+    # drawing only where the Poisson mean is > 0 gives what drawing on every
+    # entry gives, and leaves the stream where drawing on every entry leaves it
+    def unsubsetted(x, b, c, t, rng):
+        t = np.asarray(t, dtype=float)
+        theta = c * discount_integral(b, t)
+        theta_safe = np.where(theta > 0, theta, 1.0)
+        mean_counts = np.where(theta > 0, x * np.exp(-b * t) / theta_safe, 0.0)
+        out = rng.gamma(shape=rng.poisson(mean_counts), scale=theta_safe)
+        return np.where(t > 0, out, x) if np.any(t <= 0) else out
+
+    pick = np.random.default_rng(3)
+    live = pick.exponential(1.0, 2000)
+    x = live * (pick.random(2000) < 0.6)
+    per_entry = pick.uniform(0.0, 1.0, 2000) * (pick.random(2000) < 0.9)
+    for start, t in ((x, 0.3), (x, per_entry), (live, 0.3)):
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        got = _cb_quadratic_batch(start, 0.7, 1.3, t, ours)
+        assert np.array_equal(got, unsubsetted(start, 0.7, 1.3, t, theirs))
+        assert ours.random() == theirs.random()
+    assert np.array_equal(_cb_quadratic_batch(np.zeros(5), 1.0, 1.0, 0.5, ours), np.zeros(5))
+    assert ours.random() == theirs.random()  # an all-zero batch draws nothing
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +350,62 @@ def test_stationary_horizon_sampler_close_to_exact():
     x = sample_immigration(imm, mech, 7.0, SimConfig(n_samples=10_000), rng)[:, 0]
     ks = stats.kstest(x, stats.gamma(a=2.0, scale=1.0).cdf)
     assert ks.pvalue > 0.005  # truncation bias ~1e-3 relative is below KS resolution here
+
+
+# ---------------------------------------------------------------------------
+# paths
+# ---------------------------------------------------------------------------
+
+
+def shipped_folded():
+    return parse_scenario(load_document(SCENARIOS / "ref_d2_folded.json"))
+
+
+def test_path_with_one_time_draws_what_the_samplers_draw():
+    sc = shipped_folded()
+    imm2 = ImmigrationMechanism(beta=[2.0])
+    cases = [(quad_mech(), imm2, [2.0], 0.7), (sc.mech, sc.imm, sc.mu, 0.5)]
+    for mech, imm, mu, t in cases:  # the exact route, then the stepped one
+        cfg = SimConfig(n_samples=400, dt=0.05)
+        one = sample_path(mu, mech, [t], cfg, np.random.default_rng(8))
+        assert one.shape == (1, 400, mech.d)
+        assert np.array_equal(one[0], sample_transition(mu, mech, t, cfg, np.random.default_rng(8)))
+        fresh = sample_path(np.zeros(mech.d), mech, [t], cfg, np.random.default_rng(8), imm=imm)
+        assert np.array_equal(fresh[0], sample_immigration(imm, mech, t, cfg, np.random.default_rng(8)))
+
+
+def test_path_refuses_bad_grids():
+    cfg, rng = SimConfig(n_samples=4), np.random.default_rng(0)
+    for times in ([], [1.0, 1.0], [2.0, 1.0], [-1.0], [1.0, math.inf]):
+        with pytest.raises(ValidationError, match="times"):
+            sample_path([1.0], quad_mech(), times, cfg, rng)
+    with pytest.raises(ValidationError, match="dimension"):
+        sample_path([1.0], quad_mech(), [1.0], cfg, rng, imm=ImmigrationMechanism(beta=[1.0, 1.0]))
+
+
+def test_immigration_path_gamma_law():
+    # on the exact scalar route each snapshot of the path from zero is the
+    # time-t immigration law Gamma(beta/c, c (1 - e^{-t})), as criterion 6 has it
+    imm = ImmigrationMechanism(beta=[2.0])
+    times = (0.5, 1.0, 2.0)
+    path = sample_path([0.0], quad_mech(), times, SimConfig(n_samples=20_000),
+                       np.random.default_rng(53), imm=imm)
+    for t, x in zip(times, path[:, :, 0]):
+        ks = stats.kstest(x, "gamma", args=(2.0, 0.0, 1.0 - math.exp(-t)))
+        assert ks.pvalue > 0.01, f"t={t} p={ks.pvalue:.4f}"
+
+
+def test_stepped_path_laplace_at_each_snapshot():
+    # the ref_d2_folded path from mu with immigration, against the cumulant
+    # exponent <mu, v(t, lam)> + int_0^t psi(v(s, lam)) ds at every snapshot
+    sc = shipped_folded()
+    times, lam = (0.5, 1.0, 2.0), np.ones(2)
+    path = sample_path(sc.mu, sc.mech, times, SimConfig(n_samples=8_000, dt=sc.cfg.dt),
+                       np.random.default_rng(59), imm=sc.imm)
+    flow = solve_cumulant(sc.mech, lam, times[-1], tol=1e-12, t_eval=times, imm=sc.imm)
+    for k, x in enumerate(path):
+        target = math.exp(-(float(sc.mu @ flow.v_values[k + 1]) + float(flow.imm_integral[k + 1])))
+        assert abs(laplace_dev(x, lam, target)) < 4.0, times[k]
 
 
 # ---------------------------------------------------------------------------

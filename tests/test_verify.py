@@ -13,9 +13,10 @@ from cbilab.cli import load_document, main, parse_scenario
 from cbilab.errors import ValidationError
 from cbilab.mechanism import BranchingMechanism, ImmigrationMechanism, PointMass
 from cbilab.cumulant import solve_cumulant, vbar_vector
-from cbilab.simulate import SimConfig
+from cbilab.simulate import SimConfig, sample_stationary
 from cbilab.verify import (
     CHECKS,
+    REPLICATES,
     Z99,
     CheckRow,
     Scenario,
@@ -314,6 +315,32 @@ class TestSharedAnalytics:
 
 def shipped(name: str) -> Scenario:
     return parse_scenario(load_document(SCENARIOS / f"{name}.json"))
+
+
+class TestStationaryBundle:
+    @pytest.mark.parametrize("times", [(1.0,), (0.5, 1.0, 2.0, 3.0)])
+    def test_one_stationary_batch_per_replicate(self, monkeypatch, times):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return sample_stationary(*args)
+
+        monkeypatch.setattr(verify, "sample_stationary", counting)
+        sc = reference_scenario(cfg=SimConfig(n_samples=400, dt=0.02, seed=3), times=times,
+                                checks=("stationary",))
+        rows = run_scenario(sc).rows
+        assert len(calls) == REPLICATES
+        assert len(rows) == 2 + 2 * len(times) + (2 if len(times) >= 3 else 0)
+
+    def test_shipped_folded_stationary_rows_all_pass(self):
+        # the stationary check of ref_d2_folded as shipped: seed 2, n = 8000
+        sc = shipped("ref_d2_folded")
+        assert (sc.cfg.seed, sc.cfg.n_samples) == (2, 8000)
+        rows = run_scenario(replace(sc, checks=("stationary",))).rows
+        assert len(rows) == 12
+        assert all(r.verdict == "pass" for r in rows), [(r.check, r.t) for r in rows
+                                                        if r.verdict != "pass"]
 
 
 @pytest.fixture(scope="module", params=["ref_d1_quadratic", "ref_d1_stable", "ref_d2_folded"])
