@@ -15,8 +15,8 @@ sum of the time-t immigration mass and a time-t evolution of a stationary
 state, so pairing a fresh immigration draw with that decomposition couples
 the time-t law with its limit.
 
-`couple_paths` runs the transition coupling along a grid of times, one
-path per Jordan part, so the pairs at different times share their draws.
+`couple_stationary` runs along a grid of times, one path per piece, so its
+pairs at different times share their draws.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "CoupledPair",
     "jordan_decompose",
     "couple_transitions",
-    "couple_paths",
     "couple_cbi",
     "couple_stationary",
     "couple_cbi_to_stationary",
@@ -142,25 +141,6 @@ def couple_transitions(mu, nu, mech: BranchingMechanism, t: float,
     return CoupledPair(shared + upper, shared + lower)
 
 
-def couple_paths(mu, nu, mech: BranchingMechanism, times, cfg: SimConfig, rng,
-                 influx=None) -> list:
-    """`couple_transitions` along an increasing grid: one CoupledPair per time.
-
-    The meet, positive and negative parts each run one path (`sample_path`),
-    so the pairs at different times share their randomness.  influx, a
-    (len(times), n_samples, d) immigration path, is added to both legs, as
-    `couple_cbi` adds its shared immigration draw."""
-    if np.ndim(mu) != 2:
-        mu = mass_vector(mu, d=mech.d)
-    if np.ndim(nu) != 2:
-        nu = mass_vector(nu, d=mech.d)
-    shared, upper, lower = (sample_path(part, mech, times, cfg, rng)
-                            for part in jordan_decompose(mu, nu))
-    if influx is not None:
-        shared = shared + influx
-    return [CoupledPair(s + u, s + v) for s, u, v in zip(shared, upper, lower)]
-
-
 def couple_cbi(mu, nu, imm: ImmigrationMechanism, mech: BranchingMechanism,
                t: float, cfg: SimConfig, rng) -> CoupledPair:
     """Couple the with-immigration transition laws from mu and nu.
@@ -173,21 +153,24 @@ def couple_cbi(mu, nu, imm: ImmigrationMechanism, mech: BranchingMechanism,
 
 
 def couple_stationary(imm: ImmigrationMechanism, mech: BranchingMechanism,
-                      t: float, cfg: SimConfig, rng) -> CoupledPair:
-    """Couple the time-t immigration law with the stationary law.
+                      times, cfg: SimConfig, rng) -> tuple:
+    """Couple the immigration law at each of an increasing grid of times
+    with the stationary law.
 
-    left is a time-t immigration draw; right adds to it an independent
-    stationary state evolved over t, which by the flow decomposition of the
-    stationary law makes right stationary.  The cost E||left - right||_1 is
-    exactly the mean mass remaining from immigration older than t.
+    Draws one stationary batch S, one fresh-immigration path and S evolved
+    along the times.  Pair k is (fresh_k, fresh_k + evolved_k): left is the
+    immigration law at times[k], and right, by the flow decomposition of the
+    stationary law, is stationary.  Each cost E||left - right||_1 is exactly
+    the mean mass remaining from immigration older than times[k].  Returns
+    (S, pairs); the pairs share S and their paths.
 
     Requires a subcritical mechanism (propagated from the stationary
     sampler).
     """
-    fresh = sample_immigration(imm, mech, t, cfg, rng)
-    old = sample_stationary(imm, mech, cfg, rng)
-    evolved = sample_transition(old, mech, t, cfg, rng)
-    return CoupledPair(fresh, fresh + evolved)
+    stationary = sample_stationary(imm, mech, cfg, rng)
+    fresh = sample_path(np.zeros(mech.d), mech, times, cfg, rng, imm=imm)
+    evolved = sample_path(stationary, mech, times, cfg, rng)
+    return stationary, [CoupledPair(f, f + e) for f, e in zip(fresh, evolved)]
 
 
 def couple_cbi_to_stationary(mu, imm: ImmigrationMechanism, mech: BranchingMechanism,

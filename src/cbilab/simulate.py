@@ -113,15 +113,7 @@ def _cb_quadratic_batch(x: np.ndarray, b: float, c: float, t, rng) -> np.ndarray
     theta = c * discount_integral(b, t)
     theta_safe = np.where(theta > 0, theta, 1.0)
     mean_counts = np.where(theta > 0, x * a / theta_safe, 0.0)
-    live = mean_counts > 0
-    if live.all():
-        out = rng.gamma(shape=rng.poisson(mean_counts), scale=theta_safe)
-    else:
-        # a zero Poisson mean and a zero Gamma shape draw no random numbers, so
-        # drawing on the live entries alone leaves every value and the stream as is
-        out = np.zeros(mean_counts.shape)
-        scale = theta_safe if theta_safe.ndim == 0 else theta_safe[live]
-        out[live] = rng.gamma(shape=rng.poisson(mean_counts[live]), scale=scale)
+    out = rng.gamma(shape=rng.poisson(mean_counts), scale=theta_safe)
     if np.any(t <= 0):
         out = np.where(t > 0, out, x)
     return out
@@ -326,39 +318,6 @@ def sample_transition(mu, mech: BranchingMechanism, t: float, cfg: SimConfig, rn
     return _transition_batch(_initial_states(mu, mech, cfg), mech, float(t), cfg, rng)
 
 
-def sample_path(mu, mech: BranchingMechanism, times, cfg: SimConfig, rng,
-                imm: Optional[ImmigrationMechanism] = None) -> np.ndarray:
-    """One path per run, observed at each of an increasing grid of times.
-
-    Returns a (len(times), n_samples, d) array: entry k holds the runs at
-    times[k].  The path chains segments by the Markov property,
-    X_{t_k} = Q_{t_k - t_{k-1}} X_{t_{k-1}}, plus, with imm, the mass that
-    immigrates over the segment; on the stepped route a segment is one
-    split-step run with the influx inside.  mu is a mass vector or per-run
-    rows, as for `sample_transition`.  A single time draws exactly what
-    `sample_transition` draws, and, from the zero state with imm, what
-    `sample_immigration` draws.
-    """
-    times = [float(t) for t in times]
-    if not times or not all(0 <= t < math.inf for t in times) or any(
-            a >= b for a, b in zip(times, times[1:])):
-        raise ValidationError(f"times must be non-empty, finite, >= 0 and increasing, got {times}")
-    if imm is not None and imm.d != mech.d:
-        raise ValidationError(f"immigration dimension {imm.d} != mechanism dimension {mech.d}")
-    states = _initial_states(mu, mech, cfg)
-    stepped_influx = imm is not None and not imm.is_trivial() and not _exact_immigration(mech)
-    out = np.empty((len(times), *states.shape))
-    for k, (start, end) in enumerate(zip([0.0, *times], times)):
-        if stepped_influx:
-            states = _stepped_batch(states, mech, imm, end - start, cfg, rng)
-        else:
-            states = _transition_batch(states, mech, end - start, cfg, rng)
-            if imm is not None:
-                states += sample_immigration(imm, mech, end - start, cfg, rng)
-        out[k] = states
-    return out
-
-
 def sample_immigration(imm: ImmigrationMechanism, mech: BranchingMechanism,
                        t: float, cfg: SimConfig, rng) -> np.ndarray:
     """Sample the time-t immigration mass (the process started empty).
@@ -399,8 +358,41 @@ def sample_immigration(imm: ImmigrationMechanism, mech: BranchingMechanism,
             rows = np.repeat(np.arange(n), counts)
             np.add.at(out[:, 0], rows, evolved)
         return out
-    states = np.zeros((n, mech.d))
-    return _stepped_batch(states, mech, imm, float(t), cfg, rng)
+    return sample_path(np.zeros(mech.d), mech, [t], cfg, rng, imm=imm)[0]
+
+
+def sample_path(mu, mech: BranchingMechanism, times, cfg: SimConfig, rng,
+                imm: Optional[ImmigrationMechanism] = None) -> np.ndarray:
+    """One path per run, observed at each of an increasing grid of times.
+
+    Returns a (len(times), n_samples, d) array: entry k holds the runs at
+    times[k].  The path chains segments by the Markov property,
+    X_{t_k} = Q_{t_k - t_{k-1}} X_{t_{k-1}}, plus, with imm, the mass that
+    immigrates over the segment.  A segment is one `sample_transition`
+    draw, plus a `sample_immigration` draw where that is exact (scalar
+    quadratic); on the stepped route with imm it is one split-step run with
+    the influx inside.  mu is a mass vector or per-run rows.  So the path at
+    one time is a `sample_transition` draw, and from zero with imm a
+    `sample_immigration` draw.
+    """
+    times = [float(t) for t in times]
+    if not times or not all(0 <= t < math.inf for t in times) or any(
+            a >= b for a, b in zip(times, times[1:])):
+        raise ValidationError(f"times must be non-empty, finite, >= 0 and increasing, got {times}")
+    if imm is not None and imm.d != mech.d:
+        raise ValidationError(f"immigration dimension {imm.d} != mechanism dimension {mech.d}")
+    states = _initial_states(mu, mech, cfg)
+    influx = imm is not None and not imm.is_trivial()
+    out = np.empty((len(times), *states.shape))
+    for k, (start, end) in enumerate(zip([0.0, *times], times)):
+        if influx and not _exact_immigration(mech):
+            states = _stepped_batch(states, mech, imm, end - start, cfg, rng)
+        else:
+            states = sample_transition(states, mech, end - start, cfg, rng)
+            if influx:
+                states += sample_immigration(imm, mech, end - start, cfg, rng)
+        out[k] = states
+    return out
 
 
 def sample_cbi_transition(mu, imm: ImmigrationMechanism, mech: BranchingMechanism,

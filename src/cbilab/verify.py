@@ -13,9 +13,9 @@ multi-row report is not expected to fail by chance.  A row's estimate is
 the mean of its replicate estimates and its `ci` the 99% half-width of
 that mean, Z99 * sqrt(sum_r se_r^2) / R, where se_r is the standard error
 of replicate r's estimate.  Exact (non-sampling) rows use absolute
-tolerances around 1e-9 and report ci = 0.  The stationary rows of one
-replicate read one shared draw, so they are correlated with one another;
-the replicates stay independent.
+tolerances around 1e-9 and report ci = 0.  The stationary mean, Laplace,
+W1 and TV rows of one replicate read one shared coupling draw, so they are
+correlated with one another; the replicates stay independent.
 
 The `tamper` field of a scenario shifts analytic lower bounds upward and
 exists so that a deliberately corrupted fixture demonstrably fails — a
@@ -37,9 +37,9 @@ from scipy.integrate import simpson
 
 from . import __version__
 from .coupling import (
-    CoupledPair,
     couple_cbi,
-    couple_paths,
+    couple_cbi_to_stationary,
+    couple_stationary,
     couple_transitions,
 )
 from .cumulant import (
@@ -71,8 +71,6 @@ from .simulate import (
     SimConfig,
     has_exact_transition,
     sample_cbi_transition,
-    sample_path,
-    sample_stationary,
     sample_transition,
 )
 
@@ -565,24 +563,9 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
             claim="with no immigration the mean mass follows the decaying moment flow (limit law = zero state)",
             t=t_h, analytic={"mean_mass": target}, **fields, details=_per_rep("rep", cols[0]),
         )]
-    # one bundle per replicate serves every row: a stationary batch S, one
-    # fresh-immigration path and S evolved along the times, so that by the
-    # flow decomposition (fresh_t, fresh_t + Q_t S) couples N_t with N_infty;
-    # the rate fits take S as eta, with the fresh path as the shared influx
-    fit_ts = [t for t in sc.times if t >= 1.0]
-
-    def draw_bundle(rng):
-        s = sample_stationary(imm, mech, sc.cfg, rng)
-        fresh = sample_path(np.zeros(mech.d), mech, sc.times, sc.cfg, rng, imm=imm)
-        evolved = sample_path(s, mech, sc.times, sc.cfg, rng)
-        pairs = [CoupledPair(f, f + e) for f, e in zip(fresh, evolved)]
-        fits = []
-        if len(fit_ts) >= 3:
-            fits = couple_paths(np.tile(sc.mu, (sc.cfg.n_samples, 1)), s, mech, fit_ts, sc.cfg,
-                                rng, influx=fresh[len(sc.times) - len(fit_ts):])
-        return s, pairs, fits
-
-    bundles = [draw_bundle(rng) for rng in rngs]
+    # one coupling per replicate serves the mean, Laplace, W1 and TV rows:
+    # its stationary batch S, and at each t the pair (fresh_t, fresh_t + Q_t S)
+    bundles = [couple_stationary(imm, mech, sc.times, sc.cfg, rng) for rng in rngs]
     rows = []
 
     # mean vector: the resolvent of the moment generator applied to the influx
@@ -666,12 +649,15 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     # at the moment-semigroup rate (the spectral bound of -diag(b) + gamma);
     # beta* is the row-sum certificate for that rate, so rate >= beta* is a
     # deterministic side condition rather than the fit target.
+    fit_ts = [t for t in sc.times if t >= 1.0]
     if len(fit_ts) < 3:
         return rows
     rate = moment_decay_rate(mech)
-    # one series along fit_ts per replicate
-    costs = [[pair.cost() for pair in fits] for _, _, fits in bundles]
-    differs = [[2.0 * pair.differ() for pair in fits] for _, _, fits in bundles]
+    costs, differs = [], []  # one series along fit_ts per replicate
+    for rng in rngs:
+        pairs = [couple_cbi_to_stationary(sc.mu, imm, mech, t, sc.cfg, rng) for t in fit_ts]
+        costs.append([pair.cost() for pair in pairs])
+        differs.append([2.0 * pair.differ() for pair in pairs])
 
     def rate_row(check: str, claim: str, series: list, within) -> CheckRow:
         slopes = [float(np.polyfit(fit_ts, np.log(pts), 1)[0]) for pts in series if min(pts) > 0]

@@ -162,9 +162,9 @@ def test_immigration_gamma_fixture():
 
 def test_stationary_distance_identity():
     with criterion(7, "W1 between time-t and stationary immigration laws equals 2 e^{-t}"):
-        rng = _rng(70)
-        for t in (0.5, 1.0, 2.0):
-            pair = couple_stationary(IMM1, MECH1, t, _cfg(100_000), rng)
+        times = (0.5, 1.0, 2.0)
+        _, pairs = couple_stationary(IMM1, MECH1, times, _cfg(100_000), _rng(70))
+        for t, pair in zip(times, pairs):
             target = 2.0 * math.exp(-t)
             tol = max(0.01 * target, Z99 * pair.cost_se())
             assert abs(pair.cost() - target) <= tol, t

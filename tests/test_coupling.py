@@ -23,7 +23,6 @@ from cbilab.coupling import (
     CoupledPair,
     couple_cbi,
     couple_cbi_to_stationary,
-    couple_paths,
     couple_stationary,
     couple_transitions,
     jordan_decompose,
@@ -232,31 +231,6 @@ def test_transition_marginals_match_direct_sampler():
         assert stats.ks_2samp(leg.sum(axis=1), ref.sum(axis=1)).pvalue > 0.01
 
 
-def test_path_coupling_with_one_time_is_the_transition_coupling():
-    cfg = SimConfig(n_samples=300, dt=0.05)
-    for mech, mu, nu in ((quad_mech(), [2.0], [1.0]), (folded_mech(), [2.0, 0.5], [1.0, 1.5])):
-        (pair,) = couple_paths(mu, nu, mech, [0.6], cfg, np.random.default_rng(6))
-        ref = couple_transitions(mu, nu, mech, 0.6, cfg, np.random.default_rng(6))
-        assert np.array_equal(pair.left, ref.left) and np.array_equal(pair.right, ref.right)
-
-
-def test_path_coupling_cost_and_shared_influx():
-    # ordered quadratic starts along one path: cost (mu - nu) e^{-t} at each
-    # time, and a shared influx path leaves every leg gap as it is
-    times = (0.5, LN2, 2.0)
-    cfg = SimConfig(n_samples=40_000)
-    influx = np.random.default_rng(2).gamma(2.0, 1.0, size=(3, 40_000, 1))
-    pairs = couple_paths([2.0], [1.0], quad_mech(), times, cfg, np.random.default_rng(14))
-    shifted = couple_paths([2.0], [1.0], quad_mech(), times, cfg, np.random.default_rng(14),
-                           influx=influx)
-    for t, pair, with_influx in zip(times, pairs, shifted):
-        assert abs(pair.cost() - math.exp(-t)) < 4 * pair.cost_se(), t
-        assert np.all(pair.left >= pair.right)
-        np.testing.assert_allclose(with_influx.left - with_influx.right,
-                                   pair.left - pair.right, rtol=0, atol=1e-12)
-    assert pairs[0].cost() > pairs[1].cost() > pairs[2].cost()
-
-
 # ---------------------------------------------------------------------------
 # immigration couplings
 # ---------------------------------------------------------------------------
@@ -290,8 +264,9 @@ def test_stationary_coupling_cost_identity():
     # cost = mean mass remaining from immigration older than t = 2 e^{-t}
     imm = ImmigrationMechanism(beta=[2.0])
     rng = np.random.default_rng(55)
-    for t in (1.0, 4.0):
-        pair = couple_stationary(imm, quad_mech(), t, SimConfig(n_samples=100_000), rng)
+    times = (1.0, 4.0)
+    _, pairs = couple_stationary(imm, quad_mech(), times, SimConfig(n_samples=100_000), rng)
+    for t, pair in zip(times, pairs):
         target = 2 * math.exp(-t)
         assert abs(pair.cost() - target) < 4 * pair.cost_se(), f"t={t}"
         assert np.all(pair.right >= pair.left)
@@ -301,16 +276,17 @@ def test_stationary_coupling_marginals():
     imm = ImmigrationMechanism(beta=[2.0])
     cfg = SimConfig(n_samples=10_000)
     rng = np.random.default_rng(66)
-    pair = couple_stationary(imm, quad_mech(), 1.0, cfg, rng)
+    stationary, (pair,) = couple_stationary(imm, quad_mech(), [1.0], cfg, rng)
     ref_left = sample_immigration(imm, quad_mech(), 1.0, cfg, rng)[:, 0]
     assert stats.ks_2samp(pair.left[:, 0], ref_left).pvalue > 0.01
     assert stats.kstest(pair.right[:, 0], stats.gamma(a=2.0, scale=1.0).cdf).pvalue > 0.01
+    assert stats.kstest(stationary[:, 0], stats.gamma(a=2.0, scale=1.0).cdf).pvalue > 0.01
 
 
 def test_stationary_coupling_refuses_supercritical():
     imm = ImmigrationMechanism(beta=[1.0])
     with pytest.raises(ValidationError):
-        couple_stationary(imm, BranchingMechanism(b=[-0.5], c=[1.0]), 1.0,
+        couple_stationary(imm, BranchingMechanism(b=[-0.5], c=[1.0]), [1.0],
                           SimConfig(n_samples=10), np.random.default_rng(0))
 
 

@@ -116,30 +116,6 @@ def test_quadratic_sampler_short_time_identity():
     assert abs(x.mean() - 2.0) < 4 * x.std() / math.sqrt(n) + 1e-3
 
 
-def test_quadratic_sampler_zero_means_keep_values_and_stream():
-    # drawing only where the Poisson mean is > 0 gives what drawing on every
-    # entry gives, and leaves the stream where drawing on every entry leaves it
-    def unsubsetted(x, b, c, t, rng):
-        t = np.asarray(t, dtype=float)
-        theta = c * discount_integral(b, t)
-        theta_safe = np.where(theta > 0, theta, 1.0)
-        mean_counts = np.where(theta > 0, x * np.exp(-b * t) / theta_safe, 0.0)
-        out = rng.gamma(shape=rng.poisson(mean_counts), scale=theta_safe)
-        return np.where(t > 0, out, x) if np.any(t <= 0) else out
-
-    pick = np.random.default_rng(3)
-    live = pick.exponential(1.0, 2000)
-    x = live * (pick.random(2000) < 0.6)
-    per_entry = pick.uniform(0.0, 1.0, 2000) * (pick.random(2000) < 0.9)
-    for start, t in ((x, 0.3), (x, per_entry), (live, 0.3)):
-        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
-        got = _cb_quadratic_batch(start, 0.7, 1.3, t, ours)
-        assert np.array_equal(got, unsubsetted(start, 0.7, 1.3, t, theirs))
-        assert ours.random() == theirs.random()
-    assert np.array_equal(_cb_quadratic_batch(np.zeros(5), 1.0, 1.0, 0.5, ours), np.zeros(5))
-    assert ours.random() == theirs.random()  # an all-zero batch draws nothing
-
-
 # ---------------------------------------------------------------------------
 # stable increments
 # ---------------------------------------------------------------------------
