@@ -48,9 +48,8 @@ from .mechanism import (
 )
 from .simulate import (
     SimConfig,
-    sample_cbi_transition,
+    sample_path,
     sample_stationary,
-    sample_transition,
 )
 from .verify import Scenario, ScenarioAnalytics, _finite_real, run_scenario
 
@@ -357,10 +356,7 @@ def cmd_simulate(args) -> int:
     _, sc = _load(args.document, args)
     t = _horizon(args, sc)
     rng = sc.cfg.rng()
-    if sc.imm is not None:
-        x = sample_cbi_transition(sc.mu, sc.imm, sc.mech, t, sc.cfg, rng)
-    else:
-        x = sample_transition(sc.mu, sc.mech, t, sc.cfg, rng)
+    x = sample_path(sc.mu, sc.mech, [t], sc.cfg, rng, imm=sc.imm)[0]
     out = _out_dir(args) / "samples.csv"
     _write_csv(out, _columns("x", sc.mech.d), x, "%.18e")
     print(f"wrote {out}")

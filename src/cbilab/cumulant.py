@@ -350,7 +350,7 @@ def _flow_lanes(mech, lam0, t_end, tol, grid, imm=None, ceiling=1e12):
         V = np.maximum(Y[:, :d], 0.0)
         out = np.empty(Y.shape)
         out[:, :d] = -eval_phi(mech, V)
-        out[:, d] = [eval_psi(imm, v) for v in V]
+        out[:, d] = eval_psi(imm, V)
         return out
 
     y0 = np.concatenate([lam0, np.zeros((len(lam0), 1))], axis=1)
@@ -463,7 +463,7 @@ def vbar_scalar(phi_star: BranchingMechanism, t: float) -> float:
     root = float(brentq(gap, lo, hi, xtol=1e-14, rtol=1e-12))
 
     b_star, c_star = float(phi_star.b[0]), float(phi_star.c[0])
-    if c_star > 0 and not phi_star.has_jumps:
+    if c_star > 0 and phi_star.is_quadratic():
         exact = math.exp(-b_star * t) / (c_star * discount_integral(b_star, t))
         if abs(root - exact) > 1e-8 * abs(exact):
             raise NumericError(

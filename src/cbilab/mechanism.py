@@ -276,13 +276,9 @@ class BranchingMechanism:
     def d(self) -> int:
         return self.b.size
 
-    @property
-    def has_jumps(self) -> bool:
-        return any(len(js) > 0 for js in self.jumps)
-
     def is_quadratic(self) -> bool:
         """True when there are no jump components (pure b/c/eta mechanism)."""
-        return not self.has_jumps
+        return not any(self.jumps)
 
 
 @dataclass(frozen=True)
@@ -371,20 +367,26 @@ def fold_motion(mech: BranchingMechanism, motion: MotionGenerator) -> BranchingM
     return BranchingMechanism(b=b, c=mech.c, eta=eta, jumps=mech.jumps)
 
 
+def _points(lam, d: int, fn: str) -> np.ndarray:
+    """lam as one point (d,) or a stack of points (m, d), each finite and >= 0."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lam.ndim > 2 or lam.shape[-1] != d:
+        raise ValidationError(f"lambda has dimension {lam.shape[-1]}, expected {d}")
+    ok = (lam >= 0) & np.isfinite(lam)
+    if not ok.all():
+        bad = lam if lam.ndim == 1 else lam[~ok.all(axis=1)][0]
+        raise ValidationError(f"{fn} is only defined for finite lambda >= 0, got {bad}")
+    return lam
+
+
 def eval_phi(mech: BranchingMechanism, lam) -> np.ndarray:
     """Evaluate (phi_1(lam), ..., phi_d(lam)) with all jump integrals in closed form.
 
     lam is one point (d,) or a stack of points (m, d), validated once; each
     row of the result has the bits of a call on that row alone.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
     d = mech.d
-    if lam.ndim > 2 or lam.shape[-1] != d:
-        raise ValidationError(f"lambda has dimension {lam.shape[-1]}, expected {d}")
-    ok = (lam >= 0) & np.isfinite(lam)
-    if not ok.all():
-        bad = lam if lam.ndim == 1 else lam[~ok.all(axis=1)][0]
-        raise ValidationError(f"phi is only defined for finite lambda >= 0, got {bad}")
+    lam = _points(lam, d, "phi")
     # eta @ each row as a matrix-vector product, the same kernel as for one row
     out = mech.b * lam + mech.c * lam * lam - (mech.eta @ lam[..., None])[..., 0]
     # jump terms row by row, keeping scalar math.exp and **: vectorised
@@ -505,17 +507,23 @@ def grey_condition(phi_star: BranchingMechanism) -> bool:
     return bool(phi_star.c[0] > 0) or any(isinstance(comp, StableAxis) for comp in phi_star.jumps[0])
 
 
-def eval_psi(imm: ImmigrationMechanism, lam) -> float:
-    """Evaluate psi(lam) = <beta, lam> + int (1 - e^{-<lam,u>}) nu(du)."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.size != imm.d:
-        raise ValidationError(f"lambda has dimension {lam.size}, expected {imm.d}")
-    if np.any(lam < 0) or not np.all(np.isfinite(lam)):
-        raise ValidationError(f"psi is only defined for finite lambda >= 0, got {lam}")
-    out = float(imm.beta @ lam)
+def eval_psi(imm: ImmigrationMechanism, lam):
+    """Evaluate psi(lam) = <beta, lam> + int (1 - e^{-<lam,u>}) nu(du).
+
+    lam is one point (d,), giving a float, or a stack of points (m, d),
+    giving m values; it is validated once, and each value has the bits of a
+    call on its row alone.
+    """
+    lam = _points(lam, imm.d, "psi")
+    rows = lam.reshape(-1, imm.d)
+    # <beta, row> as a row-vector product per row: plain rows @ beta rounds
+    # differently from the product on one row
+    out = (rows[:, None, :] @ imm.beta[:, None])[:, 0, 0]
+    # jump terms row by row with scalar math.exp, as in eval_phi
     for comp in imm.nu:
-        out += _psi_jump_term(comp, lam)
-    return out
+        for k, row in enumerate(rows):
+            out[k] += _psi_jump_term(comp, row)
+    return float(out[0]) if lam.ndim == 1 else out
 
 
 def phi_star_tail_integral(phi_star: BranchingMechanism, z0: float, upper: float = np.inf) -> float:

@@ -23,8 +23,11 @@ their compensated one-step increment (X_i a dt)^{1/(1+alpha)} Z is sampled
 exactly with a Chambers–Mallows–Stuck draw of the spectrally positive
 stable variable Z.
 
-`sample_path` observes one run at several times by chaining these
-samplers over the gaps of the grid, which is exact by the Markov property.
+`sample_path` is the one composition of branching and immigration: it
+chains segments over the gaps of a time grid, exact by the Markov property.
+So the transition law Q_t(mu) * N_t of the process with immigration is
+`sample_path(mu, mech, [t], cfg, rng, imm=imm)[0]`, and `sample_immigration`
+is that path started from zero.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ __all__ = [
     "SimConfig",
     "sample_transition",
     "sample_immigration",
-    "sample_cbi_transition",
     "sample_stationary",
     "sample_path",
     "has_exact_transition",
@@ -270,6 +272,36 @@ def _exact_immigration(mech: BranchingMechanism) -> bool:
     return mech.d == 1 and mech.is_quadratic()
 
 
+def _exact_immigration_batch(imm: ImmigrationMechanism, mech: BranchingMechanism,
+                             t: float, n: int, rng) -> np.ndarray:
+    """Time-t immigration mass into a scalar quadratic mechanism, exactly:
+    Gamma(beta/c, c q(b,t)) for the continuous part, plus Poisson jump
+    immigrants each evolved exactly over its remaining time."""
+    b, c = float(mech.b[0]), float(mech.c[0])
+    out = np.zeros((n, 1))
+    beta = float(imm.beta[0])
+    if beta > 0:
+        if c > 0:
+            out[:, 0] = rng.gamma(shape=beta / c, scale=c * discount_integral(b, t), size=n)
+        else:
+            out[:, 0] = beta * discount_integral(b, t)  # deterministic influx-decay
+    for comp in imm.nu:
+        rate = comp.weight if isinstance(comp, PointMass) else comp.rate
+        counts = rng.poisson(rate * t, size=n)
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        arrive = rng.uniform(0.0, t, size=total)
+        if isinstance(comp, PointMass):
+            sizes = np.full(total, float(comp.u[0]))
+        else:
+            sizes = rng.exponential(comp.mean, size=total)
+        evolved = _cb_quadratic_batch(sizes, b, c, t - arrive, rng)
+        rows = np.repeat(np.arange(n), counts)
+        np.add.at(out[:, 0], rows, evolved)
+    return out
+
+
 def has_exact_transition(mech: BranchingMechanism) -> bool:
     """True when the transition law is sampled exactly: no jumps and no
     inter-type transfer, so the types evolve as independent scalar
@@ -322,42 +354,16 @@ def sample_immigration(imm: ImmigrationMechanism, mech: BranchingMechanism,
                        t: float, cfg: SimConfig, rng) -> np.ndarray:
     """Sample the time-t immigration mass (the process started empty).
 
-    Exact for scalar quadratic mechanisms: Gamma(beta/c, c q(b,t)) for the
-    continuous part, plus Poisson jump immigrants each evolved exactly over
-    its remaining time.  Other mechanisms run the split stepper with the
-    immigration influx in the middle block.
+    This is the path from zero with imm, observed at t: exact for scalar
+    quadratic mechanisms, a split-step run with the influx in the middle
+    block otherwise.
     """
     if imm.d != mech.d:
         raise ValidationError(f"immigration dimension {imm.d} != mechanism dimension {mech.d}")
     if not 0 <= t < math.inf:
         raise ValidationError(f"time must be finite and >= 0, got {t}")
-    n = cfg.n_samples
     if t == 0.0 or imm.is_trivial():
-        return np.zeros((n, mech.d))
-    if _exact_immigration(mech):
-        b, c = float(mech.b[0]), float(mech.c[0])
-        out = np.zeros((n, 1))
-        beta = float(imm.beta[0])
-        if beta > 0:
-            if c > 0:
-                out[:, 0] = rng.gamma(shape=beta / c, scale=c * discount_integral(b, t), size=n)
-            else:
-                out[:, 0] = beta * discount_integral(b, t)  # deterministic influx-decay
-        for comp in imm.nu:
-            rate = comp.weight if isinstance(comp, PointMass) else comp.rate
-            counts = rng.poisson(rate * t, size=n)
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            arrive = rng.uniform(0.0, t, size=total)
-            if isinstance(comp, PointMass):
-                sizes = np.full(total, float(comp.u[0]))
-            else:
-                sizes = rng.exponential(comp.mean, size=total)
-            evolved = _cb_quadratic_batch(sizes, b, c, t - arrive, rng)
-            rows = np.repeat(np.arange(n), counts)
-            np.add.at(out[:, 0], rows, evolved)
-        return out
+        return np.zeros((cfg.n_samples, mech.d))
     return sample_path(np.zeros(mech.d), mech, [t], cfg, rng, imm=imm)[0]
 
 
@@ -369,11 +375,11 @@ def sample_path(mu, mech: BranchingMechanism, times, cfg: SimConfig, rng,
     times[k].  The path chains segments by the Markov property,
     X_{t_k} = Q_{t_k - t_{k-1}} X_{t_{k-1}}, plus, with imm, the mass that
     immigrates over the segment.  A segment is one `sample_transition`
-    draw, plus a `sample_immigration` draw where that is exact (scalar
-    quadratic); on the stepped route with imm it is one split-step run with
-    the influx inside.  mu is a mass vector or per-run rows.  So the path at
-    one time is a `sample_transition` draw, and from zero with imm a
-    `sample_immigration` draw.
+    draw, plus the exact immigration draw on the scalar quadratic route; on
+    the stepped route with imm it is one split-step run with the influx
+    inside.  mu is a mass vector or per-run rows.  So the path at one time
+    is the transition law of the process with immigration, Q_t(mu) * N_t;
+    without imm it is a `sample_transition` draw.
     """
     times = [float(t) for t in times]
     if not times or not all(0 <= t < math.inf for t in times) or any(
@@ -389,17 +395,10 @@ def sample_path(mu, mech: BranchingMechanism, times, cfg: SimConfig, rng,
             states = _stepped_batch(states, mech, imm, end - start, cfg, rng)
         else:
             states = sample_transition(states, mech, end - start, cfg, rng)
-            if influx:
-                states += sample_immigration(imm, mech, end - start, cfg, rng)
+            if influx and end > start:
+                states += _exact_immigration_batch(imm, mech, end - start, len(states), rng)
         out[k] = states
     return out
-
-
-def sample_cbi_transition(mu, imm: ImmigrationMechanism, mech: BranchingMechanism,
-                          t: float, cfg: SimConfig, rng) -> np.ndarray:
-    """Transition of the process with immigration: independent sum of the
-    branching transition from mu and the immigration mass."""
-    return sample_transition(mu, mech, t, cfg, rng) + sample_immigration(imm, mech, t, cfg, rng)
 
 
 def stationary_horizon(mech: BranchingMechanism) -> float:
@@ -430,7 +429,7 @@ def sample_stationary(imm: ImmigrationMechanism, mech: BranchingMechanism,
     n = cfg.n_samples
     if imm.is_trivial():
         return np.zeros((n, mech.d))
-    if mech.d == 1 and mech.is_quadratic() and not imm.nu:
+    if _exact_immigration(mech) and not imm.nu:
         b, c = float(mech.b[0]), float(mech.c[0])
         beta = float(imm.beta[0])
         out = np.zeros((n, 1))

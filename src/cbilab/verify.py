@@ -70,7 +70,7 @@ from .mechanism import (
 from .simulate import (
     SimConfig,
     has_exact_transition,
-    sample_cbi_transition,
+    sample_path,
     sample_transition,
 )
 
@@ -250,7 +250,7 @@ def _psi_integrals(mech, imm, lam, lags) -> list:
               for a, b in zip(ends, ends[1:])]
     grid = np.concatenate([piece[:-1] for piece in pieces[:-1]] + pieces[-1:])
     path = solve_cumulant(mech, lam, ends[-1], tol=1e-10, t_eval=grid, imm=imm)
-    psi_vals = np.array([eval_psi(imm, v) for v in path.v_values])
+    psi_vals = eval_psi(imm, path.v_values)
     influx = float((imm.beta + imm.first_moment()).sum())
     out = []
     for k in np.searchsorted(grid, lags):
@@ -262,11 +262,6 @@ def _psi_integrals(mech, imm, lam, lags) -> list:
         tail = influx * float(path.v_values[k].max()) * math.exp(-bs * horizon) / bs
         out.append((by_ode, tail))
     return out
-
-
-def _stationary_laplace_exponent(mech, imm, lam):
-    """(int_0^H psi(v(s, lam)) ds, bound on the rest to inf), H = max(10/beta*, 20)."""
-    return _psi_integrals(mech, imm, lam, [0.0])[0]
 
 
 class ScenarioAnalytics:
@@ -333,7 +328,7 @@ class ScenarioAnalytics:
     @functools.cached_property
     def stationary_laplace(self) -> tuple:
         """(exponent, tail bound) of the stationary Laplace functional at lambda_probe."""
-        return _stationary_laplace_exponent(self.sc.mech, self.sc.imm, self.sc.lambda_probe)
+        return _psi_integrals(self.sc.mech, self.sc.imm, self.sc.lambda_probe, [0.0])[0]
 
 
 def _skipped(check: str, claim: str, times, reason: str) -> list:
@@ -491,10 +486,7 @@ def check_laplace(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         target = math.exp(-(float(sc.mu @ v[i]) + float(integral[i])))
 
         def draw(rng):
-            if imm is None:
-                x = sample_transition(sc.mu, mech, t, sc.cfg, rng)
-            else:
-                x = sample_cbi_transition(sc.mu, imm, mech, t, sc.cfg, rng)
+            x = sample_path(sc.mu, mech, [t], sc.cfg, rng, imm=imm)[0]
             emp, se = _mean_se(np.exp(-(x @ lam)))
             return emp, se, abs(emp - target) <= SIGMAS * se + 1e-12
 

@@ -25,9 +25,8 @@ from cbilab.distance import (_w1_assignment, tv_empirical, tv_exact_quadratic,
                              w1_1d_quantile)
 from cbilab.mechanism import (BranchingMechanism, ImmigrationMechanism,
                               beta_star, dominating_mechanism)
-from cbilab.simulate import (SimConfig, sample_cbi_transition,
-                             sample_immigration, sample_stationary,
-                             sample_transition)
+from cbilab.simulate import (SimConfig, sample_immigration, sample_path,
+                             sample_stationary, sample_transition)
 from conftest import record_criterion
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -85,7 +84,7 @@ def test_sampled_laplace_matches_exponent():
                             jump_threshold=sc.cfg.jump_threshold, seed=0)
             rng = _rng(20 + idx)
             for t in (0.5, 1.0, 2.0):
-                x = sample_cbi_transition(sc.mu, sc.imm, sc.mech, t, cfg, rng)
+                x = sample_path(sc.mu, sc.mech, [t], cfg, rng, imm=sc.imm)[0]
                 for scale in (0.5, 1.0):
                     lam = scale * np.ones(sc.mech.d)
                     path = solve_cumulant(sc.mech, lam, t, imm=sc.imm)
@@ -190,7 +189,7 @@ def test_multitype_domination():
     with criterion(9, "multi-type cumulant dominated by the scalar envelope; moments decay at beta*"):
         sc = parse_scenario(load_document(SCENARIOS / "ref_d2_folded.json"))
         phi = dominating_mechanism(sc.mech)
-        assert not phi.has_jumps  # quadratic envelope, closed form applies
+        assert phi.is_quadratic()  # quadratic envelope, closed form applies
         ts = [0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0]
         for lam in (1.0, 10.0, 100.0):
             for t in ts:

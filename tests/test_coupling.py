@@ -38,8 +38,8 @@ from cbilab.mechanism import (
 )
 from cbilab.simulate import (
     SimConfig,
-    sample_cbi_transition,
     sample_immigration,
+    sample_path,
     sample_transition,
 )
 
@@ -311,7 +311,7 @@ def test_transition_to_stationary_marginals():
     cfg = SimConfig(n_samples=10_000)
     rng = np.random.default_rng(99)
     pair = couple_cbi_to_stationary([2.0], imm, mech, 1.0, cfg, rng)
-    ref_left = sample_cbi_transition([2.0], imm, mech, 1.0, cfg, rng)[:, 0]
+    ref_left = sample_path([2.0], mech, [1.0], cfg, rng, imm=imm)[0, :, 0]
     assert stats.ks_2samp(pair.left[:, 0], ref_left).pvalue > 0.01
     assert stats.kstest(pair.right[:, 0], stats.gamma(a=2.0, scale=1.0).cdf).pvalue > 0.01
 

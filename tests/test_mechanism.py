@@ -103,6 +103,34 @@ def test_gamma_matches_jacobian_at_zero():
                 assert dphi[i] == pytest.approx(-g[i, j], abs=1e-4)
 
 
+def test_phi_and_psi_on_a_stack_keep_the_bits_of_row_calls():
+    # one stack call validates once and matches a call per row bit for bit
+    mech = BranchingMechanism(
+        b=[0.5, 1.0], c=[0.3, 0.0], eta=[[0.0, 0.2], [0.1, 0.0]],
+        jumps=((PointMass(u=[0.4, 0.1], weight=0.7), StableAxis(0, 0.5, 0.25)),
+               (ExponentialAxis(axis=0, mean=0.6, rate=0.9),)),
+    )
+    imm = ImmigrationMechanism(
+        beta=[0.37, 0.81],
+        nu=(PointMass(u=[0.3, 0.7], weight=0.5), ExponentialAxis(axis=1, mean=2.0, rate=0.1)),
+    )
+    scale = np.repeat([1e-3, 1.0, 1e3], [16, 32, 16])[:, None]
+    lam = np.random.default_rng(4).exponential(3.0, size=(64, 2)) * scale
+    phi, psi = eval_phi(mech, lam), eval_psi(imm, lam)
+    assert phi.shape == (64, 2) and psi.shape == (64,)
+    for row, phi_row, psi_row in zip(lam, phi, psi):
+        assert np.array_equal(eval_phi(mech, row), phi_row)
+        assert eval_psi(imm, row) == psi_row
+    assert type(eval_psi(imm, lam[0])) is float
+    bad = lam.copy()
+    bad[5, 1] = -1.0
+    for f, m in ((eval_phi, mech), (eval_psi, imm)):
+        with pytest.raises(ValidationError, match="lambda >= 0"):
+            f(m, bad)
+        with pytest.raises(ValidationError, match="dimension"):
+            f(m, lam[None])
+
+
 def test_psi_frozen_oracle():
     imm = ImmigrationMechanism(
         beta=[0.5],
@@ -150,7 +178,7 @@ def test_dominating_mechanism_folded_quadratic():
     assert phi_star.d == 1
     assert phi_star.b[0] == pytest.approx(1.0)
     assert phi_star.c[0] == pytest.approx(1.0)
-    assert not phi_star.has_jumps
+    assert phi_star.is_quadratic()
     # phi_*(z) = z + z^2
     assert local_projection(phi_star, 0, 2.0) == pytest.approx(6.0)
     assert grey_condition(phi_star)

@@ -29,7 +29,6 @@ from cbilab.simulate import (
     SimConfig,
     _cb_quadratic_batch,
     _stable_positive_batch,
-    sample_cbi_transition,
     sample_immigration,
     sample_path,
     sample_stationary,
@@ -299,7 +298,7 @@ def test_cbi_transition_mean_and_laplace():
     imm = ImmigrationMechanism(beta=[2.0])
     rng = np.random.default_rng(41)
     n = 100_000
-    x = sample_cbi_transition([1.0], imm, mech, 1.0, SimConfig(n_samples=n), rng)[:, 0]
+    x = sample_path([1.0], mech, [1.0], SimConfig(n_samples=n), rng, imm=imm)[0, :, 0]
     target_mean = math.exp(-1.0) + 2 * (1 - math.exp(-1.0))
     assert abs(x.mean() - target_mean) < 4 * x.std() / math.sqrt(n)
     path = solve_cumulant(mech, [1.0], 1.0, tol=1e-12, imm=imm)
@@ -348,6 +347,16 @@ def test_path_with_one_time_draws_what_the_samplers_draw():
         assert np.array_equal(one[0], sample_transition(mu, mech, t, cfg, np.random.default_rng(8)))
         fresh = sample_path(np.zeros(mech.d), mech, [t], cfg, np.random.default_rng(8), imm=imm)
         assert np.array_equal(fresh[0], sample_immigration(imm, mech, t, cfg, np.random.default_rng(8)))
+    # on the exact route the path from mu with imm is the transition plus an
+    # independent immigration draw, in that order on one generator
+    imm = ImmigrationMechanism(beta=[2.0], nu=(PointMass(u=[0.5], weight=0.8),
+                                               ExponentialAxis(axis=0, mean=0.4, rate=0.6)))
+    cfg = SimConfig(n_samples=400)
+    for t in (0.3, 0.5, 1.7, 2.0):
+        cbi = sample_path([2.0], quad_mech(), [t], cfg, np.random.default_rng(9), imm=imm)[0]
+        rng = np.random.default_rng(9)
+        parts = sample_transition([2.0], quad_mech(), t, cfg, rng)
+        assert np.array_equal(cbi, parts + sample_immigration(imm, quad_mech(), t, cfg, rng))
 
 
 def test_path_refuses_bad_grids():

@@ -22,7 +22,7 @@ from cbilab.verify import (
     Scenario,
     ScenarioAnalytics,
     VerificationReport,
-    _stationary_laplace_exponent,
+    _psi_integrals,
     run_scenario,
 )
 
@@ -336,14 +336,20 @@ class TestStationaryBundle:
         assert len(calls) == REPLICATES * (1 + fits)
         assert len(rows) == 2 + 2 * len(times) + (2 if fits else 0)
 
-    def test_shipped_folded_stationary_rows_all_pass(self):
-        # the stationary check of ref_d2_folded as shipped: seed 2, n = 8000
-        sc = shipped("ref_d2_folded")
-        assert (sc.cfg.seed, sc.cfg.n_samples) == (2, 8000)
-        rows = run_scenario(replace(sc, checks=("stationary",))).rows
-        assert len(rows) == 12
-        assert all(r.verdict == "pass" for r in rows), [(r.check, r.t) for r in rows
-                                                        if r.verdict != "pass"]
+
+@pytest.mark.parametrize("name, check, seed, n, n_rows", [
+    pytest.param("ref_d2_folded", "stationary", 2, 8000, 12, id="ref_d2_folded-stationary"),
+    pytest.param("ref_d1_stable", "laplace", 3, 6000, 3, id="ref_d1_stable-laplace"),
+    pytest.param("ref_d2_folded", "laplace", 2, 8000, 4, id="ref_d2_folded-laplace"),
+])
+def test_shipped_check_rows_all_pass(name, check, seed, n, n_rows):
+    # a check of a stepped reference scenario as shipped: its own seed and n
+    sc = shipped(name)
+    assert (sc.cfg.seed, sc.cfg.n_samples) == (seed, n)
+    rows = run_scenario(replace(sc, checks=(check,))).rows
+    assert len(rows) == n_rows
+    assert all(r.verdict == "pass" for r in rows), [(r.check, r.t) for r in rows
+                                                    if r.verdict != "pass"]
 
 
 @pytest.fixture(scope="module", params=["ref_d1_quadratic", "ref_d1_stable", "ref_d2_folded"])
@@ -368,7 +374,7 @@ class TestAnalyticGrids:
         tv, reason = an.stationary_tv
         assert reason == ""
         for (exponent, tail), vbar in zip(tv, per_t):
-            ref, ref_tail = _stationary_laplace_exponent(sc.mech, sc.imm, vbar)
+            ref, ref_tail = _psi_integrals(sc.mech, sc.imm, vbar, [0.0])[0]
             assert abs(exponent - ref) <= ref_tail + 1e-8
             assert tail == pytest.approx(ref_tail, rel=1e-6)
 
@@ -417,14 +423,13 @@ class TestStationaryExponent:
         # b=c=1, beta=2: the limit law is Gamma(2, 1), so the Laplace value
         # at lam is (1+lam)^(-2) and the exponent is 2 log(1+lam)
         for lam in (0.5, 1.0, 2.0):
-            exponent, tail = _stationary_laplace_exponent(MECH, IMM, np.array([lam]))
+            exponent, tail = _psi_integrals(MECH, IMM, np.array([lam]), [0.0])[0]
             assert exponent == pytest.approx(2.0 * math.log1p(lam), abs=1e-8)
             assert tail < 1e-8
 
     def test_refuses_supercritical(self):
         with pytest.raises(ValidationError):
-            _stationary_laplace_exponent(
-                BranchingMechanism(b=[-1.0], c=[1.0]), IMM, np.array([1.0]))
+            _psi_integrals(BranchingMechanism(b=[-1.0], c=[1.0]), IMM, np.array([1.0]), [0.0])
 
 
 class TestReportSerialization:
