@@ -369,9 +369,9 @@ def cmd_couple(args) -> int:
     t = _horizon(args, sc)
     rng = sc.cfg.rng()
     if sc.imm is not None:
-        pair = couple_cbi(sc.mu, sc.nu, sc.imm, sc.mech, t, sc.cfg, rng)
+        pair = couple_cbi(sc.mu, sc.nu, sc.imm, sc.mech, [t], sc.cfg, rng)[0]
     else:
-        pair = couple_transitions(sc.mu, sc.nu, sc.mech, t, sc.cfg, rng)
+        pair = couple_transitions(sc.mu, sc.nu, sc.mech, [t], sc.cfg, rng)[0]
     out = _out_dir(args) / "couple.csv"
     _write_csv(out, f"{_columns('left', pair.d)},{_columns('right', pair.d)},cost",
                np.column_stack([pair.left, pair.right, pair.row_costs()]), "%.12g")

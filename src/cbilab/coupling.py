@@ -8,15 +8,17 @@ transition laws, the legs agree on the shared piece, and the expected l1
 gap between the legs upper-bounds the Wasserstein distance while the
 fraction of unequal rows upper-bounds half the total-variation distance.
 
-Immigration variants add one shared immigration draw to both legs (zero
+Immigration variants add one shared immigration path to both legs (zero
 extra cost by construction).  The stationary couplings use the flow
 decomposition of the stationary law: a stationary state is an independent
 sum of the time-t immigration mass and a time-t evolution of a stationary
 state, so pairing a fresh immigration draw with that decomposition couples
 the time-t law with its limit.
 
-`couple_stationary` runs along a grid of times, one path per piece, so its
-pairs at different times share their draws.
+Every coupling runs along an increasing grid of times, one `sample_path`
+per piece, and returns one pair per time.  By the Markov property each
+pair is an exact coupling at its time; pairs at different times share
+their draws.
 """
 
 from __future__ import annotations
@@ -27,13 +29,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .mechanism import BranchingMechanism, ImmigrationMechanism, mass_vector
-from .simulate import (
-    SimConfig,
-    sample_immigration,
-    sample_path,
-    sample_stationary,
-    sample_transition,
-)
+from .simulate import SimConfig, sample_path, sample_stationary
+from .simulate import sample_transition  # noqa: F401  (an import site bench/test_bench.py traces)
 
 __all__ = [
     "CoupledPair",
@@ -119,37 +116,40 @@ def jordan_decompose(mu, nu):
     return meet, mu - meet, nu - meet
 
 
-def couple_transitions(mu, nu, mech: BranchingMechanism, t: float,
-                       cfg: SimConfig, rng) -> CoupledPair:
-    """Couple the transition laws from mu and from nu over time t.
+def couple_transitions(mu, nu, mech: BranchingMechanism, times,
+                       cfg: SimConfig, rng) -> list:
+    """Couple the transition laws from mu and from nu at each of an
+    increasing grid of times.
 
-    Draws independent batches from the meet, positive, and negative parts of
-    the Jordan decomposition and recombines; each leg is a true transition
-    sample by the branching property, and the legs share the meet part.
-    mu and nu are mass vectors, or both (n_samples, d) arrays giving each
-    row its own pair of initial states (decomposed rowwise), as
-    `sample_transition` accepts.
+    Draws one path each from the meet, positive, and negative parts of the
+    Jordan decomposition and recombines them at each time; each leg is a
+    true transition sample by the branching property, and the legs share
+    the meet part.  mu and nu are mass vectors, or both (n_samples, d)
+    arrays giving each row its own pair of initial states (decomposed
+    rowwise), as `sample_path` accepts.  Returns one CoupledPair per time.
     """
     if np.ndim(mu) != 2:
         mu = mass_vector(mu, d=mech.d)
     if np.ndim(nu) != 2:
         nu = mass_vector(nu, d=mech.d)
     meet, pos, neg = jordan_decompose(mu, nu)
-    shared = sample_transition(meet, mech, t, cfg, rng)
-    upper = sample_transition(pos, mech, t, cfg, rng)
-    lower = sample_transition(neg, mech, t, cfg, rng)
-    return CoupledPair(shared + upper, shared + lower)
+    shared = sample_path(meet, mech, times, cfg, rng)
+    upper = sample_path(pos, mech, times, cfg, rng)
+    lower = sample_path(neg, mech, times, cfg, rng)
+    return [CoupledPair(s + u, s + v) for s, u, v in zip(shared, upper, lower)]
 
 
 def couple_cbi(mu, nu, imm: ImmigrationMechanism, mech: BranchingMechanism,
-               t: float, cfg: SimConfig, rng) -> CoupledPair:
-    """Couple the with-immigration transition laws from mu and nu.
+               times, cfg: SimConfig, rng) -> list:
+    """Couple the with-immigration transition laws from mu and nu at each
+    of an increasing grid of times.
 
-    One shared immigration draw is added to both legs of the branching
-    coupling, so left - right is unchanged: immigration is free."""
-    pair = couple_transitions(mu, nu, mech, t, cfg, rng)
-    influx = sample_immigration(imm, mech, t, cfg, rng)
-    return CoupledPair(pair.left + influx, pair.right + influx)
+    One shared immigration path, the process started from zero with imm, is
+    added to both legs of the branching coupling, so left - right is
+    unchanged: immigration is free."""
+    pairs = couple_transitions(mu, nu, mech, times, cfg, rng)
+    influx = sample_path(np.zeros(mech.d), mech, times, cfg, rng, imm=imm)
+    return [CoupledPair(p.left + f, p.right + f) for p, f in zip(pairs, influx)]
 
 
 def couple_stationary(imm: ImmigrationMechanism, mech: BranchingMechanism,
@@ -187,4 +187,4 @@ def couple_cbi_to_stationary(mu, imm: ImmigrationMechanism, mech: BranchingMecha
     """
     mu = mass_vector(mu, d=mech.d)
     eta = sample_stationary(imm, mech, cfg, rng)
-    return couple_cbi(np.tile(mu, (cfg.n_samples, 1)), eta, imm, mech, t, cfg, rng)
+    return couple_cbi(np.tile(mu, (cfg.n_samples, 1)), eta, imm, mech, [t], cfg, rng)[0]

@@ -310,6 +310,9 @@ def has_exact_transition(mech: BranchingMechanism) -> bool:
 
 
 def _transition_batch(states: np.ndarray, mech, t, cfg, rng) -> np.ndarray:
+    if not np.any(states):
+        # without immigration the zero state is absorbing: nothing to draw
+        return np.zeros_like(states, dtype=float)
     if has_exact_transition(mech):
         out = np.empty_like(states, dtype=float)
         for i in range(mech.d):
@@ -343,7 +346,8 @@ def sample_transition(mu, mech: BranchingMechanism, t: float, cfg: SimConfig, rn
     (n_samples, d) array giving each run its own initial state (the coupling
     constructions need that).  Scalar quadratic mechanisms (and diagonal
     quadratic systems) use the exact sampler; all others take dt-steps of
-    the symmetric split scheme.
+    the symmetric split scheme.  From all-zero starts it returns zeros and
+    draws nothing.
     """
     if not 0 <= t < math.inf:
         raise ValidationError(f"time must be finite and >= 0, got {t}")

@@ -14,8 +14,10 @@ the mean of its replicate estimates and its `ci` the 99% half-width of
 that mean, Z99 * sqrt(sum_r se_r^2) / R, where se_r is the standard error
 of replicate r's estimate.  Exact (non-sampling) rows use absolute
 tolerances around 1e-9 and report ci = 0.  The stationary mean, Laplace,
-W1 and TV rows of one replicate read one shared coupling draw, so they are
-correlated with one another; the replicates stay independent.
+W1 and TV rows of one replicate read one shared coupling draw, and each
+transition check reads all its times off one path (or coupling) per
+replicate, so those rows are correlated with one another; the replicates
+stay independent.
 
 The `tamper` field of a scenario shifts analytic lower bounds upward and
 exists so that a deliberately corrupted fixture demonstrably fails — a
@@ -231,6 +233,16 @@ def _replicated(replicates, draw) -> tuple:
     return fields, columns
 
 
+def _path_rows(rngs, draw, reduce) -> list:
+    """The `_replicated` result at each time, from one path per replicate.
+
+    draw(rng) gives a replicate's snapshots along the times and
+    reduce(k, snapshot) its replicate tuple at time k; each path is reduced
+    before the next one is drawn, so only one is held at a time."""
+    tuples = [[reduce(k, snap) for k, snap in enumerate(draw(rng))] for rng in rngs]
+    return [_replicated(per_time, lambda tup: tup) for per_time in zip(*tuples)]
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -375,23 +387,27 @@ def _w1_replicate(pair, lower: float, upper: float, scale: float, sc: Scenario) 
 
 def check_wasserstein_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     """First-moment sandwich around the transition Wasserstein distance."""
-    rows = []
     mu, nu, mech = sc.mu, sc.nu, sc.mech
     variants = [("wasserstein_sandwich",
-                 lambda t, rng: couple_transitions(mu, nu, mech, t, sc.cfg, rng),
+                 lambda rng: couple_transitions(mu, nu, mech, sc.times, sc.cfg, rng),
                  "|<mu-nu, pi_t 1>| <= W1(Q_t(mu), Q_t(nu)) <= |mu-nu|(pi_t 1)")]
     if sc.imm is not None and not sc.imm.is_trivial():
         variants.append(("wasserstein_sandwich_imm",
-                         lambda t, rng: couple_cbi(mu, nu, sc.imm, mech, t, sc.cfg, rng),
+                         lambda rng: couple_cbi(mu, nu, sc.imm, mech, sc.times, sc.cfg, rng),
                          "the same first-moment sandwich holds with a shared immigration draw"))
-    for t in sc.times:
-        pt1 = an.pt1(t)
-        lower = abs(float((mu - nu) @ pt1)) + sc.tamper
-        upper = float(np.abs(mu - nu) @ pt1)
-        scale = max(upper, 1e-12)
-        for check_name, couple, claim in variants:
-            fields, cols = _replicated(
-                rngs, lambda rng: _w1_replicate(couple(t, rng), lower, upper, scale, sc))
+    bounds = [(abs(float((mu - nu) @ an.pt1(t))) + sc.tamper, float(np.abs(mu - nu) @ an.pt1(t)))
+              for t in sc.times]
+
+    def reduce(k, pair):
+        lower, upper = bounds[k]
+        return _w1_replicate(pair, lower, upper, max(upper, 1e-12), sc)
+
+    # one coupled path per replicate and variant serves every time
+    per_variant = [_path_rows(rngs, couple, reduce) for _, couple, _ in variants]
+    rows = []
+    for k, (t, (lower, upper)) in enumerate(zip(sc.times, bounds)):
+        for (check_name, _, claim), results in zip(variants, per_variant):
+            fields, cols = results[k]
             rows.append(CheckRow(
                 check=check_name, claim=claim, t=t,
                 analytic={"lower": lower, "upper": upper}, **fields,
@@ -410,10 +426,10 @@ def check_tv_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         return _skipped("tv_sandwich", claim, sc.times, reason)
     exact_route = mech.d == 1 and mech.is_quadratic() and float(mech.c[0]) > 0
     se = math.sqrt(2.0 / sc.cfg.n_samples)  # bounded-differences scale of the TV estimate
-    for t, vbar in zip(sc.times, vbars):
-        lower = 2.0 * abs(math.exp(-float(sc.mu @ vbar)) - math.exp(-float(sc.nu @ vbar))) + sc.tamper
-        upper = 2.0 * (1.0 - math.exp(-float(np.abs(sc.mu - sc.nu) @ vbar)))
-        if exact_route:
+    bounds = [(2.0 * abs(math.exp(-float(sc.mu @ vbar)) - math.exp(-float(sc.nu @ vbar))) + sc.tamper,
+               2.0 * (1.0 - math.exp(-float(np.abs(sc.mu - sc.nu) @ vbar)))) for vbar in vbars]
+    if exact_route:
+        for t, vbar, (lower, upper) in zip(sc.times, vbars, bounds):
             est = tv_exact_quadratic(float(sc.mu[0]), float(sc.nu[0]),
                                      float(mech.b[0]), float(mech.c[0]), t)
             ok = lower - 1e-9 <= est <= upper + 1e-9
@@ -423,16 +439,20 @@ def check_tv_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
                 estimate=est, ci=0.0, verdict=_verdict(ok),
                 details={"route": 0.0},
             ))
-            continue
+        return rows
 
-        def draw(rng):
-            xa = sample_transition(sc.mu, mech, t, sc.cfg, rng)
-            xb = sample_transition(sc.nu, mech, t, sc.cfg, rng)
-            est = tv_empirical(xa, xb)
-            tol = est.spread + SIGMAS * se
-            return float(est), se, lower - tol <= float(est) <= upper + tol, est.spread
+    def draw(rng):
+        return zip(sample_path(sc.mu, mech, sc.times, sc.cfg, rng),
+                   sample_path(sc.nu, mech, sc.times, sc.cfg, rng))
 
-        fields, cols = _replicated(rngs, draw)
+    def reduce(k, snapshots):
+        lower, upper = bounds[k]
+        est = tv_empirical(*snapshots)
+        tol = est.spread + SIGMAS * se
+        return float(est), se, lower - tol <= float(est) <= upper + tol, est.spread
+
+    for t, vbar, (lower, upper), (fields, cols) in zip(
+            sc.times, vbars, bounds, _path_rows(rngs, draw, reduce)):
         rows.append(CheckRow(
             check="tv_sandwich", claim=claim, t=t,
             analytic={"lower": lower, "upper": upper, "vbar_max": float(vbar.max())},
@@ -479,51 +499,41 @@ def check_lipschitz_contraction(sc: Scenario, rngs, an: ScenarioAnalytics) -> li
 def check_laplace(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     """Sampler laws against the exponent produced by the cumulant flow."""
     mech, imm, lam = sc.mech, sc.imm, sc.lambda_probe
-    rows = []
     claim = "E[e^{-<lam, X_t>}] = exp(-<mu, v(t,lam)> - integral of psi(v(s,lam)))"
     v, integral = an.probe
-    for i, t in enumerate(sc.times):
-        target = math.exp(-(float(sc.mu @ v[i]) + float(integral[i])))
+    targets = [math.exp(-(float(sc.mu @ v_t) + float(i_t))) for v_t, i_t in zip(v, integral)]
 
-        def draw(rng):
-            x = sample_path(sc.mu, mech, [t], sc.cfg, rng, imm=imm)[0]
-            emp, se = _mean_se(np.exp(-(x @ lam)))
-            return emp, se, abs(emp - target) <= SIGMAS * se + 1e-12
+    def reduce(k, x):
+        emp, se = _mean_se(np.exp(-(x @ lam)))
+        return emp, se, abs(emp - targets[k]) <= SIGMAS * se + 1e-12
 
-        fields, cols = _replicated(rngs, draw)
-        rows.append(CheckRow(
-            check="laplace", claim=claim, t=t, analytic={"target": target},
-            **fields, details=_per_rep("rep", cols[0]),
-        ))
-    return rows
+    return [CheckRow(check="laplace", claim=claim, t=t, analytic={"target": target},
+                     **fields, details=_per_rep("rep", cols[0]))
+            for t, target, (fields, cols) in zip(sc.times, targets, _path_rows(
+                rngs, lambda rng: sample_path(sc.mu, mech, sc.times, sc.cfg, rng, imm=imm), reduce))]
 
 
 def check_extinction_atom(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     """Mass of the exact zero state against the extinction functional."""
     mech = sc.mech
     claim = "P(X_t = 0) = e^{-<mu, Vbar_t>}"
-    rows = []
     # stepped simulation carries a small positive-part bias near zero; the
     # exact scalar sampler needs no allowance
     atol = 0.0 if has_exact_transition(mech) else 2e-3
     vbars, reason = an.envelope
     if vbars is None:
         return _skipped("extinction_atom", claim, sc.times, reason)
-    for t, vbar in zip(sc.times, vbars):
-        target = math.exp(-float(sc.mu @ vbar))
-        se = math.sqrt(max(target * (1 - target), 1e-12) / sc.cfg.n_samples)
+    targets = [math.exp(-float(sc.mu @ vbar)) for vbar in vbars]
 
-        def draw(rng):
-            x = sample_transition(sc.mu, mech, t, sc.cfg, rng)
-            frac = float(np.all(x == 0.0, axis=1).mean())
-            return frac, se, abs(frac - target) <= SIGMAS * se + atol
+    def reduce(k, x):
+        frac = float(np.all(x == 0.0, axis=1).mean())
+        se = math.sqrt(max(targets[k] * (1 - targets[k]), 1e-12) / sc.cfg.n_samples)
+        return frac, se, abs(frac - targets[k]) <= SIGMAS * se + atol
 
-        fields, cols = _replicated(rngs, draw)
-        rows.append(CheckRow(
-            check="extinction_atom", claim=claim, t=t, analytic={"target": target},
-            **fields, details=_per_rep("rep", cols[0]),
-        ))
-    return rows
+    return [CheckRow(check="extinction_atom", claim=claim, t=t, analytic={"target": target},
+                     **fields, details=_per_rep("rep", cols[0]))
+            for t, target, (fields, cols) in zip(sc.times, targets, _path_rows(
+                rngs, lambda rng: sample_path(sc.mu, mech, sc.times, sc.cfg, rng), reduce))]
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,8 @@ def test_sampled_laplace_matches_exponent():
             cfg = SimConfig(n_samples=100_000, dt=sc.cfg.dt,
                             jump_threshold=sc.cfg.jump_threshold, seed=0)
             rng = _rng(20 + idx)
-            for t in (0.5, 1.0, 2.0):
-                x = sample_path(sc.mu, sc.mech, [t], cfg, rng, imm=sc.imm)[0]
+            times = (0.5, 1.0, 2.0)  # one path per scenario
+            for t, x in zip(times, sample_path(sc.mu, sc.mech, times, cfg, rng, imm=sc.imm)):
                 for scale in (0.5, 1.0):
                     lam = scale * np.ones(sc.mech.d)
                     path = solve_cumulant(sc.mech, lam, t, imm=sc.imm)
@@ -111,8 +111,9 @@ def test_extinction_atom_mass():
 def test_wasserstein_sandwich():
     with criterion(4, "coupling cost hits (mu-nu) e^{-t} when ordered, stays sandwiched otherwise"):
         rng = _rng(40)
-        for t in (0.25, math.log(2.0), 2.0):
-            pair = couple_transitions([2.0], [1.0], MECH1, t, _cfg(100_000), rng)
+        times = (0.25, math.log(2.0), 2.0)  # one coupled path per mechanism
+        for t, pair in zip(times, couple_transitions([2.0], [1.0], MECH1, times,
+                                                     _cfg(100_000), rng)):
             target = math.exp(-t)
             tol = max(0.01 * target, Z99 * pair.cost_se())
             assert abs(pair.cost() - target) <= tol, t
@@ -120,11 +121,10 @@ def test_wasserstein_sandwich():
         sc = parse_scenario(load_document(SCENARIOS / "ref_d2_folded.json"))
         mu, nu = np.array([1.0, 2.0]), np.array([2.0, 1.0])
         cfg = SimConfig(n_samples=20_000, dt=sc.cfg.dt, seed=0)
-        for t in (0.25, math.log(2.0), 2.0):
+        for t, pair in zip(times, couple_transitions(mu, nu, sc.mech, times, cfg, rng)):
             pt1 = moment_semigroup(sc.mech, t) @ np.ones(2)
             lower = abs(float((mu - nu) @ pt1))
             upper = float(np.abs(mu - nu) @ pt1)
-            pair = couple_transitions(mu, nu, sc.mech, t, cfg, rng)
             slack = Z99 * pair.cost_se()
             assert lower - slack <= pair.cost() <= upper + slack, t
 

@@ -34,6 +34,7 @@ from cbilab.mechanism import (
     BranchingMechanism,
     ImmigrationMechanism,
     MotionGenerator,
+    PointMass,
     fold_motion,
 )
 from cbilab.simulate import (
@@ -153,7 +154,7 @@ def test_pair_csv_roundtrip(tmp_path):
     path.write_text(json.dumps(doc))
     assert main(["couple", str(path), "--out", str(tmp_path)]) == 0
     cfg = SimConfig(n_samples=40, dt=0.05, seed=4)
-    pair = couple_transitions([2.0, 1.0], [1.0, 1.5], folded_mech(), 0.5, cfg, cfg.rng())
+    pair = couple_transitions([2.0, 1.0], [1.0, 1.5], folded_mech(), [0.5], cfg, cfg.rng())[0]
     lines = (tmp_path / "couple.csv").read_text().split("\n")
     assert lines[0] == "left_1,left_2,right_1,right_2,cost"
     back = np.loadtxt(tmp_path / "couple.csv", delimiter=",", skiprows=1)
@@ -170,8 +171,8 @@ def test_pair_csv_roundtrip(tmp_path):
 
 def test_equal_starts_identical_legs():
     rng = np.random.default_rng(8)
-    pair = couple_transitions([1.0, 2.0], [1.0, 2.0], folded_mech(), 0.4,
-                              SimConfig(n_samples=200, dt=0.02), rng)
+    pair, = couple_transitions([1.0, 2.0], [1.0, 2.0], folded_mech(), [0.4],
+                               SimConfig(n_samples=200, dt=0.02), rng)
     assert np.array_equal(pair.left, pair.right)
     assert pair.cost() == 0.0 and pair.differ() == 0.0
 
@@ -181,22 +182,22 @@ def test_per_row_starts():
     # exactly what the vector start draws
     cfg = SimConfig(n_samples=60, dt=0.05)
     mu, nu = [2.0, 0.5], [1.0, 1.5]
-    tiled = couple_transitions(np.tile(mu, (60, 1)), np.tile(nu, (60, 1)), folded_mech(),
-                               0.4, cfg, np.random.default_rng(3))
-    shared = couple_transitions(mu, nu, folded_mech(), 0.4, cfg, np.random.default_rng(3))
+    tiled, = couple_transitions(np.tile(mu, (60, 1)), np.tile(nu, (60, 1)), folded_mech(),
+                                [0.4], cfg, np.random.default_rng(3))
+    shared, = couple_transitions(mu, nu, folded_mech(), [0.4], cfg, np.random.default_rng(3))
     assert np.array_equal(tiled.left, shared.left)
     assert np.array_equal(tiled.right, shared.right)
     rows = np.random.default_rng(4).exponential(1.0, size=(60, 2))
-    pair = couple_transitions(rows, rows, folded_mech(), 0.4, cfg, np.random.default_rng(5))
+    pair, = couple_transitions(rows, rows, folded_mech(), [0.4], cfg, np.random.default_rng(5))
     assert np.array_equal(pair.left, pair.right)
     with pytest.raises(ValidationError):
-        couple_transitions(rows[:10], rows[:10], folded_mech(), 0.4, cfg, np.random.default_rng(5))
+        couple_transitions(rows[:10], rows[:10], folded_mech(), [0.4], cfg, np.random.default_rng(5))
 
 
 def test_ordered_cost_exactness():
     # ordered starts collapse the sandwich: cost = (mu - nu) e^{-t} = 0.5
     rng = np.random.default_rng(12)
-    pair = couple_transitions([2.0], [1.0], quad_mech(), LN2, SimConfig(n_samples=100_000), rng)
+    pair, = couple_transitions([2.0], [1.0], quad_mech(), [LN2], SimConfig(n_samples=100_000), rng)
     assert abs(pair.cost() - 0.5) < 4 * pair.cost_se()
     # legs stay ordered: the lower leg rides inside the upper one
     assert np.all(pair.left >= pair.right)
@@ -211,7 +212,7 @@ def test_cost_sandwich_non_ordered():
     lower = abs((mu - nu) @ (P @ ones))
     upper = np.abs(mu - nu) @ (P @ ones)
     rng = np.random.default_rng(21)
-    pair = couple_transitions(mu, nu, mech, t, SimConfig(n_samples=20_000, dt=0.01), rng)
+    pair, = couple_transitions(mu, nu, mech, [t], SimConfig(n_samples=20_000, dt=0.01), rng)
     se = pair.cost_se()
     assert lower - 4 * se <= pair.cost() <= upper + 4 * se
     assert lower < upper  # non-ordered: the bracket is genuinely open
@@ -222,13 +223,50 @@ def test_transition_marginals_match_direct_sampler():
     mu, nu = [1.0, 2.0], [2.0, 0.5]
     cfg = SimConfig(n_samples=10_000, dt=0.02)
     rng = np.random.default_rng(33)
-    pair = couple_transitions(mu, nu, mech, 0.5, cfg, rng)
+    pair, = couple_transitions(mu, nu, mech, [0.5], cfg, rng)
     ref_left = sample_transition(mu, mech, 0.5, cfg, rng)
     ref_right = sample_transition(nu, mech, 0.5, cfg, rng)
     for leg, ref in ((pair.left, ref_left), (pair.right, ref_right)):
         for j in range(2):
             assert stats.ks_2samp(leg[:, j], ref[:, j]).pvalue > 0.01
         assert stats.ks_2samp(leg.sum(axis=1), ref.sum(axis=1)).pvalue > 0.01
+
+
+def test_one_time_grid_coupling_draws_the_three_legs_then_the_influx():
+    # on one generator: the meet, positive and negative legs, each a
+    # transition draw, then one immigration draw added to both legs
+    folded_imm = ImmigrationMechanism(beta=[0.4, 0.2], nu=(PointMass(u=[0.3, 0.3], weight=0.5),))
+    cases = [(quad_mech(), ImmigrationMechanism(beta=[2.0]), [2.0], [1.0], 0.7),
+             (folded_mech(), folded_imm, [2.0, 1.0], [1.0, 1.5], 0.5)]  # stepped, no zero leg
+    for mech, imm, mu, nu, t in cases:  # the exact route, then the stepped one
+        cfg = SimConfig(n_samples=300, dt=0.05)
+        plain = couple_transitions(mu, nu, mech, [t], cfg, np.random.default_rng(6))
+        pairs = couple_cbi(mu, nu, imm, mech, [t], cfg, np.random.default_rng(6))
+        assert len(plain) == len(pairs) == 1
+        rng = np.random.default_rng(6)
+        shared, upper, lower = (sample_transition(leg, mech, t, cfg, rng)
+                                for leg in jordan_decompose(np.asarray(mu), np.asarray(nu)))
+        influx = sample_immigration(imm, mech, t, cfg, rng)
+        assert np.array_equal(plain[0].left, shared + upper)
+        assert np.array_equal(plain[0].right, shared + lower)
+        assert np.array_equal(pairs[0].left, shared + upper + influx)
+        assert np.array_equal(pairs[0].right, shared + lower + influx)
+
+
+def test_grid_coupling_reads_one_path_per_leg():
+    # pair k recombines snapshot k of the meet, positive and negative paths
+    mech, imm = folded_mech(), ImmigrationMechanism(beta=[0.4, 0.2])
+    mu, nu, times = np.array([2.0, 1.0]), np.array([1.0, 1.5]), (0.2, 0.5, 0.9)
+    cfg = SimConfig(n_samples=100, dt=0.05)
+    pairs = couple_cbi(mu, nu, imm, mech, times, cfg, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    shared, upper, lower = (sample_path(leg, mech, times, cfg, rng)
+                            for leg in jordan_decompose(mu, nu))
+    influx = sample_path(np.zeros(2), mech, times, cfg, rng, imm=imm)
+    assert len(pairs) == len(times)
+    for k, pair in enumerate(pairs):
+        assert np.array_equal(pair.left, shared[k] + upper[k] + influx[k])
+        assert np.array_equal(pair.right, shared[k] + lower[k] + influx[k])
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +278,8 @@ def test_cbi_immigration_cancels_exactly():
     mech = quad_mech()
     imm = ImmigrationMechanism(beta=[2.0])
     cfg = SimConfig(n_samples=5_000)
-    plain = couple_transitions([2.0], [1.0], mech, LN2, cfg, np.random.default_rng(77))
-    with_imm = couple_cbi([2.0], [1.0], imm, mech, LN2, cfg, np.random.default_rng(77))
+    plain, = couple_transitions([2.0], [1.0], mech, [LN2], cfg, np.random.default_rng(77))
+    with_imm, = couple_cbi([2.0], [1.0], imm, mech, [LN2], cfg, np.random.default_rng(77))
     # same seed: the transition draws coincide and the shared influx drops
     # out of the gap (up to one rounding per addition); rows with equal
     # transition legs stay equal exactly
@@ -255,8 +293,8 @@ def test_cbi_immigration_cancels_exactly():
 
 def test_cbi_equal_starts_identical_legs():
     imm = ImmigrationMechanism(beta=[2.0])
-    pair = couple_cbi([1.5], [1.5], imm, quad_mech(), 1.0, SimConfig(n_samples=100),
-                      np.random.default_rng(1))
+    pair, = couple_cbi([1.5], [1.5], imm, quad_mech(), [1.0], SimConfig(n_samples=100),
+                       np.random.default_rng(1))
     assert np.array_equal(pair.left, pair.right)
 
 

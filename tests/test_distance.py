@@ -113,7 +113,7 @@ def test_w1_bounded_by_any_coupling_cost():
     # the optimal assignment can only improve on the constructed pairing
     mech = BranchingMechanism(b=[1.0], c=[1.0])
     rng = np.random.default_rng(41)
-    pair = couple_transitions([2.0], [1.0], mech, LN2, SimConfig(n_samples=512), rng)
+    pair = couple_transitions([2.0], [1.0], mech, [LN2], SimConfig(n_samples=512), rng)[0]
     w1 = w1_exact_empirical(pair.left, pair.right)
     assert w1 <= pair.cost() + 1e-12
 

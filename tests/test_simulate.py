@@ -359,6 +359,34 @@ def test_path_with_one_time_draws_what_the_samplers_draw():
         assert np.array_equal(cbi, parts + sample_immigration(imm, quad_mech(), t, cfg, rng))
 
 
+def test_zero_start_draws_nothing():
+    # without immigration the zero state is absorbing: the exact and the
+    # stepped stable route return zeros and leave the generator untouched
+    cfg = SimConfig(n_samples=64, dt=0.05)
+    for mech in (quad_mech(), stable_mech()):
+        for start in ([0.0], np.zeros((64, 1))):
+            rng = np.random.default_rng(17)
+            before = rng.bit_generator.state
+            x = sample_transition(start, mech, 1.5, cfg, rng)
+            assert x.shape == (64, 1) and np.all(x == 0.0)
+            assert rng.bit_generator.state == before
+
+
+def test_zero_start_with_immigration_is_not_short_cut():
+    # the path from zero with imm carries the influx on both routes
+    cfg = SimConfig(n_samples=2_000, dt=0.05)
+    imm = ImmigrationMechanism(beta=[0.5])
+    for mech in (quad_mech(), stable_mech()):
+        rng = np.random.default_rng(19)
+        before = rng.bit_generator.state
+        path = sample_path([0.0], mech, [0.5, 1.0], cfg, rng, imm=imm)
+        assert rng.bit_generator.state != before
+        # mean influx by t: beta int_0^t e^{-bs} ds
+        for t, x in zip((0.5, 1.0), path):
+            mean = 0.5 * discount_integral(float(mech.b[0]), t)
+            assert abs(x.mean() - mean) <= 4.0 * x.std() / math.sqrt(len(x)), (mech, t)
+
+
 def test_path_refuses_bad_grids():
     cfg, rng = SimConfig(n_samples=4), np.random.default_rng(0)
     for times in ([], [1.0, 1.0], [2.0, 1.0], [-1.0], [1.0, math.inf]):

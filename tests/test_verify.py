@@ -11,7 +11,7 @@ import pytest
 from cbilab import coupling, distance, verify
 from cbilab.cli import load_document, main, parse_scenario
 from cbilab.errors import ValidationError
-from cbilab.mechanism import BranchingMechanism, ImmigrationMechanism, PointMass
+from cbilab.mechanism import BranchingMechanism, ImmigrationMechanism, PointMass, StableAxis
 from cbilab.cumulant import solve_cumulant, vbar_vector
 from cbilab.simulate import SimConfig, sample_stationary
 from cbilab.verify import (
@@ -195,8 +195,10 @@ class TestW1Rows:
 
     def test_scaled_positive_leg_is_caught(self, monkeypatch):
         # a sampler that inflates the positive Jordan leg by 5% fails the
-        # rows where the sandwich is tight enough to see it
-        real_decompose, real_sample = coupling.jordan_decompose, coupling.sample_transition
+        # rows where the sandwich is tight enough to see it: the shift is
+        # about 1.5 times the 4-sigma band at t = 0.5 and 0.9 times it at
+        # t = 1, where each replicate catches it about a third of the time
+        real_decompose, real_sample = coupling.jordan_decompose, coupling.sample_path
         positive = []
 
         def decompose(mu, nu):
@@ -204,17 +206,18 @@ class TestW1Rows:
             positive.append(parts[1])
             return parts
 
-        def sample(x0, *args):
-            x = real_sample(x0, *args)
+        def sample(x0, *args, **kwargs):
+            x = real_sample(x0, *args, **kwargs)
             return 1.05 * x if any(x0 is p for p in positive) else x
 
         monkeypatch.setattr(coupling, "jordan_decompose", decompose)
-        monkeypatch.setattr(coupling, "sample_transition", sample)
+        monkeypatch.setattr(coupling, "sample_path", sample)
         sc = parse_scenario(load_document(SCENARIOS / "ref_d1_quadratic.json"))
         sc = replace(sc, checks=("wasserstein_sandwich",))
         assert sc.cfg.seed == 1
         failed = {(r.check, r.t) for r in run_scenario(sc).rows if r.verdict == "fail"}
-        assert failed == {(c, t) for c in self.W1_ROWS for t in (0.5, 1.0)}
+        assert {(c, 0.5) for c in self.W1_ROWS} <= failed
+        assert any((c, 1.0) in failed for c in self.W1_ROWS)
 
 
 class TestSkipPaths:
@@ -337,10 +340,55 @@ class TestStationaryBundle:
         assert len(rows) == 2 + 2 * len(times) + (2 if fits else 0)
 
 
+class TestTransitionPaths:
+    # (check, {drawing function: calls per replicate}); the times argument
+    # of each sits at the given position
+    GRID_ARG = {"sample_path": 2, "couple_transitions": 3, "couple_cbi": 4}
+    DRAWS = [("laplace", {"sample_path": 1}),
+             ("extinction_atom", {"sample_path": 1}),
+             ("wasserstein_sandwich", {"couple_transitions": 1, "couple_cbi": 1}),
+             ("tv_sandwich", {"sample_path": 2})]
+
+    @pytest.mark.parametrize("times", [(1.0,), (0.5, 1.0, 2.0, 3.0)])
+    def test_one_path_per_replicate(self, monkeypatch, times):
+        # every transition check draws one path, or one coupling, per
+        # replicate over all the times and reads each time off it
+        calls = []
+        for name, pos in self.GRID_ARG.items():
+            def counting(*args, _name=name, _pos=pos, _real=getattr(verify, name), **kwargs):
+                calls.append((_name, tuple(args[_pos])))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(verify, name, counting)
+        stable = BranchingMechanism(b=[0.6], c=[0.3], jumps=((StableAxis(0, 0.5, 0.25),),))
+        sc = reference_scenario(mech=stable, cfg=SimConfig(n_samples=200, dt=0.05, seed=3),
+                                times=times)
+        an = ScenarioAnalytics(sc)
+        for check, per_replicate in self.DRAWS:
+            calls.clear()
+            rows = CHECKS[check](sc, [np.random.default_rng(r) for r in range(REPLICATES)], an)
+            assert sorted(calls) == sorted((name, times) for name, k in per_replicate.items()
+                                           for _ in range(k * REPLICATES)), check
+            assert len(rows) == len(times) * (2 if check == "wasserstein_sandwich" else 1)
+        # the exact route of tv_sandwich draws nothing
+        calls.clear()
+        quad = reference_scenario(times=times)
+        CHECKS["tv_sandwich"](quad, [np.random.default_rng(0)], ScenarioAnalytics(quad))
+        assert calls == []
+
+
 @pytest.mark.parametrize("name, check, seed, n, n_rows", [
     pytest.param("ref_d2_folded", "stationary", 2, 8000, 12, id="ref_d2_folded-stationary"),
     pytest.param("ref_d1_stable", "laplace", 3, 6000, 3, id="ref_d1_stable-laplace"),
     pytest.param("ref_d2_folded", "laplace", 2, 8000, 4, id="ref_d2_folded-laplace"),
+    pytest.param("ref_d2_folded", "wasserstein_sandwich", 2, 8000, 8,
+                 id="ref_d2_folded-wasserstein_sandwich"),
+    pytest.param("ref_d2_folded", "extinction_atom", 2, 8000, 4, id="ref_d2_folded-extinction_atom"),
+    pytest.param("ref_d2_folded", "tv_sandwich", 2, 8000, 4, id="ref_d2_folded-tv_sandwich"),
+    pytest.param("ref_d2_folded", "lipschitz_contraction", 2, 8000, 4,
+                 id="ref_d2_folded-lipschitz_contraction"),
+    pytest.param("ref_d1_stable", "extinction_atom", 3, 6000, 3, id="ref_d1_stable-extinction_atom"),
+    pytest.param("ref_d1_stable", "tv_sandwich", 3, 6000, 3, id="ref_d1_stable-tv_sandwich"),
 ])
 def test_shipped_check_rows_all_pass(name, check, seed, n, n_rows):
     # a check of a stepped reference scenario as shipped: its own seed and n
