@@ -503,14 +503,20 @@ def check_laplace(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     v, integral = an.probe
     targets = [math.exp(-(float(sc.mu @ v_t) + float(i_t))) for v_t, i_t in zip(v, integral)]
 
+    def draw(rng):
+        return sample_path(sc.mu, mech, sc.times, sc.cfg, rng, imm=imm)
+
     def reduce(k, x):
         emp, se = _mean_se(np.exp(-(x @ lam)))
         return emp, se, abs(emp - targets[k]) <= SIGMAS * se + 1e-12
 
-    return [CheckRow(check="laplace", claim=claim, t=t, analytic={"target": target},
-                     **fields, details=_per_rep("rep", cols[0]))
-            for t, target, (fields, cols) in zip(sc.times, targets, _path_rows(
-                rngs, lambda rng: sample_path(sc.mu, mech, sc.times, sc.cfg, rng, imm=imm), reduce))]
+    rows = []
+    for t, target, (fields, cols) in zip(sc.times, targets, _path_rows(rngs, draw, reduce)):
+        rows.append(CheckRow(
+            check="laplace", claim=claim, t=t, analytic={"target": target},
+            **fields, details=_per_rep("rep", cols[0]),
+        ))
+    return rows
 
 
 def check_extinction_atom(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
@@ -525,15 +531,21 @@ def check_extinction_atom(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         return _skipped("extinction_atom", claim, sc.times, reason)
     targets = [math.exp(-float(sc.mu @ vbar)) for vbar in vbars]
 
+    def draw(rng):
+        return sample_path(sc.mu, mech, sc.times, sc.cfg, rng)
+
     def reduce(k, x):
         frac = float(np.all(x == 0.0, axis=1).mean())
         se = math.sqrt(max(targets[k] * (1 - targets[k]), 1e-12) / sc.cfg.n_samples)
         return frac, se, abs(frac - targets[k]) <= SIGMAS * se + atol
 
-    return [CheckRow(check="extinction_atom", claim=claim, t=t, analytic={"target": target},
-                     **fields, details=_per_rep("rep", cols[0]))
-            for t, target, (fields, cols) in zip(sc.times, targets, _path_rows(
-                rngs, lambda rng: sample_path(sc.mu, mech, sc.times, sc.cfg, rng), reduce))]
+    rows = []
+    for t, target, (fields, cols) in zip(sc.times, targets, _path_rows(rngs, draw, reduce)):
+        rows.append(CheckRow(
+            check="extinction_atom", claim=claim, t=t, analytic={"target": target},
+            **fields, details=_per_rep("rep", cols[0]),
+        ))
+    return rows
 
 
 # ---------------------------------------------------------------------------

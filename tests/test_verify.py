@@ -215,9 +215,15 @@ class TestW1Rows:
         sc = parse_scenario(load_document(SCENARIOS / "ref_d1_quadratic.json"))
         sc = replace(sc, checks=("wasserstein_sandwich",))
         assert sc.cfg.seed == 1
-        failed = {(r.check, r.t) for r in run_scenario(sc).rows if r.verdict == "fail"}
+        rows = run_scenario(sc).rows
+        failed = {(r.check, r.t) for r in rows if r.verdict == "fail"}
         assert {(c, 0.5) for c in self.W1_ROWS} <= failed
+        assert failed <= {(c, t) for c in self.W1_ROWS for t in (0.5, 1.0)}
         assert any((c, 1.0) in failed for c in self.W1_ROWS)
+        # at t = 1 every row's estimate sits past its upper bound, about
+        # eight standard errors of the mean out, even where no replicate
+        # leaves the band
+        assert all(r.estimate > r.analytic["upper"] for r in rows if r.t <= 1.0)
 
 
 class TestSkipPaths:
