@@ -128,15 +128,24 @@ def couple_transitions(mu, nu, mech: BranchingMechanism, times,
     arrays giving each row its own pair of initial states (decomposed
     rowwise), as `sample_path` accepts.  Returns one CoupledPair per time.
     """
+    left, right = _jordan_legs(mu, nu, mech, times, cfg, rng)
+    return [CoupledPair(lf, rt) for lf, rt in zip(left, right)]
+
+
+def _jordan_legs(mu, nu, mech: BranchingMechanism, times, cfg: SimConfig, rng):
+    """The legs shared + upper and shared + lower of the branching coupling,
+    as (len(times), n_samples, d) arrays.  The meet, positive and negative
+    paths are drawn in that order; right is built in the meet path's
+    buffer, so at most three paths are held at once."""
     if np.ndim(mu) != 2:
         mu = mass_vector(mu, d=mech.d)
     if np.ndim(nu) != 2:
         nu = mass_vector(nu, d=mech.d)
     meet, pos, neg = jordan_decompose(mu, nu)
     shared = sample_path(meet, mech, times, cfg, rng)
-    upper = sample_path(pos, mech, times, cfg, rng)
-    lower = sample_path(neg, mech, times, cfg, rng)
-    return [CoupledPair(s + u, s + v) for s, u, v in zip(shared, upper, lower)]
+    left = shared + sample_path(pos, mech, times, cfg, rng)
+    shared += sample_path(neg, mech, times, cfg, rng)
+    return left, shared
 
 
 def couple_cbi(mu, nu, imm: ImmigrationMechanism, mech: BranchingMechanism,
@@ -147,9 +156,11 @@ def couple_cbi(mu, nu, imm: ImmigrationMechanism, mech: BranchingMechanism,
     One shared immigration path, the process started from zero with imm, is
     added to both legs of the branching coupling, so left - right is
     unchanged: immigration is free."""
-    pairs = couple_transitions(mu, nu, mech, times, cfg, rng)
+    left, right = _jordan_legs(mu, nu, mech, times, cfg, rng)
     influx = sample_path(np.zeros(mech.d), mech, times, cfg, rng, imm=imm)
-    return [CoupledPair(p.left + f, p.right + f) for p, f in zip(pairs, influx)]
+    left += influx
+    right += influx
+    return [CoupledPair(lf, rt) for lf, rt in zip(left, right)]
 
 
 def couple_stationary(imm: ImmigrationMechanism, mech: BranchingMechanism,

@@ -13,15 +13,20 @@ Exact paths exist where the law has a closed form:
   * jump immigrants into a scalar quadratic mechanism: Poisson arrivals on
     [0,t], each evolved over its remaining time by the exact sampler above.
 
-Everything else runs a symmetric (Strang) operator-split step: half-step of
+Everything else runs symmetric (Strang) operator-split steps: half-step of
 exact per-type quadratic branching, a middle first-order block carrying
 inter-type drift, compensators, compound-Poisson jumps above the mass
 threshold, compensated stable increments, and immigration influx, then the
-second branching half-step.  Jumps below the threshold enter the middle
-block as drift through their means; stable jump parts are never truncated —
-their compensated one-step increment (X_i a dt)^{1/(1+alpha)} Z is sampled
-exactly with a Chambers–Mallows–Stuck draw of the spectrally positive
-stable variable Z.
+second branching half-step.  The exact quadratic law is a semigroup, so the
+second half-step of one step and the first of the next are drawn as one
+full branching step: n steps make n + 1 branching draws per type.  Jumps
+below the threshold enter the middle block as drift through their means;
+stable jump parts are never truncated — their compensated one-step
+increment (X_i a dt)^{1/(1+alpha)} Z is sampled exactly with a
+Chambers–Mallows–Stuck draw of the spectrally positive stable variable Z.
+
+Without immigration the zero state is absorbing, so a transition draw steps
+only the live (non-zero) rows and leaves the dead ones at zero.
 
 `sample_path` is the one composition of branching and immigration: it
 chains segments over the gaps of a time grid, exact by the Markov property.
@@ -215,6 +220,12 @@ def _add_influx(out: np.ndarray, imm: ImmigrationMechanism, atoms, exps,
         out[:, axis] += rng.gamma(shape=K, scale=th)
 
 
+def _branch_all(X: np.ndarray, mech: BranchingMechanism, h: float, rng) -> None:
+    """Exact per-type quadratic branching over h, in place on the (n,d) batch X."""
+    for i in range(mech.d):
+        X[:, i] = _cb_quadratic_batch(X[:, i], mech.b[i], mech.c[i], h, rng)
+
+
 def _stepped_batch(
     states: np.ndarray,
     mech: BranchingMechanism,
@@ -223,11 +234,14 @@ def _stepped_batch(
     cfg: SimConfig,
     rng,
 ) -> np.ndarray:
-    """Evolve (n,d) initial states over [0,t] with symmetric splitting."""
+    """Evolve (n,d) initial states over [0,t] with symmetric splitting.
+
+    n steps make n + 1 branching draws per type: a half-step, n - 1 fused
+    full steps between the middle blocks, and a closing half-step."""
     X = np.array(states, dtype=float)
     if t == 0.0:
         return X
-    n, d = X.shape
+    n = X.shape[0]
     if t / cfg.dt > _MAX_SPLIT_STEPS:
         raise ValidationError(
             f"dt = {cfg.dt:g} needs {t / cfg.dt:.3g} split steps to reach t = {t:g}; "
@@ -239,9 +253,10 @@ def _stepped_batch(
     if imm is not None:
         imm_atoms, imm_exps = _nu_tables(imm)
     half = 0.5 * h
-    for _ in range(n_steps):
-        for i in range(d):
-            X[:, i] = _cb_quadratic_batch(X[:, i], mech.b[i], mech.c[i], half, rng)
+    for k in range(n_steps):
+        # the closing half-step of step k-1 and the opening one of step k are
+        # one exact draw of length h: the CB quadratic law is a semigroup
+        _branch_all(X, mech, half if k == 0 else h, rng)
         if imm is not None:
             # trapezoid arrival placement: half the influx rides this step's
             # drift flow, half lands after it, so an immigrant sees on
@@ -262,8 +277,7 @@ def _stepped_batch(
         X = np.maximum(X @ drift_flow + incr, 0.0)
         if np.any(X > cfg.ceiling):
             raise BlowUpError(f"simulated mass exceeded ceiling {cfg.ceiling:g}")
-        for i in range(d):
-            X[:, i] = _cb_quadratic_batch(X[:, i], mech.b[i], mech.c[i], half, rng)
+    _branch_all(X, mech, half, rng)
     return X
 
 
@@ -310,15 +324,22 @@ def has_exact_transition(mech: BranchingMechanism) -> bool:
 
 
 def _transition_batch(states: np.ndarray, mech, t, cfg, rng) -> np.ndarray:
-    if not np.any(states):
-        # without immigration the zero state is absorbing: nothing to draw
-        return np.zeros_like(states, dtype=float)
-    if has_exact_transition(mech):
-        out = np.empty_like(states, dtype=float)
-        for i in range(mech.d):
-            out[:, i] = _cb_quadratic_batch(states[:, i].astype(float), mech.b[i], mech.c[i], t, rng)
+    """Draw the transition of the live (non-zero) rows only; dead rows stay zero.
+
+    Without immigration the zero state is absorbing, so a dead row needs no
+    draw.  On the exact route skipping them is bit-neutral: Poisson(0) and
+    Gamma(0) consume no variates."""
+    out = np.zeros_like(states, dtype=float)
+    live = np.flatnonzero(states.any(axis=1))  # indices: cheaper than a mask here
+    if not live.size:
         return out
-    return _stepped_batch(states, mech, None, t, cfg, rng)
+    alive = states.take(live, axis=0)
+    if has_exact_transition(mech):
+        _branch_all(alive, mech, t, rng)
+    else:
+        alive = _stepped_batch(alive, mech, None, t, cfg, rng)
+    out[live] = alive
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +367,9 @@ def sample_transition(mu, mech: BranchingMechanism, t: float, cfg: SimConfig, rn
     (n_samples, d) array giving each run its own initial state (the coupling
     constructions need that).  Scalar quadratic mechanisms (and diagonal
     quadratic systems) use the exact sampler; all others take dt-steps of
-    the symmetric split scheme.  From all-zero starts it returns zeros and
-    draws nothing.
+    the symmetric split scheme.  Only the live (non-zero) starts are drawn:
+    dead rows come back as zeros and consume no variates, and from all-zero
+    starts nothing is drawn.
     """
     if not 0 <= t < math.inf:
         raise ValidationError(f"time must be finite and >= 0, got {t}")

@@ -25,9 +25,11 @@ from cbilab.mechanism import (
     fold_motion,
     stable_constant,
 )
+from cbilab import simulate
 from cbilab.simulate import (
     SimConfig,
     _cb_quadratic_batch,
+    _stepped_batch,
     _stable_positive_batch,
     sample_immigration,
     sample_path,
@@ -237,6 +239,41 @@ def test_split_step_count_capped_before_any_draw():
     assert rng.bit_generator.state == state
 
 
+def test_fused_half_steps_keep_the_exact_quadratic_law():
+    # with an empty middle block (no transfer, no jumps) the split scheme is
+    # the exact quadratic law composed over the steps, fused half-steps and all
+    mech, t = BranchingMechanism(b=[1.0], c=[1.0]), 1.3
+    cfg = SimConfig(n_samples=20_000, dt=0.1)
+    stepped = _stepped_batch(np.full((cfg.n_samples, 1), 2.0), mech, None, t, cfg,
+                             np.random.default_rng(31))
+    exact = _cb_quadratic_batch(np.full(cfg.n_samples, 2.0), 1.0, 1.0, t, np.random.default_rng(32))
+    ks = stats.ks_2samp(stepped[:, 0], exact)
+    assert ks.pvalue > 0.01, f"p={ks.pvalue:.4f}"
+
+
+@pytest.mark.parametrize("mech", [BranchingMechanism(b=[1.0], c=[1.0]), folded_mech()],
+                         ids=["d1", "d2"])
+def test_stepped_batch_draws_n_plus_one_branching_steps_per_type(mech, monkeypatch):
+    # a half-step, n - 1 fused full steps and a closing half-step per type
+    draws = []
+    exact = simulate._cb_quadratic_batch
+
+    def counted(x, b, c, t, rng):
+        draws.append((float(b), float(t)))
+        return exact(x, b, c, t, rng)
+
+    monkeypatch.setattr(simulate, "_cb_quadratic_batch", counted)
+    t, n_steps = 0.7, 7
+    cfg = SimConfig(n_samples=50, dt=t / n_steps)
+    _stepped_batch(np.ones((50, mech.d)), mech, None, t, cfg, np.random.default_rng(4))
+    h = t / n_steps
+    for b in mech.b:
+        lengths = [s for bb, s in draws if bb == float(b)]
+        assert len(lengths) == n_steps + 1
+        assert lengths == [0.5 * h] + [h] * (n_steps - 1) + [0.5 * h]
+    assert len(draws) == mech.d * (n_steps + 1)
+
+
 def test_blow_up_abort():
     mech = BranchingMechanism(b=[-2.0, -2.0], c=[0.01, 0.01], eta=[[0.0, 1.0], [1.0, 0.0]])
     cfg = SimConfig(n_samples=16, dt=0.05, ceiling=1e6)
@@ -370,6 +407,29 @@ def test_zero_start_draws_nothing():
             x = sample_transition(start, mech, 1.5, cfg, rng)
             assert x.shape == (64, 1) and np.all(x == 0.0)
             assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("route", ["exact", "stepped"])
+def test_dead_rows_are_skipped(route):
+    # zero rows stay zero, and the live rows get exactly the draw that
+    # sample_transition makes of them alone on one generator
+    starts = np.zeros((60, 1))
+    starts[1::3, 0] = 1.5
+    starts[2::5, 0] = 0.4
+    live = starts[:, 0] > 0
+    mech = quad_mech() if route == "exact" else stable_mech()
+    t, seed = 1.5, 23
+    x = sample_transition(starts, mech, t, SimConfig(n_samples=60, dt=0.05),
+                          np.random.default_rng(seed))
+    assert np.all(x[~live] == 0.0)
+    alone = sample_transition(starts[live], mech, t, SimConfig(n_samples=int(live.sum()), dt=0.05),
+                              np.random.default_rng(seed))
+    assert np.array_equal(x[live], alone)
+    if route == "exact":
+        # on the exact route the skip is bit-neutral: the full-array draw
+        # consumes no variates at the dead rows
+        full = _cb_quadratic_batch(starts[:, 0], 1.0, 1.0, t, np.random.default_rng(seed))
+        assert np.array_equal(x[:, 0], full)
 
 
 def test_zero_start_with_immigration_is_not_short_cut():
