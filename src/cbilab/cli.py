@@ -51,7 +51,7 @@ from .simulate import (
     sample_path,
     sample_stationary,
 )
-from .verify import Scenario, ScenarioAnalytics, _finite_real, run_scenario
+from .verify import Scenario, ScenarioAnalytics, _finite_real, run_scenario, share_cpus
 
 __all__ = ["main", "load_document", "parse_scenario"]
 
@@ -468,10 +468,12 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"documents share the output name(s) {shared}; "
                               "give each a distinct `name`")
     base = _out_dir(args)
-    # a pool starts all of its workers at once; never more than there are documents
+    # a pool starts all of its workers at once; never more than there are
+    # documents, and each runs its replicates on its share of the CPUs
     workers = min(workers, len(scenarios))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=share_cpus,
+                                 initargs=(workers,)) as pool:
             reports = list(pool.map(run_scenario, scenarios))
     else:
         reports = [run_scenario(sc) for sc in scenarios]

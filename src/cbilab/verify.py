@@ -7,7 +7,9 @@ the numbers behind it.  A failed bound never raises — it is recorded and
 surfaces in the exit status of the batch front end.
 
 Statistical policy: every sampling-based verdict is required to hold on
-three independent seed replicates (`_replicated`); pass thresholds use four
+three independent seed replicates (`_replicated`), drawn concurrently from
+their own streams and combined in replicate order, so a report does not
+depend on the number of CPUs; pass thresholds use four
 standard errors per replicate (plus any stated relative floor) so that a
 multi-row report is not expected to fail by chance.  A row's estimate is
 the mean of its replicate estimates and its `ci` the 99% half-width of
@@ -29,8 +31,10 @@ import functools
 import json
 import math
 import numbers
+import os
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -216,14 +220,45 @@ def _mean_se(vals: np.ndarray) -> tuple:
     return float(vals.mean()), float(vals.std() / math.sqrt(len(vals)))
 
 
-def _replicated(replicates, draw) -> tuple:
-    """Run draw(r) -> (estimate, se, ok, *extras) on each replicate, in order:
-    its random stream, or draws already taken from that stream.
+_processes = 1  # processes that share this one's CPUs; see share_cpus
 
-    Returns the CheckRow fields of the row (mean estimate, its ci, a verdict
-    that passes only if every replicate passes) and the draws transposed:
-    columns[0] holds the replicate estimates, columns[3:] the extras."""
-    columns = list(zip(*(draw(r) for r in replicates)))
+
+def share_cpus(processes: int) -> None:
+    """Give this process 1/processes of the usable CPUs for its replicates:
+    the initializer of the `verify --workers` pool, so that the replicate
+    threads of all its processes never outnumber the CPUs."""
+    global _processes
+    _processes = processes
+
+
+def _replicate_threads(replicates: int) -> int:
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(replicates, cpus // _processes))
+
+
+def _per_replicate(fn, replicates) -> list:
+    """[fn(r) for r in replicates], in replicate order, computed on one thread
+    per usable CPU (serially on one).  Each replicate owns its random stream
+    and numpy's sampling and ufunc loops release the GIL, so the replicates
+    overlap while every result keeps its bits.  The first exception in
+    replicate order is raised, and no thread outlives the call."""
+    replicates = list(replicates)
+    threads = _replicate_threads(len(replicates))
+    if threads == 1:
+        return [fn(r) for r in replicates]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, replicates))
+
+
+def _row_fields(tuples) -> tuple:
+    """The CheckRow fields of a row from its replicate tuples (estimate, se,
+    ok, *extras): the mean estimate, its ci and a verdict that passes only
+    if every replicate passes; and the tuples transposed: columns[0] holds
+    the replicate estimates, columns[3:] the extras."""
+    columns = list(zip(*tuples))
     ests, ses, oks = columns[:3]
     fields = {
         "estimate": float(np.mean(ests)),
@@ -233,14 +268,23 @@ def _replicated(replicates, draw) -> tuple:
     return fields, columns
 
 
+def _replicated(replicates, draw) -> tuple:
+    """Run draw(r) -> (estimate, se, ok, *extras) on each replicate: its
+    random stream, or draws already taken from that stream.  The draws run
+    concurrently (`_per_replicate`); their results are combined in
+    replicate order, as `_row_fields` of the row."""
+    return _row_fields(_per_replicate(draw, replicates))
+
+
 def _path_rows(rngs, draw, reduce) -> list:
     """The `_replicated` result at each time, from one path per replicate.
 
     draw(rng) gives a replicate's snapshots along the times and
     reduce(k, snapshot) its replicate tuple at time k; each path is reduced
-    before the next one is drawn, so only one is held at a time."""
-    tuples = [[reduce(k, snap) for k, snap in enumerate(draw(rng))] for rng in rngs]
-    return [_replicated(per_time, lambda tup: tup) for per_time in zip(*tuples)]
+    as soon as it is drawn, so a thread holds one path at a time."""
+    tuples = _per_replicate(
+        lambda rng: [reduce(k, snap) for k, snap in enumerate(draw(rng))], rngs)
+    return [_row_fields(per_time) for per_time in zip(*tuples)]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -280,7 +324,9 @@ class ScenarioAnalytics:
     """The analytic side of one scenario, each part built once, on first use.
     Its grids over the times: the probe flow (one solve), the envelope (a
     ladder at t0 carried by Vbar_{t0+s} = v(s, Vbar_t0), checked by a ladder
-    at the last time) and the stationary TV exponents (one psi solve)."""
+    at the last time) and the stationary TV exponents (one psi solve).
+    Checks read what they need before their replicates run: the replicates
+    share no lock, and from Python 3.12 on neither does cached_property."""
 
     def __init__(self, sc: Scenario):
         self.sc = sc
@@ -579,7 +625,7 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         )]
     # one coupling per replicate serves the mean, Laplace, W1 and TV rows:
     # its stationary batch S, and at each t the pair (fresh_t, fresh_t + Q_t S)
-    bundles = [couple_stationary(imm, mech, sc.times, sc.cfg, rng) for rng in rngs]
+    bundles = _per_replicate(lambda rng: couple_stationary(imm, mech, sc.times, sc.cfg, rng), rngs)
     rows = []
 
     # mean vector: the resolvent of the moment generator applied to the influx
@@ -667,11 +713,12 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     if len(fit_ts) < 3:
         return rows
     rate = moment_decay_rate(mech)
-    costs, differs = [], []  # one series along fit_ts per replicate
-    for rng in rngs:
+
+    def fit_series(rng):  # one replicate's costs and differs along fit_ts
         pairs = [couple_cbi_to_stationary(sc.mu, imm, mech, t, sc.cfg, rng) for t in fit_ts]
-        costs.append([pair.cost() for pair in pairs])
-        differs.append([2.0 * pair.differ() for pair in pairs])
+        return [pair.cost() for pair in pairs], [2.0 * pair.differ() for pair in pairs]
+
+    costs, differs = zip(*_per_replicate(fit_series, rngs))
 
     def rate_row(check: str, claim: str, series: list, within) -> CheckRow:
         slopes = [float(np.polyfit(fit_ts, np.log(pts), 1)[0]) for pts in series if min(pts) > 0]

@@ -10,6 +10,7 @@ import pytest
 from cbilab.cli import load_document, main, parse_scenario
 from cbilab.cumulant import closed_form_quadratic
 from cbilab.errors import ValidationError
+from cbilab.verify import share_cpus
 
 SCENARIOS = "scenarios"
 
@@ -415,11 +416,13 @@ class TestVerifyCommand:
 
     def test_workers_capped_at_document_count(self, tmp_path, monkeypatch):
         # a pool starts all of its workers up front, so verify asks for no
-        # more than it has documents; the recording pool starts no process
+        # more than it has documents, and each worker takes its share of the
+        # CPUs for its replicates; the recording pool starts no process
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
+                assert (initializer, initargs) == (share_cpus, (max_workers,))
                 sizes.append(max_workers)
 
             def __enter__(self):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 
 from cbilab import coupling, distance, verify
 from cbilab.cli import load_document, main, parse_scenario
-from cbilab.errors import ValidationError
+from cbilab.errors import BlowUpError, ValidationError
 from cbilab.mechanism import BranchingMechanism, ImmigrationMechanism, PointMass, StableAxis
 from cbilab.cumulant import solve_cumulant, vbar_vector
 from cbilab.simulate import SimConfig, sample_stationary
@@ -381,6 +383,75 @@ class TestTransitionPaths:
         quad = reference_scenario(times=times)
         CHECKS["tv_sandwich"](quad, [np.random.default_rng(0)], ScenarioAnalytics(quad))
         assert calls == []
+
+
+def usable_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestConcurrentReplicates:
+    STABLE = BranchingMechanism(b=[0.6], c=[0.3], jumps=((StableAxis(0, 0.5, 0.25),),))
+
+    def small_scenario(self, name: str) -> Scenario:
+        if name == "folded":  # d = 2 with drift; stationary bundles and rate fits
+            return replace(shipped("ref_d2_folded"), checks=("stationary",),
+                           cfg=SimConfig(n_samples=300, dt=0.05, seed=2))
+        # every check on the stepped stable route; at a ceiling of 60 some
+        # checks abort on a blow-up in one of their replicates
+        ceiling = 60.0 if name == "stable-blow-up" else 1e12
+        return reference_scenario(mech=self.STABLE, times=(0.5, 1.0, 2.0, 3.0),
+                                  cfg=SimConfig(n_samples=200, dt=0.05, seed=3, ceiling=ceiling))
+
+    @pytest.mark.parametrize("name", ["stable", "stable-blow-up", "folded"])
+    def test_rows_do_not_depend_on_the_cpu_count(self, monkeypatch, name):
+        sc = self.small_scenario(name)
+        threads = threading.active_count()
+        rows = {}
+        for cpus in (1, 3):
+            usable_cpus(monkeypatch, cpus)
+            rows[cpus] = run_scenario(sc).rows
+            assert threading.active_count() == threads
+        assert rows[1] == rows[3]
+        aborted = [r for r in rows[3] if r.claim == "check aborted before producing rows"]
+        assert bool(aborted) == (name == "stable-blow-up")
+        assert all(r.reason.startswith("BlowUpError: ") for r in aborted)
+
+    def test_first_error_in_replicate_order_is_raised(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        second_failed = threading.Event()
+
+        def draw(r):
+            if r == 0:  # fails after replicate 1 has failed
+                assert second_failed.wait(timeout=10)
+                raise BlowUpError("replicate 0")
+            if r == 1:
+                second_failed.set()
+                raise BlowUpError("replicate 1")
+            return r
+
+        threads = threading.active_count()
+        with pytest.raises(BlowUpError, match="replicate 0"):
+            verify._per_replicate(draw, range(3))
+        assert threading.active_count() == threads
+
+    def test_one_cpu_runs_the_replicates_on_the_calling_thread(self, monkeypatch):
+        usable_cpus(monkeypatch, 1)
+        assert verify._per_replicate(lambda r: threading.get_ident(), range(3)) == \
+            [threading.get_ident()] * 3
+
+    def test_worker_processes_share_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(verify, "_processes", 1)
+        usable_cpus(monkeypatch, 4)
+        assert verify._replicate_threads(REPLICATES) == 3
+        verify.share_cpus(2)  # a `verify --workers 2` pool process
+        assert verify._replicate_threads(REPLICATES) == 2
+        verify.share_cpus(3)
+        assert verify._replicate_threads(REPLICATES) == 1
+        verify.share_cpus(8)
+        assert verify._replicate_threads(REPLICATES) == 1
+        usable_cpus(monkeypatch, 1)
+        verify.share_cpus(1)
+        assert verify._replicate_threads(REPLICATES) == 1
 
 
 @pytest.mark.parametrize("name, check, seed, n, n_rows", [
