@@ -27,11 +27,11 @@ import numpy as np
 from .coupling import couple_cbi, couple_transitions
 from .cumulant import (
     _check_tol,
+    extinction_envelope,
     mean_vector,
     moment_decay_rate,
     solve_cumulant,
     stationary_mean,
-    vbar_vector,
 )
 from .distance import tv_empirical, w1_exact_empirical
 from .errors import BlowUpError, GreyConditionError, NumericError, ValidationError
@@ -335,7 +335,7 @@ def cmd_cumulant(args) -> int:
     print(f"v({t_end:g}, {lam.tolist()}) = {path.final.tolist()}")
     grey_failure = ScenarioAnalytics(sc).grey_failure
     print(f"vbar({t_end:g}) not available: {grey_failure}" if grey_failure
-          else f"vbar({t_end:g}) = {vbar_vector(sc.mech, t_end).tolist()}")
+          else f"vbar({t_end:g}) = {extinction_envelope(sc.mech, [t_end])[0].tolist()}")
     return 0
 
 

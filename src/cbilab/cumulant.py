@@ -22,8 +22,14 @@ one horizon, one start per lane.  Each lane keeps its own time, step size,
 stages and step counts, and its values are bit for bit those of a solve of
 that lane alone: stage sums stay per-lane matrix-vector products, and the
 step-size factor err^(-1/5) is taken per lane in Python floats.  A lane
-that fails stops alone.  solve_cumulant is the one-lane case; the
-extinction envelope runs its whole lambda ladder as one batch.
+that fails stops alone, and a caller's stop predicate can end the batch.
+solve_cumulant is the one-lane case.
+
+The extinction envelope has one owner, extinction_envelope, and two
+routes.  The reciprocal flow u = 1/v, u' = u^2 phi(1/u), starts at the
+lambda -> infinity end, where it is nearly linear, and gives every time
+from one solve.  The lambda ladder (vbar_vector) runs its rungs as one
+batch at the last time and checks it.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ __all__ = [
     "discount_integral",
     "vbar_scalar",
     "vbar_vector",
+    "reciprocal_envelope",
+    "extinction_envelope",
     "moment_semigroup",
     "moment_decay_rate",
     "integrated_moment_matrix",
@@ -172,7 +180,7 @@ def _initial_step(f, y0, f0, t_end, rtol, atol):
     return h, failures
 
 
-def _integrate(f, y0, t_end, rtol, atol, t_record, ceiling):
+def _integrate(f, y0, t_end, rtol, atol, t_record, ceiling, stop=None):
     """Integrate y' = f(y) from 0 to t_end for a batch of independent lanes,
     recording y at t_record exactly.
 
@@ -183,6 +191,11 @@ def _integrate(f, y0, t_end, rtol, atol, t_record, ceiling):
     operations of a batch holding that lane alone: the states and stages
     are stacked arrays, the step control runs per lane on Python floats.  A
     lane that fails stops there and the others go on.
+
+    stop, when given, is called before each pass, and once more when every
+    lane has ended, as stop(values, errors, running) with the lanes still
+    running; a true result ends the batch, and each lane still running ends
+    with a NumericError saying so.
 
     Returns (values (L, len(t_record), n), accepted steps, rejected steps,
     errors), the last three lists by lane: errors[l] is the exception lane l
@@ -236,6 +249,10 @@ def _integrate(f, y0, t_end, rtol, atol, t_record, ceiling):
                 errors[lane] = NumericError(f"step size underflow at t={t[r]:.6g}")
                 continue
             keep.append(r)
+        if stop is not None and stop(out, errors, [lanes[r] for r in keep]):
+            for r in keep:
+                errors[lanes[r]] = NumericError(f"lane stopped with its batch at t={t[r]:.6g}")
+            break
         if not keep:
             break
         if len(keep) < len(lanes):
@@ -331,11 +348,12 @@ def _record_times(t_end: float, t_eval) -> np.ndarray:
     return grid
 
 
-def _flow_lanes(mech, lam0, t_end, tol, grid, imm=None, ceiling=1e12):
+def _flow_lanes(mech, lam0, t_end, tol, grid, imm=None, ceiling=1e12, stop=None):
     """The cumulant flow from each row of lam0 (L, d), as one batch of lanes.
 
     Returns _integrate's (values, accepted, rejected, errors); with imm the
-    values carry int_0^t psi(v(s)) ds as an extra last column.
+    values carry int_0^t psi(v(s)) ds as an extra last column.  stop is
+    _integrate's.
     """
     tol = _check_tol(tol)
     atol = tol * 1e-6 + 1e-300  # tiny absolute floor; control is effectively relative
@@ -344,7 +362,7 @@ def _flow_lanes(mech, lam0, t_end, tol, grid, imm=None, ceiling=1e12):
         def rhs(Y):
             return -eval_phi(mech, np.maximum(Y, 0.0))
 
-        return _integrate(rhs, lam0, float(t_end), tol, atol, grid, ceiling)
+        return _integrate(rhs, lam0, float(t_end), tol, atol, grid, ceiling, stop)
 
     def rhs_aug(Y):
         V = np.maximum(Y[:, :d], 0.0)
@@ -354,7 +372,7 @@ def _flow_lanes(mech, lam0, t_end, tol, grid, imm=None, ceiling=1e12):
         return out
 
     y0 = np.concatenate([lam0, np.zeros((len(lam0), 1))], axis=1)
-    return _integrate(rhs_aug, y0, float(t_end), tol, atol, grid, ceiling)
+    return _integrate(rhs_aug, y0, float(t_end), tol, atol, grid, ceiling, stop)
 
 
 def solve_cumulant(
@@ -475,14 +493,17 @@ def vbar_scalar(phi_star: BranchingMechanism, t: float) -> float:
 
 
 def vbar_vector(mech: BranchingMechanism, t: float, tol: float = 1e-8) -> np.ndarray:
-    """Componentwise extinction envelope: limit of v(t, L*(1,..,1)) as L grows.
+    """Componentwise extinction envelope at t by the lambda ladder: the limit
+    of v(t, L*(1,..,1)) as L grows.
 
     Runs the cumulant flow over the geometric ladder L in {10, ..., 1e12},
     all rungs as lanes of one batch, and takes the first rung whose value
-    differs from the previous one by less than tol.  Every iterate
-    is certified against the scalar envelope of the dominating mechanism
-    (the flow started from any L is bounded by the scalar flow started at
-    its sup-norm, hence by the scalar envelope).
+    differs from the previous one by less than tol; the batch ends as soon
+    as the scan has found that rung.  Every iterate is certified against the
+    scalar envelope of the dominating mechanism (the flow started from any L
+    is bounded by the scalar flow started at its sup-norm, hence by the
+    scalar envelope).  This is the independent check of the reciprocal
+    route in `extinction_envelope`.
 
     Raises:
         GreyConditionError: dominating mechanism fails the tail-integrability test.
@@ -497,26 +518,109 @@ def vbar_vector(mech: BranchingMechanism, t: float, tol: float = 1e-8) -> np.nda
     ode_tol = min(tol * 1e-2, 1e-10)
     ladder = 10.0 ** np.arange(1, 13)
     grid = _record_times(float(t), None)
-    # every rung is one lane of a single batch; a rung past the stop may
-    # fail without consequence, and the first failing rung before it raises
-    # its own error, or the ladder's own when it is the last rung
-    vals, _, _, errors = _flow_lanes(mech, ladder[:, None] * np.ones(mech.d), t, ode_tol, grid)
-    prev = None
-    for lam, v, error in zip(ladder, vals[:, -1], errors):
-        if error is not None and lam == ladder[-1]:
-            raise NumericError(f"extinction envelope ladder failed to stabilize within tol={tol:g}: "
-                               f"its last rung {lam:g} failed: {error}") from error
-        if error is not None:
-            raise error
-        if np.any(v > cap * (1.0 + 1e-6) + tol):
-            raise NumericError(
-                f"envelope certificate violated at ladder value {lam:g}: "
-                f"{v} exceeds scalar envelope {cap:.12g}"
-            )
-        if prev is not None and float(np.max(np.abs(v - prev))) < tol:
-            return v
-        prev = v
-    raise NumericError(f"extinction envelope ladder failed to stabilize within tol={tol:g}")
+    # the scan judges each rung once its lane has ended, in ladder order; its
+    # outcome is the stopping rung's value or the error to raise.  A rung
+    # past the stop is cut short or may fail without consequence.
+    k, prev, outcome = 0, None, None
+
+    def scanned(vals, errors, running) -> bool:
+        nonlocal k, prev, outcome
+        while outcome is None and k < len(ladder) and k not in running:
+            lam, v, error = ladder[k], vals[k, -1], errors[k]
+            if error is not None and k == len(ladder) - 1:
+                outcome = NumericError(f"extinction envelope ladder failed to stabilize within tol={tol:g}: "
+                                       f"its last rung {lam:g} failed: {error}")
+                outcome.__cause__ = error
+            elif error is not None:
+                outcome = error
+            elif np.any(v > cap * (1.0 + 1e-6) + tol):
+                outcome = NumericError(
+                    f"envelope certificate violated at ladder value {lam:g}: "
+                    f"{v} exceeds scalar envelope {cap:.12g}"
+                )
+            elif prev is not None and float(np.max(np.abs(v - prev))) < tol:
+                outcome = v
+            prev, k = v, k + 1
+        if outcome is None and k == len(ladder):
+            outcome = NumericError(f"extinction envelope ladder failed to stabilize within tol={tol:g}")
+        return outcome is not None
+
+    _flow_lanes(mech, ladder[:, None] * np.ones(mech.d), t, ode_tol, grid, stop=scanned)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+# the reciprocal flow starts at the ladder's top rung, u(0) = 1/1e12; a start
+# much closer to 0 leaves the stepper no step it can resolve
+_RECIPROCAL_START = 1e-12
+_RECIPROCAL_TOL = 1e-11  # 1e-11 relative to 1/(e^t - 1) for b = c = 1 up to t = 4
+# stage values may dip below the start; 1/u stays below 1e100, so phi(1/u)
+# and u^2 phi(1/u) stay finite
+_RECIPROCAL_FLOOR = 1e-100
+
+
+def reciprocal_envelope(mech: BranchingMechanism, times) -> np.ndarray:
+    """Extinction envelope Vbar_t at each time of an increasing grid, from one
+    solve of the reciprocal flow u = 1/v.
+
+    u solves u' = u^2 phi(1/u) (componentwise products), which is nearly
+    linear at the lambda -> infinity end, u' ~ b u + c for a quadratic
+    mechanism, where the v-flow is stiff.  It starts from u(0) = 1e-12, the
+    ladder's top rung, and carries no blow-up ceiling: u grows like e^{bt}.
+    Each value is certified against the scalar envelope of the dominating
+    mechanism, as each ladder rung is.
+
+    Raises:
+        GreyConditionError: dominating mechanism fails the tail-integrability test.
+        NumericError: the solve fails, or a certificate is violated.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.size == 0 or not times[0] > 0:
+        raise ValidationError(f"vbar needs non-empty times > 0, got {times.tolist()}")
+    phi_star = dominating_mechanism(mech)
+    caps = [vbar_scalar(phi_star, t) for t in times.tolist()]  # raises GreyConditionError when infinite
+    grid = _record_times(float(times[-1]), times)  # refuses times that do not increase
+
+    def rhs(U):
+        U = np.maximum(U, _RECIPROCAL_FLOOR)
+        return U * U * eval_phi(mech, 1.0 / U)
+
+    u0 = np.full((1, mech.d), _RECIPROCAL_START)
+    vals, _, _, errors = _integrate(rhs, u0, float(times[-1]), _RECIPROCAL_TOL,
+                                    _RECIPROCAL_TOL * 1e-6, grid, math.inf)
+    if errors[0] is not None:
+        raise errors[0]
+    out = 1.0 / vals[0, 1:]
+    for t, cap, v in zip(times.tolist(), caps, out):
+        if np.any(v > cap * (1.0 + 1e-6)):
+            raise NumericError(f"envelope certificate violated at t={t:g}: "
+                               f"{v} exceeds scalar envelope {cap:.12g}")
+    return out
+
+
+def extinction_envelope(mech: BranchingMechanism, times) -> np.ndarray:
+    """Extinction envelope Vbar_t, a row per time of an increasing grid, by
+    two independent routes.
+
+    The reciprocal flow (`reciprocal_envelope`) gives every time from one
+    solve; the lambda ladder (`vbar_vector`) at the last time must agree
+    with it to 1e-7, ten times the ladder's tol.  The ladder runs first, so
+    when both routes fail the ladder's reason is the one raised.
+
+    Raises:
+        GreyConditionError: dominating mechanism fails the tail-integrability test.
+        NumericError: either route fails, or the routes disagree.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.size == 0:
+        raise ValidationError("the extinction envelope needs at least one time")
+    ladder = vbar_vector(mech, float(times[-1]))
+    grid = reciprocal_envelope(mech, times)
+    if float(np.max(np.abs(grid[-1] - ladder))) > 1e-7:
+        raise NumericError(f"extinction envelope routes disagree at t={times[-1]:g}: "
+                           f"reciprocal flow {grid[-1].tolist()}, ladder {ladder.tolist()}")
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ from cbilab.cli import main
 from cbilab.cumulant import (
     closed_form_quadratic,
     discount_integral,
+    extinction_envelope,
     integrated_moment_matrix,
     mean_vector,
     moment_semigroup,
+    reciprocal_envelope,
     solve_cumulant,
     stationary_mean,
     tail_immigrant_mass,
@@ -395,13 +397,117 @@ def test_vbar_vector_runs_the_ladder_as_one_batch(monkeypatch):
     batches = []
     real = cumulant._integrate
 
-    def counting(f, y0, *args):
+    def counting(f, y0, *args, **kwargs):
         batches.append(np.shape(y0))
-        return real(f, y0, *args)
+        return real(f, y0, *args, **kwargs)
 
     monkeypatch.setattr(cumulant, "_integrate", counting)
     vbar_vector(folded_two_type(), 1.0)
     assert batches == [(12, 2)]
+
+
+# the mechanisms of the three shipped reference scenarios, at their times
+SHIPPED = [
+    pytest.param(BranchingMechanism(b=[1.0], c=[1.0]), (0.5, 1.0, 2.0, 3.0, 4.0), id="quadratic"),
+    pytest.param(stable_one_type(), (1.0, 2.0, 3.5), id="stable"),
+    pytest.param(folded_two_type(), (0.5, 1.0, 2.0, 3.0), id="folded"),
+]
+
+
+@pytest.mark.parametrize("mech, times", SHIPPED)
+def test_ladder_stops_once_its_rung_is_found(mech, times, monkeypatch):
+    calls = []
+    real_phi = cumulant.eval_phi
+    monkeypatch.setattr(cumulant, "eval_phi", lambda m, lam: calls.append(1) or real_phi(m, lam))
+    # the whole ladder run to its last rung, scanned as the ladder scans it
+    t = times[-1]
+    ladder = 10.0 ** np.arange(1, 13)
+    vals, _, _, errors = cumulant._flow_lanes(mech, ladder[:, None] * np.ones(mech.d), t, 1e-10,
+                                              np.array([0.0, t]))
+    full_calls = len(calls)
+    rungs = vals[:, -1]
+    stop = next(k for k in range(1, 12) if np.max(np.abs(rungs[k] - rungs[k - 1])) < 1e-8)
+    assert all(e is None for e in errors[:stop + 1])
+    calls.clear()
+    # lanes are independent, so ending the batch early keeps the rung's bits
+    assert np.array_equal(vbar_vector(mech, t), rungs[stop])
+    assert len(calls) < full_calls
+
+
+def test_stopped_lanes_say_so():
+    grid = np.array([0.0, 1.0])
+    seen = []
+
+    def stop(values, errors, running):
+        seen.append(list(running))
+        return running == [1]
+
+    # lane 0 stays at 0 and ends first, in a few long steps; lane 1 is then cut short
+    _, _, _, errors = cumulant._integrate(lambda Y: -Y * Y, np.array([[0.0], [1.0]]), 1.0, 1e-8,
+                                          1e-14, grid, 1e12, stop)
+    assert seen[0] == [0, 1] and seen[-1] == [1]
+    assert errors[0] is None
+    assert isinstance(errors[1], NumericError) and "stopped with its batch" in str(errors[1])
+
+
+def test_reciprocal_route_matches_the_closed_form():
+    # b = c = 1: Vbar_t = 1/(e^t - 1), at the times of ref_d1_quadratic
+    times = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
+    got = reciprocal_envelope(BranchingMechanism(b=[1.0], c=[1.0]), times)[:, 0]
+    np.testing.assert_allclose(got, 1.0 / np.expm1(times), rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("mech, times", SHIPPED)
+def test_reciprocal_route_takes_few_steps(mech, times, monkeypatch):
+    # the cost guard of the envelope: one solve over every time, counted in
+    # accepted steps rather than timed (the v-form ladder needs 1,150-1,350)
+    steps = []
+    real = cumulant._integrate
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(cumulant, "_integrate", counting)
+    reciprocal_envelope(mech, times)
+    assert len(steps) == 1 and steps[0][0] <= 400, steps
+
+
+def test_single_time_envelope_is_cross_checked(monkeypatch):
+    mech = folded_two_type()
+    ladders = []
+    real = cumulant.vbar_vector
+
+    def shifted(m, t):
+        ladders.append(t)
+        return real(m, t) + 1e-6
+
+    monkeypatch.setattr(cumulant, "vbar_vector", shifted)
+    with pytest.raises(NumericError, match="routes disagree at t=0.5"):
+        extinction_envelope(mech, [0.5])
+    assert ladders == [0.5]
+
+
+def test_unstable_ladder_leaves_the_envelope_unavailable():
+    # no quadratic part and stable index 0.5: the envelope is finite (Grey
+    # holds), but rungs up to 1e12 still differ by more than the ladder's tol.
+    # The reciprocal route alone gives a value; the two-route envelope gives
+    # none, with the ladder's reason.
+    mech = BranchingMechanism(b=[0.6], c=[0.0], jumps=((StableAxis(0, 0.5, 0.25),),))
+    assert reciprocal_envelope(mech, [0.5, 1.0]).shape == (2, 1)
+    with pytest.raises(NumericError, match="ladder failed to stabilize within tol=1e-08") as exc:
+        extinction_envelope(mech, [0.5, 1.0])
+    with pytest.raises(NumericError) as ladder:
+        vbar_vector(mech, 1.0)
+    assert str(exc.value) == str(ladder.value)
+
+
+def test_envelope_times_must_be_positive():
+    mech = BranchingMechanism(b=[1.0], c=[1.0])
+    for times in ([], [0.0, 1.0], [1.0, 0.5]):
+        with pytest.raises(ValidationError):
+            extinction_envelope(mech, times)
 
 
 def test_vbar_vector_rejects_linear_mechanism():

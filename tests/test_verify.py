@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbilab import coupling, distance, verify
+from cbilab import coupling, cumulant, distance, verify
 from cbilab.cli import load_document, main, parse_scenario
 from cbilab.errors import BlowUpError, ValidationError
 from cbilab.mechanism import BranchingMechanism, ImmigrationMechanism, PointMass, StableAxis
-from cbilab.cumulant import solve_cumulant, vbar_vector
+from cbilab.cumulant import reciprocal_envelope, solve_cumulant, vbar_vector
 from cbilab.simulate import SimConfig, sample_stationary
 from cbilab.verify import (
     CHECKS,
@@ -305,15 +305,27 @@ class TestDeterminism:
             assert list(alone.rows) == [r for r in together if r.check == check]
 
 
+def count_envelope_routes(monkeypatch) -> tuple:
+    """Record the time of each ladder and the times of each reciprocal solve."""
+    ladders, reciprocals = [], []
+
+    def ladder(mech, t):
+        ladders.append(t)
+        return vbar_vector(mech, t)
+
+    def reciprocal(mech, times):
+        reciprocals.append(tuple(times))
+        return reciprocal_envelope(mech, times)
+
+    monkeypatch.setattr(cumulant, "vbar_vector", ladder)
+    monkeypatch.setattr(cumulant, "reciprocal_envelope", reciprocal)
+    return ladders, reciprocals
+
+
 class TestSharedAnalytics:
     def test_envelope_solved_once_per_time(self, monkeypatch):
-        calls = []
-
-        def counting(mech, t):
-            calls.append(t)
-            return vbar_vector(mech, t)
-
-        monkeypatch.setattr(verify, "vbar_vector", counting)
+        # one reciprocal solve serves every time; one ladder checks the last
+        ladders, reciprocals = count_envelope_routes(monkeypatch)
         sc = reference_scenario(cfg=SimConfig(n_samples=300, dt=0.02, seed=3),
                                 times=(0.5, 1.0),
                                 checks=("extinction_atom", "tv_sandwich",
@@ -321,7 +333,26 @@ class TestSharedAnalytics:
         report = run_scenario(sc)
         assert {r.check for r in report.rows} >= {"extinction_atom", "tv_sandwich",
                                                    "lipschitz_contraction", "stationary_tv_bound"}
-        assert sorted(calls) == [0.5, 1.0]
+        assert ladders == [1.0]
+        assert reciprocals == [(0.5, 1.0)]
+
+    def test_lipschitz_row_is_the_exact_constant(self):
+        sc = replace(shipped("ref_d2_folded"), lambda_probe=[1.0, 0.1])
+        an = ScenarioAnalytics(sc)
+        rows = verify.check_lipschitz_contraction(sc, [], an)  # draws nothing
+        v = an.probe[0]
+        assert [r.estimate for r in rows] == [float(x.max()) for x in v]
+        assert all(r.verdict == "pass" and r.ci == 0.0 for r in rows)
+        assert all(set(r.analytic) == {"bound_moment", "bound_vbar"} for r in rows)
+        # the componentwise first-moment clause is live on its own: the
+        # second coordinate just above (pi_t lam)_2 fails the row while the
+        # sup-norm stays inside both bounds
+        mutated = v.copy()
+        mutated[:, 1] = [an.pi(t)[1] @ sc.lambda_probe + 1e-6 for t in sc.times]
+        an.__dict__["probe"] = (mutated, an.probe[1])
+        rows = verify.check_lipschitz_contraction(sc, [], an)
+        assert all(r.estimate <= min(r.analytic.values()) for r in rows)
+        assert [r.verdict for r in rows] == ["fail"] * len(sc.times)
 
 
 def shipped(name: str) -> Scenario:
@@ -492,7 +523,7 @@ class TestAnalyticGrids:
         np.testing.assert_allclose(vbars, per_t, rtol=0, atol=1e-7)
         if sc.name == "ref_d1_quadratic":  # b = c = 1: Vbar_t = 1/(e^t - 1)
             assert sc.times == (0.5, 1.0, 2.0, 3.0, 4.0)
-            np.testing.assert_allclose(vbars[:, 0], 1.0 / np.expm1(sc.times), rtol=0, atol=1e-9)
+            np.testing.assert_allclose(vbars[:, 0], 1.0 / np.expm1(sc.times), rtol=1e-11, atol=0)
 
     def test_lag_exponents_match_per_time_solves(self, grids):
         sc, an, per_t = grids
@@ -504,43 +535,42 @@ class TestAnalyticGrids:
             assert tail == pytest.approx(ref_tail, rel=1e-6)
 
     def test_one_solve_per_grid_on_the_quadratic_scenario(self, monkeypatch):
-        ladders, solves = [], []
-
-        def ladder(mech, t):
-            ladders.append(t)
-            return vbar_vector(mech, t)
+        ladders, reciprocals = count_envelope_routes(monkeypatch)
+        solves = []
 
         def solve(*args, **kwargs):
             solves.append(args[2])
             return solve_cumulant(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "vbar_vector", ladder)
         monkeypatch.setattr(verify, "solve_cumulant", solve)
         assert run_scenario(shipped("ref_d1_quadratic")).passed
-        assert ladders == [0.5, 4.0]
-        # probe flow, envelope propagation, stationary-TV lags, stationary Laplace
-        assert len(solves) == 4
+        # the envelope: one reciprocal solve, checked by one ladder at t_max
+        assert ladders == [4.0]
+        assert reciprocals == [(0.5, 1.0, 2.0, 3.0, 4.0)]
+        # probe flow, stationary-TV lags, stationary Laplace
+        assert len(solves) == 3
 
     def test_disagreeing_routes_skip_the_envelope_rows(self, monkeypatch):
         sc = reference_scenario(cfg=SimConfig(n_samples=300, dt=0.02, seed=3), times=(0.5, 1.0),
                                 checks=("tv_sandwich", "extinction_atom",
                                         "lipschitz_contraction", "stationary"))
-
-        def shifted(mech, t):
-            return vbar_vector(mech, t) + (1e-6 if t == sc.times[-1] else 0.0)
-
-        monkeypatch.setattr(verify, "vbar_vector", shifted)
-        report = run_scenario(sc)
-        skipped = [r for r in report.rows if r.check in {"tv_sandwich", "extinction_atom",
-                                                         "stationary_tv_bound"}]
-        assert len(skipped) == 3 * len(sc.times)
-        for r in skipped:
-            assert r.verdict == "skipped"
-            assert "propagated" in r.reason and "ladder" in r.reason
-        lipschitz = [r for r in report.rows if r.check == "lipschitz_contraction"]
-        assert len(lipschitz) == len(sc.times)
-        assert all(set(r.analytic) == {"bound_moment"} for r in lipschitz)
-        assert not any(r.claim == "check aborted before producing rows" for r in report.rows)
+        # a 1e-6 shift of either route
+        shifts = [("vbar_vector", lambda mech, t: vbar_vector(mech, t) + 1e-6),
+                  ("reciprocal_envelope", lambda mech, times: reciprocal_envelope(mech, times) + 1e-6)]
+        for route, shifted in shifts:
+            with monkeypatch.context() as patch:
+                patch.setattr(cumulant, route, shifted)
+                report = run_scenario(sc)
+            skipped = [r for r in report.rows if r.check in {"tv_sandwich", "extinction_atom",
+                                                             "stationary_tv_bound"}]
+            assert len(skipped) == 3 * len(sc.times), route
+            for r in skipped:
+                assert r.verdict == "skipped"
+                assert "reciprocal flow" in r.reason and "ladder" in r.reason
+            lipschitz = [r for r in report.rows if r.check == "lipschitz_contraction"]
+            assert len(lipschitz) == len(sc.times)
+            assert all(set(r.analytic) == {"bound_moment"} for r in lipschitz)
+            assert not any(r.claim == "check aborted before producing rows" for r in report.rows)
 
 
 class TestStationaryExponent:
