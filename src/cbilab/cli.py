@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupling import couple_cbi, couple_transitions
+from .coupling import couple_transitions
 from .cumulant import (
     _check_tol,
     extinction_envelope,
@@ -368,10 +368,7 @@ def cmd_couple(args) -> int:
     _, sc = _load(args.document, args)
     t = _horizon(args, sc)
     rng = sc.cfg.rng()
-    if sc.imm is not None:
-        pair = couple_cbi(sc.mu, sc.nu, sc.imm, sc.mech, [t], sc.cfg, rng)[0]
-    else:
-        pair = couple_transitions(sc.mu, sc.nu, sc.mech, [t], sc.cfg, rng)[0]
+    pair = couple_transitions(sc.mu, sc.nu, sc.mech, [t], sc.cfg, rng, imm=sc.imm)[0]
     out = _out_dir(args) / "couple.csv"
     _write_csv(out, f"{_columns('left', pair.d)},{_columns('right', pair.d)},cost",
                np.column_stack([pair.left, pair.right, pair.row_costs()]), "%.12g")
@@ -385,13 +382,15 @@ def cmd_distance(args) -> int:
     bins = _integer(args.bins, "--bins", 2)
     a = _read_samples(args.file_a)
     b = _read_samples(args.file_b)
+    lines = []  # printed once both are computed, so a refusal prints nothing
     if args.metric in ("w1", "both"):
         w1 = w1_exact_empirical(a, b)
         route = "quantile" if a.shape[1] == 1 else "assignment"
-        print(f"w1 = {w1:.12g} ({route})")
+        lines.append(f"w1 = {w1:.12g} ({route})")
     if args.metric in ("tv", "both"):
         tv = tv_empirical(a, b, bins=bins)
-        print(f"tv = {float(tv):.12g} (spread {tv.spread:.3g})")
+        lines.append(f"tv = {float(tv):.12g} (spread {tv.spread:.3g})")
+    print("\n".join(lines))
     return 0
 
 

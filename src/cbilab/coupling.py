@@ -8,8 +8,8 @@ transition laws, the legs agree on the shared piece, and the expected l1
 gap between the legs upper-bounds the Wasserstein distance while the
 fraction of unequal rows upper-bounds half the total-variation distance.
 
-Immigration variants add one shared immigration path to both legs (zero
-extra cost by construction).  The stationary couplings use the flow
+With immigration, `couple_transitions` adds one shared immigration path to
+both legs (zero extra cost by construction).  The stationary couplings use the flow
 decomposition of the stationary law: a stationary state is an independent
 sum of the time-t immigration mass and a time-t evolution of a stationary
 state, so pairing a fresh immigration draw with that decomposition couples
@@ -24,6 +24,7 @@ their draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +37,6 @@ __all__ = [
     "CoupledPair",
     "jordan_decompose",
     "couple_transitions",
-    "couple_cbi",
     "couple_stationary",
     "couple_cbi_to_stationary",
 ]
@@ -116,50 +116,34 @@ def jordan_decompose(mu, nu):
     return meet, mu - meet, nu - meet
 
 
-def couple_transitions(mu, nu, mech: BranchingMechanism, times,
-                       cfg: SimConfig, rng) -> list:
+def couple_transitions(mu, nu, mech: BranchingMechanism, times, cfg: SimConfig, rng,
+                       imm: Optional[ImmigrationMechanism] = None) -> list:
     """Couple the transition laws from mu and from nu at each of an
-    increasing grid of times.
+    increasing grid of times, with immigration imm if given.
 
     Draws one path each from the meet, positive, and negative parts of the
-    Jordan decomposition and recombines them at each time; each leg is a
-    true transition sample by the branching property, and the legs share
-    the meet part.  mu and nu are mass vectors, or both (n_samples, d)
-    arrays giving each row its own pair of initial states (decomposed
-    rowwise), as `sample_path` accepts.  Returns one CoupledPair per time.
+    Jordan decomposition, in that order, and recombines them at each time;
+    each leg is a true transition sample by the branching property, and the
+    legs share the meet part.  With imm, one immigration path (the process
+    started from zero) is then drawn and added to both legs, so
+    left - right is unchanged: immigration is free.  mu and nu are mass
+    vectors, or both (n_samples, d) arrays giving each row its own pair of
+    initial states (decomposed rowwise), as `sample_path` accepts.  Right is
+    built in the meet path's buffer, so at most three paths are held at
+    once.  Returns one CoupledPair per time.
     """
-    left, right = _jordan_legs(mu, nu, mech, times, cfg, rng)
-    return [CoupledPair(lf, rt) for lf, rt in zip(left, right)]
-
-
-def _jordan_legs(mu, nu, mech: BranchingMechanism, times, cfg: SimConfig, rng):
-    """The legs shared + upper and shared + lower of the branching coupling,
-    as (len(times), n_samples, d) arrays.  The meet, positive and negative
-    paths are drawn in that order; right is built in the meet path's
-    buffer, so at most three paths are held at once."""
     if np.ndim(mu) != 2:
         mu = mass_vector(mu, d=mech.d)
     if np.ndim(nu) != 2:
         nu = mass_vector(nu, d=mech.d)
     meet, pos, neg = jordan_decompose(mu, nu)
-    shared = sample_path(meet, mech, times, cfg, rng)
-    left = shared + sample_path(pos, mech, times, cfg, rng)
-    shared += sample_path(neg, mech, times, cfg, rng)
-    return left, shared
-
-
-def couple_cbi(mu, nu, imm: ImmigrationMechanism, mech: BranchingMechanism,
-               times, cfg: SimConfig, rng) -> list:
-    """Couple the with-immigration transition laws from mu and nu at each
-    of an increasing grid of times.
-
-    One shared immigration path, the process started from zero with imm, is
-    added to both legs of the branching coupling, so left - right is
-    unchanged: immigration is free."""
-    left, right = _jordan_legs(mu, nu, mech, times, cfg, rng)
-    influx = sample_path(np.zeros(mech.d), mech, times, cfg, rng, imm=imm)
-    left += influx
-    right += influx
+    right = sample_path(meet, mech, times, cfg, rng)
+    left = right + sample_path(pos, mech, times, cfg, rng)
+    right += sample_path(neg, mech, times, cfg, rng)
+    if imm is not None:
+        influx = sample_path(np.zeros(mech.d), mech, times, cfg, rng, imm=imm)
+        left += influx
+        right += influx
     return [CoupledPair(lf, rt) for lf, rt in zip(left, right)]
 
 
@@ -188,14 +172,15 @@ def couple_cbi_to_stationary(mu, imm: ImmigrationMechanism, mech: BranchingMecha
                              t: float, cfg: SimConfig, rng) -> CoupledPair:
     """Couple the with-immigration transition law from mu with the stationary law.
 
-    Each row draws its own stationary state eta, and `couple_cbi` couples
-    the rows started from mu with the rows started from eta: a rowwise
-    Jordan decomposition of (mu, eta) plus one shared immigration draw.
-    left is then the time-t law started from mu, right is stationary, and
-    both the cost and the fraction of unequal rows decay at the
-    subcriticality rate — this is the pair the ergodicity rate fits
+    Each row draws its own stationary state eta, and `couple_transitions`
+    with imm couples the rows started from mu with the rows started from
+    eta: a rowwise Jordan decomposition of (mu, eta) plus one shared
+    immigration path.  left is then the time-t law started from mu, right
+    is stationary, and both the cost and the fraction of unequal rows decay
+    at the subcriticality rate — this is the pair the ergodicity rate fits
     regress on.
     """
     mu = mass_vector(mu, d=mech.d)
     eta = sample_stationary(imm, mech, cfg, rng)
-    return couple_cbi(np.tile(mu, (cfg.n_samples, 1)), eta, imm, mech, [t], cfg, rng)[0]
+    return couple_transitions(np.tile(mu, (cfg.n_samples, 1)), eta, mech, [t], cfg, rng,
+                              imm=imm)[0]

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 ASSIGNMENT_CAP = 2048  # largest matched count the d >= 2 assignment solves
+HISTOGRAM_CAP = 2 ** 25  # most cells of the finest grid tv_empirical allocates
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,9 @@ def tv_empirical(a, b, bins: int = 128) -> TVEstimate:
     The exact atom at the origin (rows identically zero) is separated and
     differenced exactly; the continuous parts are compared on a common grid.
     Returned value is in [0,2]; .spread reports how much it moves when the
-    bin count is halved or doubled.
+    bin count is halved or doubled.  The doubled pass allocates
+    (2 bins + 2)^d cells (an outlier bin at each end of each axis); past
+    HISTOGRAM_CAP the call refuses rather than allocate.
     """
     a, b = _as_law(a), _as_law(b)
     if a.d != b.d:
@@ -170,6 +173,11 @@ def tv_empirical(a, b, bins: int = 128) -> TVEstimate:
     if bins < 2:
         raise ValidationError(f"bins must be >= 2, got {bins}")
     d = a.d
+    cells = (2 * int(bins) + 2) ** d
+    if cells > HISTOGRAM_CAP:
+        raise ValidationError(
+            f"a histogram of {bins} bins per axis in d = {d} needs {cells:.3g} cells; "
+            f"at most {HISTOGRAM_CAP} are allowed, so use fewer bins")
     zero_a = np.all(a.samples == 0.0, axis=1)
     zero_b = np.all(b.samples == 0.0, axis=1)
     atom_gap = abs(zero_a.mean() - zero_b.mean())

@@ -31,8 +31,8 @@ only the live (non-zero) rows and leaves the dead ones at zero.
 `sample_path` is the one composition of branching and immigration: it
 chains segments over the gaps of a time grid, exact by the Markov property.
 So the transition law Q_t(mu) * N_t of the process with immigration is
-`sample_path(mu, mech, [t], cfg, rng, imm=imm)[0]`, and `sample_immigration`
-is that path started from zero.
+`sample_path(mu, mech, [t], cfg, rng, imm=imm)[0]`, and the time-t
+immigration law is that path started from zero.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .mechanism import (
 __all__ = [
     "SimConfig",
     "sample_transition",
-    "sample_immigration",
     "sample_stationary",
     "sample_path",
     "has_exact_transition",
@@ -376,23 +375,6 @@ def sample_transition(mu, mech: BranchingMechanism, t: float, cfg: SimConfig, rn
     return _transition_batch(_initial_states(mu, mech, cfg), mech, float(t), cfg, rng)
 
 
-def sample_immigration(imm: ImmigrationMechanism, mech: BranchingMechanism,
-                       t: float, cfg: SimConfig, rng) -> np.ndarray:
-    """Sample the time-t immigration mass (the process started empty).
-
-    This is the path from zero with imm, observed at t: exact for scalar
-    quadratic mechanisms, a split-step run with the influx in the middle
-    block otherwise.
-    """
-    if imm.d != mech.d:
-        raise ValidationError(f"immigration dimension {imm.d} != mechanism dimension {mech.d}")
-    if not 0 <= t < math.inf:
-        raise ValidationError(f"time must be finite and >= 0, got {t}")
-    if t == 0.0 or imm.is_trivial():
-        return np.zeros((cfg.n_samples, mech.d))
-    return sample_path(np.zeros(mech.d), mech, [t], cfg, rng, imm=imm)[0]
-
-
 def sample_path(mu, mech: BranchingMechanism, times, cfg: SimConfig, rng,
                 imm: Optional[ImmigrationMechanism] = None) -> np.ndarray:
     """One path per run, observed at each of an increasing grid of times.
@@ -442,8 +424,8 @@ def sample_stationary(imm: ImmigrationMechanism, mech: BranchingMechanism,
     """Sample the stationary law of the process with immigration.
 
     Exact for the scalar quadratic mechanism with continuous-only
-    immigration: Gamma(beta/c, c/b).  Otherwise the immigration sampler is
-    run to `stationary_horizon`, where the missing tail mean is below
+    immigration: Gamma(beta/c, c/b).  Otherwise the path from zero with imm
+    is observed at `stationary_horizon`, where the missing tail mean is below
     STATIONARY_BIAS relative (the scalar-quadratic-with-jumps case stays
     exact within that horizon).
     """
@@ -464,4 +446,4 @@ def sample_stationary(imm: ImmigrationMechanism, mech: BranchingMechanism,
         else:
             out[:, 0] = beta / b
         return out
-    return sample_immigration(imm, mech, stationary_horizon(mech), cfg, rng)
+    return sample_path(np.zeros(mech.d), mech, [stationary_horizon(mech)], cfg, rng, imm=imm)[0]

@@ -7,19 +7,21 @@ the numbers behind it.  A failed bound never raises — it is recorded and
 surfaces in the exit status of the batch front end.
 
 Statistical policy: every sampling-based verdict is required to hold on
-three independent seed replicates (`_replicated`), drawn concurrently from
-their own streams and combined in replicate order, so a report does not
-depend on the number of CPUs; pass thresholds use four
-standard errors per replicate (plus any stated relative floor) so that a
-multi-row report is not expected to fail by chance.  A row's estimate is
+three independent seed replicates, drawn concurrently from their own
+streams and combined in replicate order (`_replicate_rows`, the one
+replicate primitive), so a report does not depend on the number of CPUs;
+pass thresholds use four standard errors per replicate (plus any stated
+relative floor) so that a multi-row report is not expected to fail by
+chance.  A row's estimate is
 the mean of its replicate estimates and its `ci` the 99% half-width of
 that mean, Z99 * sqrt(sum_r se_r^2) / R, where se_r is the standard error
 of replicate r's estimate.  Exact (non-sampling) rows use absolute
-tolerances around 1e-9 and report ci = 0.  The stationary mean, Laplace,
-W1 and TV rows of one replicate read one shared coupling draw, and each
-transition check reads all its times off one path (or coupling) per
-replicate, so those rows are correlated with one another; the replicates
-stay independent.
+tolerances around 1e-9 and report ci = 0.  Each check draws one path or
+coupling per replicate and reduces it to all its rows in that replicate's
+thread: the stationary mean, Laplace, W1 and TV rows read one shared
+coupling draw, and each transition check reads all its times off one path
+(or coupling), so those rows are correlated with one another; the
+replicates stay independent.
 
 The `tamper` field of a scenario shifts analytic lower bounds upward and
 exists so that a deliberately corrupted fixture demonstrably fails — a
@@ -42,12 +44,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from . import __version__
-from .coupling import (
-    couple_cbi,
-    couple_cbi_to_stationary,
-    couple_stationary,
-    couple_transitions,
-)
+from .coupling import couple_cbi_to_stationary, couple_stationary, couple_transitions
 from .cumulant import (
     extinction_envelope,
     moment_decay_rate,
@@ -73,12 +70,7 @@ from .mechanism import (
     grey_condition,
     mass_vector,
 )
-from .simulate import (
-    SimConfig,
-    has_exact_transition,
-    sample_path,
-    sample_transition,
-)
+from .simulate import SimConfig, has_exact_transition, sample_path
 
 __all__ = [
     "Scenario",
@@ -151,6 +143,9 @@ class Scenario:
         unknown = [c for c in checks if c not in CHECKS]
         if unknown:
             raise ValidationError(f"unknown checks: {unknown}; available: {list(CHECKS)}")
+        repeated = sorted(c for c, k in Counter(checks).items() if k > 1)
+        if repeated:
+            raise ValidationError(f"checks listed more than once: {repeated}")
         object.__setattr__(self, "checks", checks)
 
 
@@ -253,38 +248,23 @@ def _per_replicate(fn, replicates) -> list:
         return list(pool.map(fn, replicates))
 
 
-def _row_fields(tuples) -> tuple:
-    """The CheckRow fields of a row from its replicate tuples (estimate, se,
-    ok, *extras): the mean estimate, its ci and a verdict that passes only
-    if every replicate passes; and the tuples transposed: columns[0] holds
-    the replicate estimates, columns[3:] the extras."""
-    columns = list(zip(*tuples))
-    ests, ses, oks = columns[:3]
-    fields = {
-        "estimate": float(np.mean(ests)),
-        "ci": Z99 * math.sqrt(sum(se * se for se in ses)) / len(ses),
-        "verdict": _verdict(all(oks)),
-    }
-    return fields, columns
-
-
-def _replicated(replicates, draw) -> tuple:
-    """Run draw(r) -> (estimate, se, ok, *extras) on each replicate: its
-    random stream, or draws already taken from that stream.  The draws run
-    concurrently (`_per_replicate`); their results are combined in
-    replicate order, as `_row_fields` of the row."""
-    return _row_fields(_per_replicate(draw, replicates))
-
-
-def _path_rows(rngs, draw, reduce) -> list:
-    """The `_replicated` result at each time, from one path per replicate.
-
-    draw(rng) gives a replicate's snapshots along the times and
-    reduce(k, snapshot) its replicate tuple at time k; each path is reduced
-    as soon as it is drawn, so a thread holds one path at a time."""
-    tuples = _per_replicate(
-        lambda rng: [reduce(k, snap) for k, snap in enumerate(draw(rng))], rngs)
-    return [_row_fields(per_time) for per_time in zip(*tuples)]
+def _replicate_rows(replicates, draw) -> list:
+    """(fields, columns) per row, from draw(r): one (estimate, se, ok,
+    *extras) tuple per row, in row order, for replicate r, its random
+    stream.  The replicates run concurrently (`_per_replicate`) and are
+    combined in replicate order.  fields are the row's CheckRow fields: the
+    mean estimate, its ci and a verdict that passes only if every replicate
+    passes; columns are the tuples transposed, columns[0] the replicate
+    estimates and columns[3:] the extras.  A draw reduces each path or
+    coupling as soon as it is drawn, so a thread holds one at a time."""
+    out = []
+    for tuples in zip(*_per_replicate(draw, replicates)):
+        columns = list(zip(*tuples))
+        ests, ses, oks = columns[:3]
+        out.append(({"estimate": float(np.mean(ests)),
+                     "ci": Z99 * math.sqrt(sum(se * se for se in ses)) / len(ses),
+                     "verdict": _verdict(all(oks))}, columns))
+    return out
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -426,27 +406,30 @@ def _w1_replicate(pair, lower: float, upper: float, scale: float, sc: Scenario) 
 
 def check_wasserstein_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     """First-moment sandwich around the transition Wasserstein distance."""
-    mu, nu, mech = sc.mu, sc.nu, sc.mech
-    variants = [("wasserstein_sandwich",
-                 lambda rng: couple_transitions(mu, nu, mech, sc.times, sc.cfg, rng),
+    mu, nu = sc.mu, sc.nu
+    variants = [("wasserstein_sandwich", None,
                  "|<mu-nu, pi_t 1>| <= W1(Q_t(mu), Q_t(nu)) <= |mu-nu|(pi_t 1)")]
     if sc.imm is not None and not sc.imm.is_trivial():
-        variants.append(("wasserstein_sandwich_imm",
-                         lambda rng: couple_cbi(mu, nu, sc.imm, mech, sc.times, sc.cfg, rng),
+        variants.append(("wasserstein_sandwich_imm", sc.imm,
                          "the same first-moment sandwich holds with a shared immigration draw"))
     bounds = [(abs(float((mu - nu) @ an.pt1(t))) + sc.tamper, float(np.abs(mu - nu) @ an.pt1(t)))
               for t in sc.times]
 
-    def reduce(k, pair):
-        lower, upper = bounds[k]
-        return _w1_replicate(pair, lower, upper, max(upper, 1e-12), sc)
+    def replicate(pairs):
+        return [_w1_replicate(pair, lower, upper, max(upper, 1e-12), sc)
+                for pair, (lower, upper) in zip(pairs, bounds)]
 
-    # one coupled path per replicate and variant serves every time
-    per_variant = [_path_rows(rngs, couple, reduce) for _, couple, _ in variants]
+    def draw(rng):
+        # one coupled path per variant serves every time; rows go time by time
+        per_variant = [replicate(couple_transitions(mu, nu, sc.mech, sc.times, sc.cfg, rng, imm=imm))
+                       for _, imm, _ in variants]
+        return [row for per_time in zip(*per_variant) for row in per_time]
+
+    results = iter(_replicate_rows(rngs, draw))
     rows = []
-    for k, (t, (lower, upper)) in enumerate(zip(sc.times, bounds)):
-        for (check_name, _, claim), results in zip(variants, per_variant):
-            fields, cols = results[k]
+    for t, (lower, upper) in zip(sc.times, bounds):
+        for check_name, _, claim in variants:
+            fields, cols = next(results)
             rows.append(CheckRow(
                 check=check_name, claim=claim, t=t,
                 analytic={"lower": lower, "upper": upper}, **fields,
@@ -480,18 +463,18 @@ def check_tv_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
             ))
         return rows
 
-    def draw(rng):
-        return zip(sample_path(sc.mu, mech, sc.times, sc.cfg, rng),
-                   sample_path(sc.nu, mech, sc.times, sc.cfg, rng))
-
-    def reduce(k, snapshots):
-        lower, upper = bounds[k]
+    def replicate(snapshots, lower, upper):
         est = tv_empirical(*snapshots)
         tol = est.spread + SIGMAS * se
         return float(est), se, lower - tol <= float(est) <= upper + tol, est.spread
 
+    def draw(rng):
+        paths = zip(sample_path(sc.mu, mech, sc.times, sc.cfg, rng),
+                    sample_path(sc.nu, mech, sc.times, sc.cfg, rng))
+        return [replicate(snapshots, *bound) for snapshots, bound in zip(paths, bounds)]
+
     for t, vbar, (lower, upper), (fields, cols) in zip(
-            sc.times, vbars, bounds, _path_rows(rngs, draw, reduce)):
+            sc.times, vbars, bounds, _replicate_rows(rngs, draw)):
         rows.append(CheckRow(
             check="tv_sandwich", claim=claim, t=t,
             analytic={"lower": lower, "upper": upper, "vbar_max": float(vbar.max())},
@@ -536,15 +519,16 @@ def check_laplace(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     v, integral = an.probe
     targets = [math.exp(-(float(sc.mu @ v_t) + float(i_t))) for v_t, i_t in zip(v, integral)]
 
-    def draw(rng):
-        return sample_path(sc.mu, mech, sc.times, sc.cfg, rng, imm=imm)
-
-    def reduce(k, x):
+    def replicate(x, target):
         emp, se = _mean_se(np.exp(-(x @ lam)))
-        return emp, se, abs(emp - targets[k]) <= SIGMAS * se + 1e-12
+        return emp, se, abs(emp - target) <= SIGMAS * se + 1e-12
+
+    def draw(rng):
+        path = sample_path(sc.mu, mech, sc.times, sc.cfg, rng, imm=imm)
+        return [replicate(x, target) for x, target in zip(path, targets)]
 
     rows = []
-    for t, target, (fields, cols) in zip(sc.times, targets, _path_rows(rngs, draw, reduce)):
+    for t, target, (fields, cols) in zip(sc.times, targets, _replicate_rows(rngs, draw)):
         rows.append(CheckRow(
             check="laplace", claim=claim, t=t, analytic={"target": target},
             **fields, details=_per_rep("rep", cols[0]),
@@ -564,16 +548,17 @@ def check_extinction_atom(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         return _skipped("extinction_atom", claim, sc.times, reason)
     targets = [math.exp(-float(sc.mu @ vbar)) for vbar in vbars]
 
-    def draw(rng):
-        return sample_path(sc.mu, mech, sc.times, sc.cfg, rng)
-
-    def reduce(k, x):
+    def replicate(x, target):
         frac = float(np.all(x == 0.0, axis=1).mean())
-        se = math.sqrt(max(targets[k] * (1 - targets[k]), 1e-12) / sc.cfg.n_samples)
-        return frac, se, abs(frac - targets[k]) <= SIGMAS * se + atol
+        se = math.sqrt(max(target * (1 - target), 1e-12) / sc.cfg.n_samples)
+        return frac, se, abs(frac - target) <= SIGMAS * se + atol
+
+    def draw(rng):
+        path = sample_path(sc.mu, mech, sc.times, sc.cfg, rng)
+        return [replicate(x, target) for x, target in zip(path, targets)]
 
     rows = []
-    for t, target, (fields, cols) in zip(sc.times, targets, _path_rows(rngs, draw, reduce)):
+    for t, target, (fields, cols) in zip(sc.times, targets, _replicate_rows(rngs, draw)):
         rows.append(CheckRow(
             check="extinction_atom", claim=claim, t=t, analytic={"target": target},
             **fields, details=_per_rep("rep", cols[0]),
@@ -601,49 +586,62 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         target = float(sc.mu @ an.pt1(t_h))
 
         def draw_decay(rng):
-            mean_mass, se = _mean_se(sample_transition(sc.mu, mech, t_h, sc.cfg, rng).sum(axis=1))
-            return mean_mass, se, abs(mean_mass - target) <= SIGMAS * se + 1e-3 * float(sc.mu.sum())
+            mean_mass, se = _mean_se(sample_path(sc.mu, mech, [t_h], sc.cfg, rng)[0].sum(axis=1))
+            return [(mean_mass, se, abs(mean_mass - target) <= SIGMAS * se + 1e-3 * float(sc.mu.sum()))]
 
-        fields, cols = _replicated(rngs, draw_decay)
+        (fields, cols), = _replicate_rows(rngs, draw_decay)
         return [CheckRow(
             check="stationary_mean",
             claim="with no immigration the mean mass follows the decaying moment flow (limit law = zero state)",
             t=t_h, analytic={"mean_mass": target}, **fields, details=_per_rep("rep", cols[0]),
         )]
-    # one coupling per replicate serves the mean, Laplace, W1 and TV rows:
-    # its stationary batch S, and at each t the pair (fresh_t, fresh_t + Q_t S)
-    bundles = _per_replicate(lambda rng: couple_stationary(imm, mech, sc.times, sc.cfg, rng), rngs)
-    rows = []
-
-    # mean vector: the resolvent of the moment generator applied to the influx
+    # the analytic side of every bundle row, read before the replicates run:
+    # the mean vector is the resolvent of the moment generator applied to the influx
     m_inf = stationary_mean(mech, imm)
     rel_floor = max(5e-3, _stable_rel_floor(mech, sc.cfg.n_samples))
+    lam = sc.lambda_probe
+    exponent, tail = an.stationary_laplace
+    target = math.exp(-exponent)
+    w1s = [float(m_inf @ an.pt1(t)) for t in sc.times]
+    by_tails = [tail_immigrant_mass(mech, imm, t) for t in sc.times]
+    tv, tv_reason = an.stationary_tv
+    tv_bounds = [] if tv is None else [(2.0 * (1.0 - math.exp(-e)), tail_v) for e, tail_v in tv]
 
-    def draw_mean(bundle):
-        x = bundle[0]
+    def mean_row(x):
         emp = x.mean(axis=0)
         se = x.std(axis=0) / math.sqrt(len(x))
         ok = bool(np.all(np.abs(emp - m_inf) <= SIGMAS * se + rel_floor * np.abs(m_inf)))
         return emp.sum(), _mean_se(x.sum(axis=1))[1], ok, emp
 
-    fields, cols = _replicated(bundles, draw_mean)
-    rows.append(CheckRow(
+    def laplace_row(x):
+        emp, se = _mean_se(np.exp(-(x @ lam)))
+        return emp, se, abs(emp - target) <= SIGMAS * se + 2 * tail + 2e-3 * target
+
+    def tv_row(pair, bound, tail_v):
+        diff, se = 2.0 * pair.differ(), 2.0 * pair.differ_se()
+        # the construction makes P(legs differ) exactly the bound integrand
+        ok = (abs(diff - bound) <= SIGMAS * se + 2 * tail_v + 2e-3
+              and float(tv_empirical(pair.left, pair.right))
+              <= bound + SIGMAS * math.sqrt(2.0 / sc.cfg.n_samples) + 2e-2)
+        return diff, se, ok
+
+    def draw(rng):
+        # one coupling serves the mean, Laplace, W1 and TV rows: its
+        # stationary batch S, and at each t the pair (fresh_t, fresh_t + Q_t S)
+        x, pairs = couple_stationary(imm, mech, sc.times, sc.cfg, rng)
+        return [mean_row(x), laplace_row(x),
+                *(_w1_replicate(pair, w1, w1, w1, sc) for pair, w1 in zip(pairs, w1s)),
+                *(tv_row(pair, *bound) for pair, bound in zip(pairs, tv_bounds))]
+
+    results = iter(_replicate_rows(rngs, draw))
+    fields, cols = next(results)
+    rows = [CheckRow(
         check="stationary_mean",
         claim="the stationary mean solves the linear balance equation of branching drift and influx",
         analytic={f"mean_{i + 1}": float(v) for i, v in enumerate(m_inf)}, **fields,
         details={f"emp_{i + 1}": float(v) for i, v in enumerate(np.mean(cols[3], axis=0))},
-    ))
-
-    # Laplace functional at the probe frequency
-    lam = sc.lambda_probe
-    exponent, tail = an.stationary_laplace
-    target = math.exp(-exponent)
-
-    def draw_laplace(bundle):
-        emp, se = _mean_se(np.exp(-(bundle[0] @ lam)))
-        return emp, se, abs(emp - target) <= SIGMAS * se + 2 * tail + 2e-3 * target
-
-    fields, cols = _replicated(bundles, draw_laplace)
+    )]
+    fields, cols = next(results)
     rows.append(CheckRow(
         check="stationary_laplace",
         claim="E[e^{-<lam, X_infty>}] = exp(-integral over all time of psi(v(s,lam)))",
@@ -652,40 +650,21 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     ))
 
     # distance identities on the time grid
-    for k, t in enumerate(sc.times):
-        analytic_w1 = float(m_inf @ an.pt1(t))
-        by_tail = tail_immigrant_mass(mech, imm, t)
-        routes_agree = abs(analytic_w1 - by_tail) <= 1e-8 * max(1.0, analytic_w1)
-
-        fields, cols = _replicated(bundles, lambda bundle: _w1_replicate(
-            bundle[1][k], analytic_w1, analytic_w1, analytic_w1, sc))
-        if not routes_agree:
+    for t, w1, by_tail in zip(sc.times, w1s, by_tails):
+        fields, cols = next(results)
+        if not abs(w1 - by_tail) <= 1e-8 * max(1.0, w1):  # the two routes disagree
             fields["verdict"] = "fail"
         rows.append(CheckRow(
             check="stationary_w1_identity",
             claim="W1(N_t, N_infty) equals the mean mass immigrated before time -t, <m_infty, pi_t 1>",
-            t=t, analytic={"w1": analytic_w1, "by_tail_integral": by_tail}, **fields,
+            t=t, analytic={"w1": w1, "by_tail_integral": by_tail}, **fields,
             details=_per_rep("cost_rep", cols[3]) | _per_rep("dual_rep", cols[0]),
         ))
 
     bound_claim = "||N_t - N_infty||_var <= 2 E[1 - e^{-<X_infty, Vbar_t>}]"
-    tv, reason = an.stationary_tv
     if tv is None:
-        rows.extend(_skipped("stationary_tv_bound", bound_claim, sc.times, reason))
-        tv = []
-    for k, (t, (exponent_v, tail_v)) in enumerate(zip(sc.times, tv)):
-        bound = 2.0 * (1.0 - math.exp(-exponent_v))
-
-        def draw_tv(bundle):
-            pair = bundle[1][k]
-            diff, se = 2.0 * pair.differ(), 2.0 * pair.differ_se()
-            # the construction makes P(legs differ) exactly the bound integrand
-            ok = (abs(diff - bound) <= SIGMAS * se + 2 * tail_v + 2e-3
-                  and float(tv_empirical(pair.left, pair.right))
-                  <= bound + SIGMAS * math.sqrt(2.0 / sc.cfg.n_samples) + 2e-2)
-            return diff, se, ok
-
-        fields, _ = _replicated(bundles, draw_tv)
+        rows.extend(_skipped("stationary_tv_bound", bound_claim, sc.times, tv_reason))
+    for t, (bound, _), (fields, _) in zip(sc.times, tv_bounds, results):
         rows.append(CheckRow(
             check="stationary_tv_bound", t=t,
             claim=bound_claim + ", attained by the shared-history coupling",

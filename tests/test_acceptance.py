@@ -25,8 +25,7 @@ from cbilab.distance import (_w1_assignment, tv_empirical, tv_exact_quadratic,
                              w1_1d_quantile)
 from cbilab.mechanism import (BranchingMechanism, ImmigrationMechanism,
                               beta_star, dominating_mechanism)
-from cbilab.simulate import (SimConfig, sample_immigration, sample_path,
-                             sample_stationary, sample_transition)
+from cbilab.simulate import SimConfig, sample_path, sample_stationary, sample_transition
 from conftest import record_criterion
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -150,7 +149,7 @@ def test_immigration_gamma_fixture():
         n = 100_000
         rng = _rng(60)
         for t in (0.5, 1.0):
-            x = sample_immigration(IMM1, MECH1, t, _cfg(n), rng)[:, 0]
+            x = sample_path([0.0], MECH1, [t], _cfg(n), rng, imm=IMM1)[0, :, 0]
             scale = 1.0 - math.exp(-t)
             p = stats.kstest(x, "gamma", args=(2.0, 0.0, scale)).pvalue
             assert p > 0.01, t

@@ -139,6 +139,17 @@ class TestDocumentValidation:
         with pytest.raises(ValidationError, match="NaN"):
             load_document(path)
 
+    def test_repeated_check_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        path = write_doc(tmp_path, checks=["lipschitz_contraction", "lipschitz_contraction"])
+        with pytest.raises(ValidationError, match="more than once"):
+            parse_scenario(load_document(path))
+        out = tmp_path / "out"
+        assert main(["verify", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "checks listed more than once: ['lipschitz_contraction']" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_bundled_documents_parse(self):
         for name in ("ref_d1_quadratic", "ref_d2_folded", "ref_d1_stable",
                      "negative_control"):
@@ -312,6 +323,14 @@ class TestDistance:
         assert main(["distance", str(a), str(b), "--metric", "w1"]) == 0
         out = capsys.readouterr().out
         assert f"w1 = {4 / 3:.12g}" in out
+
+    def test_histogram_past_the_cell_cap_exits_2(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("x_1,x_2\n1,2\n3,0.5\n0,0\n")
+        assert main(["distance", str(a), str(a), "--bins", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert "100000 bins per axis in d = 2" in captured.err
+        assert captured.out == ""
 
     def test_quantile_fallback_past_assignment_cap(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -21,7 +21,6 @@ from scipy import stats
 from cbilab.cli import main
 from cbilab.coupling import (
     CoupledPair,
-    couple_cbi,
     couple_cbi_to_stationary,
     couple_stationary,
     couple_transitions,
@@ -39,7 +38,6 @@ from cbilab.mechanism import (
 )
 from cbilab.simulate import (
     SimConfig,
-    sample_immigration,
     sample_path,
     sample_transition,
 )
@@ -241,12 +239,12 @@ def test_one_time_grid_coupling_draws_the_three_legs_then_the_influx():
     for mech, imm, mu, nu, t in cases:  # the exact route, then the stepped one
         cfg = SimConfig(n_samples=300, dt=0.05)
         plain = couple_transitions(mu, nu, mech, [t], cfg, np.random.default_rng(6))
-        pairs = couple_cbi(mu, nu, imm, mech, [t], cfg, np.random.default_rng(6))
+        pairs = couple_transitions(mu, nu, mech, [t], cfg, np.random.default_rng(6), imm=imm)
         assert len(plain) == len(pairs) == 1
         rng = np.random.default_rng(6)
         shared, upper, lower = (sample_transition(leg, mech, t, cfg, rng)
                                 for leg in jordan_decompose(np.asarray(mu), np.asarray(nu)))
-        influx = sample_immigration(imm, mech, t, cfg, rng)
+        influx = sample_path(np.zeros(mech.d), mech, [t], cfg, rng, imm=imm)[0]
         assert np.array_equal(plain[0].left, shared + upper)
         assert np.array_equal(plain[0].right, shared + lower)
         assert np.array_equal(pairs[0].left, shared + upper + influx)
@@ -258,7 +256,7 @@ def test_grid_coupling_reads_one_path_per_leg():
     mech, imm = folded_mech(), ImmigrationMechanism(beta=[0.4, 0.2])
     mu, nu, times = np.array([2.0, 1.0]), np.array([1.0, 1.5]), (0.2, 0.5, 0.9)
     cfg = SimConfig(n_samples=100, dt=0.05)
-    pairs = couple_cbi(mu, nu, imm, mech, times, cfg, np.random.default_rng(7))
+    pairs = couple_transitions(mu, nu, mech, times, cfg, np.random.default_rng(7), imm=imm)
     rng = np.random.default_rng(7)
     shared, upper, lower = (sample_path(leg, mech, times, cfg, rng)
                             for leg in jordan_decompose(mu, nu))
@@ -279,7 +277,8 @@ def test_cbi_immigration_cancels_exactly():
     imm = ImmigrationMechanism(beta=[2.0])
     cfg = SimConfig(n_samples=5_000)
     plain, = couple_transitions([2.0], [1.0], mech, [LN2], cfg, np.random.default_rng(77))
-    with_imm, = couple_cbi([2.0], [1.0], imm, mech, [LN2], cfg, np.random.default_rng(77))
+    with_imm, = couple_transitions([2.0], [1.0], mech, [LN2], cfg, np.random.default_rng(77),
+                                   imm=imm)
     # same seed: the transition draws coincide and the shared influx drops
     # out of the gap (up to one rounding per addition); rows with equal
     # transition legs stay equal exactly
@@ -293,8 +292,8 @@ def test_cbi_immigration_cancels_exactly():
 
 def test_cbi_equal_starts_identical_legs():
     imm = ImmigrationMechanism(beta=[2.0])
-    pair, = couple_cbi([1.5], [1.5], imm, quad_mech(), [1.0], SimConfig(n_samples=100),
-                       np.random.default_rng(1))
+    pair, = couple_transitions([1.5], [1.5], quad_mech(), [1.0], SimConfig(n_samples=100),
+                               np.random.default_rng(1), imm=imm)
     assert np.array_equal(pair.left, pair.right)
 
 
@@ -315,7 +314,7 @@ def test_stationary_coupling_marginals():
     cfg = SimConfig(n_samples=10_000)
     rng = np.random.default_rng(66)
     stationary, (pair,) = couple_stationary(imm, quad_mech(), [1.0], cfg, rng)
-    ref_left = sample_immigration(imm, quad_mech(), 1.0, cfg, rng)[:, 0]
+    ref_left = sample_path([0.0], quad_mech(), [1.0], cfg, rng, imm=imm)[0, :, 0]
     assert stats.ks_2samp(pair.left[:, 0], ref_left).pvalue > 0.01
     assert stats.kstest(pair.right[:, 0], stats.gamma(a=2.0, scale=1.0).cdf).pvalue > 0.01
     assert stats.kstest(stationary[:, 0], stats.gamma(a=2.0, scale=1.0).cdf).pvalue > 0.01

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cbilab.coupling import couple_transitions
+from cbilab import distance
 from cbilab.cumulant import vbar_scalar
 from cbilab.distance import (
     EmpiricalLaw,
@@ -288,6 +289,25 @@ def test_tv_empirical_multivariate():
     assert 0.0 < float(est) < 2.0
     same = tv_empirical(a, a, bins=32)
     assert float(same) == 0.0
+
+
+def test_tv_empirical_histogram_cap(monkeypatch):
+    # the doubled pass has (2 bins + 2)^d cells; past the cap the call refuses
+    # before any histogram is allocated
+    def no_histogram(*args, **kwargs):
+        raise AssertionError("a refused grid must not be allocated")
+
+    monkeypatch.setattr(np, "histogramdd", no_histogram)
+    with pytest.raises(ValidationError, match="128 bins per axis in d = 4"):
+        tv_empirical(np.ones((5, 4)), np.ones((5, 4)))  # 258^4 cells
+    monkeypatch.undo()
+    rng = np.random.default_rng(23)
+    a, b = rng.gamma(2.0, size=(200, 2)), rng.gamma(2.0, size=(200, 2))
+    assert 0.0 < tv_empirical(a, b) < 2.0  # 258^2 cells: the shipped d <= 2 grids stay allowed
+    monkeypatch.setattr(distance, "HISTOGRAM_CAP", (2 * 8 + 2) ** 2)
+    assert 0.0 < tv_empirical(a, b, bins=8) < 2.0  # exactly at the cap
+    with pytest.raises(ValidationError, match="9 bins per axis in d = 2"):
+        tv_empirical(a, b, bins=9)
 
 
 def test_tv_empirical_validation():

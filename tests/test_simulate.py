@@ -31,7 +31,6 @@ from cbilab.simulate import (
     _cb_quadratic_batch,
     _stepped_batch,
     _stable_positive_batch,
-    sample_immigration,
     sample_path,
     sample_stationary,
     sample_transition,
@@ -235,7 +234,7 @@ def test_split_step_count_capped_before_any_draw():
             if imm is None:
                 sample_transition(mu, mech, 1.0, cfg, rng)
             else:
-                sample_immigration(imm, mech, 1.0, cfg, rng)
+                sample_path(mu, mech, [1.0], cfg, rng, imm=imm)
     assert rng.bit_generator.state == state
 
 
@@ -290,9 +289,9 @@ def test_immigration_trivial_and_zero_time():
     cfg = SimConfig(n_samples=32)
     rng = np.random.default_rng(2)
     imm0 = ImmigrationMechanism(beta=[0.0])
-    assert np.all(sample_immigration(imm0, quad_mech(), 1.0, cfg, rng) == 0.0)
+    assert np.all(sample_path([0.0], quad_mech(), [1.0], cfg, rng, imm=imm0) == 0.0)
     imm = ImmigrationMechanism(beta=[2.0])
-    assert np.all(sample_immigration(imm, quad_mech(), 0.0, cfg, rng) == 0.0)
+    assert np.all(sample_path([0.0], quad_mech(), [0.0], cfg, rng, imm=imm) == 0.0)
 
 
 def test_immigration_gamma_law():
@@ -300,7 +299,7 @@ def test_immigration_gamma_law():
     imm = ImmigrationMechanism(beta=[2.0])
     rng = np.random.default_rng(17)
     for t in (0.5, 1.0):
-        x = sample_immigration(imm, quad_mech(), t, SimConfig(n_samples=10_000), rng)[:, 0]
+        x = sample_path([0.0], quad_mech(), [t], SimConfig(n_samples=10_000), rng, imm=imm)[0, :, 0]
         ks = stats.kstest(x, stats.gamma(a=2.0, scale=discount_integral(1.0, t)).cdf)
         assert ks.pvalue > 0.01, f"t={t} p={ks.pvalue:.4f}"
         target = 2 * discount_integral(1.0, t)
@@ -314,7 +313,7 @@ def test_immigration_with_jump_immigrants_laplace():
     path = solve_cumulant(mech, [lam], t, tol=1e-12, imm=imm)
     target = math.exp(-path.imm_integral[-1])
     rng = np.random.default_rng(29)
-    x = sample_immigration(imm, mech, t, SimConfig(n_samples=100_000), rng)
+    x = sample_path([0.0], mech, [t], SimConfig(n_samples=100_000), rng, imm=imm)[0]
     assert abs(laplace_dev(x, [lam], target)) < 4.0
 
 
@@ -326,7 +325,7 @@ def test_immigration_stepped_d2_laplace():
     path = solve_cumulant(mech, lam, t, tol=1e-12, imm=imm)
     target = math.exp(-path.imm_integral[-1])
     rng = np.random.default_rng(37)
-    x = sample_immigration(imm, mech, t, SimConfig(n_samples=20_000, dt=0.01), rng)
+    x = sample_path(np.zeros(2), mech, [t], SimConfig(n_samples=20_000, dt=0.01), rng, imm=imm)[0]
     assert abs(laplace_dev(x, lam, target)) < 4.0
 
 
@@ -359,7 +358,7 @@ def test_stationary_horizon_sampler_close_to_exact():
     mech = quad_mech()
     imm = ImmigrationMechanism(beta=[2.0])
     rng = np.random.default_rng(47)
-    x = sample_immigration(imm, mech, 7.0, SimConfig(n_samples=10_000), rng)[:, 0]
+    x = sample_path([0.0], mech, [7.0], SimConfig(n_samples=10_000), rng, imm=imm)[0, :, 0]
     ks = stats.kstest(x, stats.gamma(a=2.0, scale=1.0).cdf)
     assert ks.pvalue > 0.005  # truncation bias ~1e-3 relative is below KS resolution here
 
@@ -375,15 +374,18 @@ def shipped_folded():
 
 def test_path_with_one_time_draws_what_the_samplers_draw():
     sc = shipped_folded()
-    imm2 = ImmigrationMechanism(beta=[2.0])
-    cases = [(quad_mech(), imm2, [2.0], 0.7), (sc.mech, sc.imm, sc.mu, 0.5)]
-    for mech, imm, mu, t in cases:  # the exact route, then the stepped one
+    cases = [(quad_mech(), [2.0], 0.7), (sc.mech, sc.mu, 0.5)]
+    for mech, mu, t in cases:  # the exact route, then the stepped one
         cfg = SimConfig(n_samples=400, dt=0.05)
         one = sample_path(mu, mech, [t], cfg, np.random.default_rng(8))
         assert one.shape == (1, 400, mech.d)
         assert np.array_equal(one[0], sample_transition(mu, mech, t, cfg, np.random.default_rng(8)))
-        fresh = sample_path(np.zeros(mech.d), mech, [t], cfg, np.random.default_rng(8), imm=imm)
-        assert np.array_equal(fresh[0], sample_immigration(imm, mech, t, cfg, np.random.default_rng(8)))
+    # off the exact Gamma route a stationary draw is the path from zero at the horizon
+    cfg = SimConfig(n_samples=400, dt=0.05)
+    horizon = [simulate.stationary_horizon(sc.mech)]
+    assert np.array_equal(
+        sample_stationary(sc.imm, sc.mech, cfg, np.random.default_rng(8)),
+        sample_path(np.zeros(2), sc.mech, horizon, cfg, np.random.default_rng(8), imm=sc.imm)[0])
     # on the exact route the path from mu with imm is the transition plus an
     # independent immigration draw, in that order on one generator
     imm = ImmigrationMechanism(beta=[2.0], nu=(PointMass(u=[0.5], weight=0.8),
@@ -393,7 +395,8 @@ def test_path_with_one_time_draws_what_the_samplers_draw():
         cbi = sample_path([2.0], quad_mech(), [t], cfg, np.random.default_rng(9), imm=imm)[0]
         rng = np.random.default_rng(9)
         parts = sample_transition([2.0], quad_mech(), t, cfg, rng)
-        assert np.array_equal(cbi, parts + sample_immigration(imm, quad_mech(), t, cfg, rng))
+        influx = sample_path([0.0], quad_mech(), [t], cfg, rng, imm=imm)[0]
+        assert np.array_equal(cbi, parts + influx)
 
 
 def test_zero_start_draws_nothing():

@@ -65,6 +65,11 @@ class TestScenario:
         with pytest.raises(ValidationError, match="unknown checks"):
             reference_scenario(checks=("laplace", "nonsense"))
 
+    def test_repeated_check_rejected(self):
+        with pytest.raises(ValidationError, match=r"more than once: \['laplace', 'stationary'\]"):
+            reference_scenario(checks=("stationary", "laplace", "extinction_atom",
+                                       "laplace", "stationary"))
+
     def test_defaults(self):
         sc = reference_scenario()
         assert sc.checks == tuple(CHECKS)
@@ -280,6 +285,22 @@ class TestFailureContainment:
         assert not report.passed
         assert any("BlowUpError" in r.reason for r in report.rows if r.verdict == "fail")
 
+    @pytest.mark.parametrize("check", ["tv_sandwich", "stationary"])
+    def test_histogram_past_the_cell_cap_becomes_fail_row(self, monkeypatch, check):
+        # d = 4 at the default 128 bins needs 258^4 cells: the check aborts
+        # instead of allocating them
+        def no_histogram(*args, **kwargs):
+            raise AssertionError("a refused grid must not be allocated")
+
+        monkeypatch.setattr(np, "histogramdd", no_histogram)
+        sc = Scenario(name="d4", mech=BranchingMechanism(b=[1.0] * 4, c=[1.0] * 4),
+                      imm=ImmigrationMechanism(beta=[1.0] * 4),
+                      cfg=SimConfig(n_samples=50, dt=0.05, seed=1), mu=[1.0] * 4, times=(0.5,),
+                      checks=(check,))
+        row, = run_scenario(sc).rows
+        assert (row.verdict, row.claim) == ("fail", "check aborted before producing rows")
+        assert row.reason.startswith("ValidationError: ") and "in d = 4" in row.reason
+
 
 class TestDeterminism:
     def test_same_seed_same_rows(self):
@@ -378,15 +399,37 @@ class TestStationaryBundle:
         assert len(calls) == REPLICATES * (1 + fits)
         assert len(rows) == 2 + 2 * len(times) + (2 if fits else 0)
 
+    @pytest.mark.parametrize("times, imm, passes", [
+        ((0.5, 1.0, 2.0, 3.0), IMM, 2),  # the bundle rows, then the rate fits
+        ((1.0,), IMM, 1),  # too few fit times: the bundle rows only
+        ((0.5, 1.0, 2.0, 3.0), None, 1),  # no immigration: the decay row only
+    ], ids=["rate-fits", "no-fits", "no-immigration"])
+    def test_one_replicate_pass_per_stream_use(self, monkeypatch, times, imm, passes):
+        # every bundle row is reduced in its replicate's thread, in one pass
+        maps, per_replicate = [], verify._per_replicate
+
+        def counting(fn, replicates):
+            maps.append(fn)
+            return per_replicate(fn, replicates)
+
+        monkeypatch.setattr(verify, "_per_replicate", counting)
+        sc = reference_scenario(cfg=SimConfig(n_samples=400, dt=0.02, seed=3), times=times,
+                                imm=imm, checks=("stationary",))
+        rows = run_scenario(sc).rows
+        assert len(maps) == passes
+        assert all(r.verdict in ("pass", "fail") for r in rows)
+        assert not any(r.claim == "check aborted before producing rows" for r in rows)
+
 
 class TestTransitionPaths:
-    # (check, {drawing function: calls per replicate}); the times argument
-    # of each sits at the given position
-    GRID_ARG = {"sample_path": 2, "couple_transitions": 3, "couple_cbi": 4}
-    DRAWS = [("laplace", {"sample_path": 1}),
-             ("extinction_atom", {"sample_path": 1}),
-             ("wasserstein_sandwich", {"couple_transitions": 1, "couple_cbi": 1}),
-             ("tv_sandwich", {"sample_path": 2})]
+    # (check, {(drawing function, with imm): calls per replicate}); the times
+    # argument of each sits at the given position
+    GRID_ARG = {"sample_path": 2, "couple_transitions": 3}
+    DRAWS = [("laplace", {("sample_path", True): 1}),
+             ("extinction_atom", {("sample_path", False): 1}),
+             ("wasserstein_sandwich", {("couple_transitions", False): 1,
+                                       ("couple_transitions", True): 1}),
+             ("tv_sandwich", {("sample_path", False): 2})]
 
     @pytest.mark.parametrize("times", [(1.0,), (0.5, 1.0, 2.0, 3.0)])
     def test_one_path_per_replicate(self, monkeypatch, times):
@@ -395,7 +438,7 @@ class TestTransitionPaths:
         calls = []
         for name, pos in self.GRID_ARG.items():
             def counting(*args, _name=name, _pos=pos, _real=getattr(verify, name), **kwargs):
-                calls.append((_name, tuple(args[_pos])))
+                calls.append((_name, kwargs.get("imm") is not None, tuple(args[_pos])))
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(verify, name, counting)
@@ -406,7 +449,7 @@ class TestTransitionPaths:
         for check, per_replicate in self.DRAWS:
             calls.clear()
             rows = CHECKS[check](sc, [np.random.default_rng(r) for r in range(REPLICATES)], an)
-            assert sorted(calls) == sorted((name, times) for name, k in per_replicate.items()
+            assert sorted(calls) == sorted((*draw, times) for draw, k in per_replicate.items()
                                            for _ in range(k * REPLICATES)), check
             assert len(rows) == len(times) * (2 if check == "wasserstein_sandwich" else 1)
         # the exact route of tv_sandwich draws nothing
@@ -427,13 +470,15 @@ class TestConcurrentReplicates:
         if name == "folded":  # d = 2 with drift; stationary bundles and rate fits
             return replace(shipped("ref_d2_folded"), checks=("stationary",),
                            cfg=SimConfig(n_samples=300, dt=0.05, seed=2))
+        if name == "quadratic":  # every check on the exact route, stationary with immigration
+            return replace(shipped("ref_d1_quadratic"), cfg=SimConfig(n_samples=500, seed=1))
         # every check on the stepped stable route; at a ceiling of 60 some
         # checks abort on a blow-up in one of their replicates
         ceiling = 60.0 if name == "stable-blow-up" else 1e12
         return reference_scenario(mech=self.STABLE, times=(0.5, 1.0, 2.0, 3.0),
                                   cfg=SimConfig(n_samples=200, dt=0.05, seed=3, ceiling=ceiling))
 
-    @pytest.mark.parametrize("name", ["stable", "stable-blow-up", "folded"])
+    @pytest.mark.parametrize("name", ["stable", "stable-blow-up", "folded", "quadratic"])
     def test_rows_do_not_depend_on_the_cpu_count(self, monkeypatch, name):
         sc = self.small_scenario(name)
         threads = threading.active_count()
