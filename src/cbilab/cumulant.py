@@ -28,8 +28,9 @@ solve_cumulant is the one-lane case.
 The extinction envelope has one owner, extinction_envelope, and two
 routes.  The reciprocal flow u = 1/v, u' = u^2 phi(1/u), starts at the
 lambda -> infinity end, where it is nearly linear, and gives every time
-from one solve.  The lambda ladder (vbar_vector) runs its rungs as one
-batch at the last time and checks it.
+from one solve.  The scalar root of phi_* (vbar_scalar) checks it at every
+time, on both sides in d = 1, where phi_* is phi; otherwise the lambda
+ladder (vbar_vector), one batch of rungs, checks it at the last time.
 """
 
 from __future__ import annotations
@@ -492,7 +493,8 @@ def vbar_scalar(phi_star: BranchingMechanism, t: float) -> float:
     return root
 
 
-def vbar_vector(mech: BranchingMechanism, t: float, tol: float = 1e-8) -> np.ndarray:
+def vbar_vector(mech: BranchingMechanism, t: float, tol: float = 1e-8, *,
+                cap: Optional[float] = None) -> np.ndarray:
     """Componentwise extinction envelope at t by the lambda ladder: the limit
     of v(t, L*(1,..,1)) as L grows.
 
@@ -502,8 +504,9 @@ def vbar_vector(mech: BranchingMechanism, t: float, tol: float = 1e-8) -> np.nda
     as the scan has found that rung.  Every iterate is certified against the
     scalar envelope of the dominating mechanism (the flow started from any L
     is bounded by the scalar flow started at its sup-norm, hence by the
-    scalar envelope).  This is the independent check of the reciprocal
-    route in `extinction_envelope`.
+    scalar envelope).  cap is that scalar envelope at t when the caller has
+    it already.  This is the independent check of the reciprocal route in
+    `extinction_envelope` when d >= 2.
 
     Raises:
         GreyConditionError: dominating mechanism fails the tail-integrability test.
@@ -513,8 +516,8 @@ def vbar_vector(mech: BranchingMechanism, t: float, tol: float = 1e-8) -> np.nda
     """
     if not t > 0:
         raise ValidationError(f"vbar needs t > 0, got {t}")
-    phi_star = dominating_mechanism(mech)
-    cap = vbar_scalar(phi_star, t)  # raises GreyConditionError when infinite
+    if cap is None:
+        cap = vbar_scalar(dominating_mechanism(mech), t)  # raises GreyConditionError when infinite
     ode_tol = min(tol * 1e-2, 1e-10)
     ladder = 10.0 ** np.arange(1, 13)
     grid = _record_times(float(t), None)
@@ -568,18 +571,14 @@ def reciprocal_envelope(mech: BranchingMechanism, times) -> np.ndarray:
     linear at the lambda -> infinity end, u' ~ b u + c for a quadratic
     mechanism, where the v-flow is stiff.  It starts from u(0) = 1e-12, the
     ladder's top rung, and carries no blow-up ceiling: u grows like e^{bt}.
-    Each value is certified against the scalar envelope of the dominating
-    mechanism, as each ladder rung is.
+    The values are unchecked; `extinction_envelope` checks them.
 
     Raises:
-        GreyConditionError: dominating mechanism fails the tail-integrability test.
-        NumericError: the solve fails, or a certificate is violated.
+        NumericError: the solve fails.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0 or not times[0] > 0:
         raise ValidationError(f"vbar needs non-empty times > 0, got {times.tolist()}")
-    phi_star = dominating_mechanism(mech)
-    caps = [vbar_scalar(phi_star, t) for t in times.tolist()]  # raises GreyConditionError when infinite
     grid = _record_times(float(times[-1]), times)  # refuses times that do not increase
 
     def rhs(U):
@@ -591,12 +590,7 @@ def reciprocal_envelope(mech: BranchingMechanism, times) -> np.ndarray:
                                     _RECIPROCAL_TOL * 1e-6, grid, math.inf)
     if errors[0] is not None:
         raise errors[0]
-    out = 1.0 / vals[0, 1:]
-    for t, cap, v in zip(times.tolist(), caps, out):
-        if np.any(v > cap * (1.0 + 1e-6)):
-            raise NumericError(f"envelope certificate violated at t={t:g}: "
-                               f"{v} exceeds scalar envelope {cap:.12g}")
-    return out
+    return 1.0 / vals[0, 1:]
 
 
 def extinction_envelope(mech: BranchingMechanism, times) -> np.ndarray:
@@ -604,20 +598,37 @@ def extinction_envelope(mech: BranchingMechanism, times) -> np.ndarray:
     two independent routes.
 
     The reciprocal flow (`reciprocal_envelope`) gives every time from one
-    solve; the lambda ladder (`vbar_vector`) at the last time must agree
-    with it to 1e-7, ten times the ladder's tol.  The ladder runs first, so
-    when both routes fail the ladder's reason is the one raised.
+    solve.  The scalar root of the dominating mechanism phi_*
+    (`vbar_scalar`) bounds the envelope at every time.  In d = 1, when phi_*
+    keeps the jumps of phi, phi_* is phi itself and the root is the
+    envelope: the flow must agree with it at every time to
+    1e-7 * min(1, Vbar_t).  Otherwise every value must stay below its root,
+    and the lambda ladder (`vbar_vector`, given the last root) must agree
+    with the flow at the last time to 1e-7, ten times the ladder's tol.  The
+    ladder runs before the flow, so when both fail the ladder's reason is
+    the one raised.
 
     Raises:
         GreyConditionError: dominating mechanism fails the tail-integrability test.
-        NumericError: either route fails, or the routes disagree.
+        NumericError: a route fails, a value exceeds its root, or the routes
+            disagree.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValidationError("the extinction envelope needs at least one time")
-    ladder = vbar_vector(mech, float(times[-1]))
+    phi_star = dominating_mechanism(mech)
+    caps = [vbar_scalar(phi_star, t) for t in times.tolist()]  # raises GreyConditionError when infinite
+    exact = mech.d == 1 and phi_star.jumps == mech.jumps
+    ladder = None if exact else vbar_vector(mech, float(times[-1]), cap=caps[-1])
     grid = reciprocal_envelope(mech, times)
-    if float(np.max(np.abs(grid[-1] - ladder))) > 1e-7:
+    for t, cap, v in zip(times.tolist(), caps, grid):
+        if exact and abs(float(v[0]) - cap) > 1e-7 * min(1.0, cap):
+            raise NumericError(f"extinction envelope routes disagree at t={t:g}: "
+                               f"reciprocal flow {v.tolist()}, scalar root {cap!r}")
+        if np.any(v > cap * (1.0 + 1e-6)):
+            raise NumericError(f"envelope certificate violated at t={t:g}: "
+                               f"{v} exceeds scalar envelope {cap:.12g}")
+    if not exact and float(np.max(np.abs(grid[-1] - ladder))) > 1e-7:
         raise NumericError(f"extinction envelope routes disagree at t={times[-1]:g}: "
                            f"reciprocal flow {grid[-1].tolist()}, ladder {ladder.tolist()}")
     return grid

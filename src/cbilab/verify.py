@@ -46,6 +46,7 @@ from scipy.integrate import simpson
 from . import __version__
 from .coupling import couple_cbi_to_stationary, couple_stationary, couple_transitions
 from .cumulant import (
+    _flow_lanes,
     extinction_envelope,
     moment_decay_rate,
     moment_semigroup,
@@ -272,9 +273,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _psi_integrals(mech, imm, lam, lags) -> list:
-    """(int_lag^inf psi(v(s, lam)) ds, bound on its tail past lag + H) for
-    each lag of an increasing grid from 0, by one solve that runs
+def _psi_integrals(mech, imm, lams, lags) -> list:
+    """For each row lam of lams, [(int_lag^inf psi(v(s, lam)) ds, bound on
+    its tail past lag + H) per lag of an increasing grid from 0], or the
+    exception that lane failed with.  The rows are lanes of one batch
+    (`_flow_lanes`), each with the bits of a solve of its own, which runs
     H = max(10/beta*, 20) past the last lag on nodes at most H/2000 apart.
     Each ODE value is checked by Simpson on the nodes past its lag."""
     bs = beta_star(mech)
@@ -285,27 +288,33 @@ def _psi_integrals(mech, imm, lam, lags) -> list:
     pieces = [np.linspace(a, b, 2 * max(1, math.ceil((b - a) * 1000.0 / horizon - 1e-9)) + 1)
               for a, b in zip(ends, ends[1:])]
     grid = np.concatenate([piece[:-1] for piece in pieces[:-1]] + pieces[-1:])
-    path = solve_cumulant(mech, lam, ends[-1], tol=1e-10, t_eval=grid, imm=imm)
-    psi_vals = eval_psi(imm, path.v_values)
+    vals, _, _, errors = _flow_lanes(mech, np.asarray(lams, dtype=float), ends[-1], 1e-10, grid, imm)
     influx = float((imm.beta + imm.first_moment()).sum())
-    out = []
-    for k in np.searchsorted(grid, lags):
-        by_simpson = float(simpson(psi_vals[k:], x=grid[k:]))
-        by_ode = float(path.imm_integral[-1] - path.imm_integral[k])
-        if abs(by_simpson - by_ode) > 1e-6 * max(1.0, abs(by_ode)):
-            raise NumericError(f"stationary quadrature mismatch past lag {grid[k]:g}: "
-                               f"simpson {by_simpson:.12g} vs ode {by_ode:.12g}")
-        tail = influx * float(path.v_values[k].max()) * math.exp(-bs * horizon) / bs
-        out.append((by_ode, tail))
-    return out
+
+    def integrals(lane):
+        v, integral = lane[:, :mech.d], lane[:, mech.d]
+        psi_vals = eval_psi(imm, v)
+        rows = []
+        for k in np.searchsorted(grid, lags):
+            by_simpson = float(simpson(psi_vals[k:], x=grid[k:]))
+            by_ode = float(integral[-1] - integral[k])
+            if abs(by_simpson - by_ode) > 1e-6 * max(1.0, abs(by_ode)):
+                return NumericError(f"stationary quadrature mismatch past lag {grid[k]:g}: "
+                                    f"simpson {by_simpson:.12g} vs ode {by_ode:.12g}")
+            rows.append((by_ode, influx * float(v[k].max()) * math.exp(-bs * horizon) / bs))
+        return rows
+
+    return [error or integrals(lane) for lane, error in zip(vals, errors)]
 
 
 class ScenarioAnalytics:
     """The analytic side of one scenario, each part built once, on first use.
     Its grids over the times: the probe flow (one solve), the envelope
-    (`extinction_envelope`: one reciprocal-flow solve, checked by a ladder
-    at the last time) and the stationary TV exponents (one psi solve); and
-    the moment semigroup pi_t per time.  Checks read what they need before
+    (`extinction_envelope`: one reciprocal-flow solve, checked by the scalar
+    root at every time in d = 1 and by a ladder at the last time otherwise)
+    and the stationary exponents (one psi batch: the Laplace lane at
+    lambda_probe and the TV lane at Vbar_{t0}, on the TV lag grid); and the
+    moment semigroup pi_t per time.  Checks read what they need before
     their replicates run: the replicates share no lock, and from Python
     3.12 on neither does cached_property."""
 
@@ -346,20 +355,29 @@ class ScenarioAnalytics:
             return None, str(exc)
 
     @functools.cached_property
+    def psi_lanes(self) -> list:
+        """_psi_integrals over the lags, as one batch: the Laplace lane at
+        lambda_probe, then the TV lane at Vbar_{t0} when the envelope exists."""
+        vbar = self.envelope[0]
+        lams = [self.sc.lambda_probe] + ([] if vbar is None else [vbar[0]])
+        return _psi_integrals(self.sc.mech, self.sc.imm, lams, self.lags)
+
+    @property
     def stationary_tv(self) -> tuple:
         """((exponent, tail bound) per time, "") or (None, why not)."""
         vbar, reason = self.envelope
         if vbar is None:
             return None, reason
-        try:
-            return _psi_integrals(self.sc.mech, self.sc.imm, vbar[0], self.lags), ""
-        except NumericError as exc:
-            return None, str(exc)
+        tv = self.psi_lanes[1]
+        return (None, str(tv)) if isinstance(tv, Exception) else (tv, "")
 
-    @functools.cached_property
+    @property
     def stationary_laplace(self) -> tuple:
         """(exponent, tail bound) of the stationary Laplace functional at lambda_probe."""
-        return _psi_integrals(self.sc.mech, self.sc.imm, self.sc.lambda_probe, [0.0])[0]
+        laplace = self.psi_lanes[0]
+        if isinstance(laplace, Exception):
+            raise laplace
+        return laplace[0]
 
 
 def _skipped(check: str, claim: str, times, reason: str) -> list:

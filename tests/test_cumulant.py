@@ -475,32 +475,70 @@ def test_reciprocal_route_takes_few_steps(mech, times, monkeypatch):
 
 
 def test_single_time_envelope_is_cross_checked(monkeypatch):
+    # d = 2: the ladder at the last time is the second route, and it takes
+    # that time's scalar root as its cap instead of finding it again
     mech = folded_two_type()
-    ladders = []
-    real = cumulant.vbar_vector
+    ladders, roots = [], []
+    real_ladder, real_root = cumulant.vbar_vector, cumulant.vbar_scalar
 
-    def shifted(m, t):
-        ladders.append(t)
-        return real(m, t) + 1e-6
+    def shifted(m, t, **kwargs):
+        ladders.append((t, kwargs))
+        return real_ladder(m, t, **kwargs) + 1e-6
+
+    def root(phi_star, t):
+        roots.append(t)
+        return real_root(phi_star, t)
 
     monkeypatch.setattr(cumulant, "vbar_vector", shifted)
-    with pytest.raises(NumericError, match="routes disagree at t=0.5"):
+    monkeypatch.setattr(cumulant, "vbar_scalar", root)
+    with pytest.raises(NumericError, match="routes disagree at t=0.5: reciprocal flow .*, ladder "):
         extinction_envelope(mech, [0.5])
-    assert ladders == [0.5]
+    assert ladders == [(0.5, {"cap": real_root(dominating_mechanism(mech), 0.5)})]
+    assert roots == [0.5]
 
 
 def test_unstable_ladder_leaves_the_envelope_unavailable():
     # no quadratic part and stable index 0.5: the envelope is finite (Grey
-    # holds), but rungs up to 1e12 still differ by more than the ladder's tol.
-    # The reciprocal route alone gives a value; the two-route envelope gives
-    # none, with the ladder's reason.
+    # holds), but rungs up to 1e12 still differ by more than the ladder's tol,
+    # and the reciprocal flow, which starts at 1e12, sits 1.5e-5 relative
+    # below the scalar root.  In d = 1 that root is the second route, so the
+    # envelope is unavailable with its reason.
     mech = BranchingMechanism(b=[0.6], c=[0.0], jumps=((StableAxis(0, 0.5, 0.25),),))
     assert reciprocal_envelope(mech, [0.5, 1.0]).shape == (2, 1)
-    with pytest.raises(NumericError, match="ladder failed to stabilize within tol=1e-08") as exc:
+    with pytest.raises(NumericError, match="routes disagree at t=0.5: reciprocal flow .*, scalar root "):
         extinction_envelope(mech, [0.5, 1.0])
-    with pytest.raises(NumericError) as ladder:
+    with pytest.raises(NumericError, match="ladder failed to stabilize within tol=1e-08"):
         vbar_vector(mech, 1.0)
-    assert str(exc.value) == str(ladder.value)
+
+
+@pytest.mark.parametrize("mech, times", SHIPPED[:2])
+def test_one_dimensional_envelope_is_checked_at_every_time(mech, times, monkeypatch):
+    # in d = 1, phi_* is phi: the scalar root at each time is the envelope,
+    # so no ladder runs and a 1e-6 drop of the flow at an interior time,
+    # which the one-sided certificate lets pass, is caught
+    monkeypatch.setattr(cumulant, "vbar_vector", None)
+    assert dominating_mechanism(mech).jumps == mech.jumps
+    exact = [vbar_scalar(dominating_mechanism(mech), t) for t in times]
+    np.testing.assert_allclose(extinction_envelope(mech, times)[:, 0], exact, rtol=1e-7, atol=0)
+    real = cumulant.reciprocal_envelope
+
+    def dropped(m, ts):
+        out = real(m, ts)
+        out[1] -= 1e-6
+        return out
+
+    monkeypatch.setattr(cumulant, "reciprocal_envelope", dropped)
+    with pytest.raises(NumericError, match=f"routes disagree at t={times[1]:g}: .* scalar root "):
+        extinction_envelope(mech, times)
+
+
+def test_one_dimensional_envelope_keeps_the_ladder_when_phi_star_drops_a_jump():
+    # phi_* keeps no point-mass jump, so its root only bounds the envelope;
+    # the ladder at the last time checks the flow instead
+    mech = BranchingMechanism(b=[1.0], c=[1.0], jumps=((PointMass(u=[1.0], weight=0.5),),))
+    grid = extinction_envelope(mech, [0.5, 1.0])
+    np.testing.assert_allclose(grid[-1], vbar_vector(mech, 1.0), rtol=0, atol=1e-7)
+    assert grid[-1, 0] < vbar_scalar(dominating_mechanism(mech), 1.0) * (1 - 1e-3)
 
 
 def test_envelope_times_must_be_positive():

@@ -14,7 +14,7 @@ from cbilab import coupling, cumulant, distance, verify
 from cbilab.cli import load_document, main, parse_scenario
 from cbilab.errors import BlowUpError, ValidationError
 from cbilab.mechanism import BranchingMechanism, ImmigrationMechanism, PointMass, StableAxis
-from cbilab.cumulant import reciprocal_envelope, solve_cumulant, vbar_vector
+from cbilab.cumulant import reciprocal_envelope, solve_cumulant, vbar_scalar, vbar_vector
 from cbilab.simulate import SimConfig, sample_stationary
 from cbilab.verify import (
     CHECKS,
@@ -327,35 +327,75 @@ class TestDeterminism:
 
 
 def count_envelope_routes(monkeypatch) -> tuple:
-    """Record the time of each ladder and the times of each reciprocal solve."""
-    ladders, reciprocals = [], []
+    """Record the time of each ladder, the times of each reciprocal solve and
+    the time of each scalar root."""
+    ladders, reciprocals, roots = [], [], []
 
-    def ladder(mech, t):
+    def ladder(mech, t, **kwargs):
         ladders.append(t)
-        return vbar_vector(mech, t)
+        return vbar_vector(mech, t, **kwargs)
 
     def reciprocal(mech, times):
         reciprocals.append(tuple(times))
         return reciprocal_envelope(mech, times)
 
+    def root(phi_star, t):
+        roots.append(t)
+        return vbar_scalar(phi_star, t)
+
     monkeypatch.setattr(cumulant, "vbar_vector", ladder)
     monkeypatch.setattr(cumulant, "reciprocal_envelope", reciprocal)
-    return ladders, reciprocals
+    monkeypatch.setattr(cumulant, "vbar_scalar", root)
+    return ladders, reciprocals, roots
+
+
+def count_psi_batches(monkeypatch) -> list:
+    """Record the number of lanes of each psi batch."""
+    batches = []
+    real = verify._flow_lanes
+
+    def lanes(mech, lams, *args, **kwargs):
+        batches.append(len(lams))
+        return real(mech, lams, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_flow_lanes", lanes)
+    return batches
+
+
+ENVELOPE_CHECKS = ("extinction_atom", "tv_sandwich", "lipschitz_contraction", "stationary")
+
+
+def small_folded() -> Scenario:
+    sc = shipped("ref_d2_folded")
+    return replace(sc, cfg=replace(sc.cfg, n_samples=300, seed=3), times=(0.5, 1.0),
+                   checks=ENVELOPE_CHECKS)
 
 
 class TestSharedAnalytics:
     def test_envelope_solved_once_per_time(self, monkeypatch):
-        # one reciprocal solve serves every time; one ladder checks the last
-        ladders, reciprocals = count_envelope_routes(monkeypatch)
+        # d = 1: one reciprocal solve serves every time, and the scalar root
+        # at each time, which phi_* = phi makes the envelope, checks it
+        ladders, reciprocals, roots = count_envelope_routes(monkeypatch)
         sc = reference_scenario(cfg=SimConfig(n_samples=300, dt=0.02, seed=3),
-                                times=(0.5, 1.0),
-                                checks=("extinction_atom", "tv_sandwich",
-                                        "lipschitz_contraction", "stationary"))
+                                times=(0.5, 1.0), checks=ENVELOPE_CHECKS)
         report = run_scenario(sc)
         assert {r.check for r in report.rows} >= {"extinction_atom", "tv_sandwich",
                                                    "lipschitz_contraction", "stationary_tv_bound"}
+        assert ladders == []
+        assert reciprocals == [(0.5, 1.0)]
+        assert roots == [0.5, 1.0]
+
+    def test_two_type_envelope_runs_one_ladder_on_the_last_root(self, monkeypatch):
+        # d = 2: phi_* only bounds the envelope, so one ladder checks the
+        # last time, capped by the root found there once
+        ladders, reciprocals, roots = count_envelope_routes(monkeypatch)
+        report = run_scenario(small_folded())
+        assert {r.check for r in report.rows} >= {"extinction_atom", "tv_sandwich",
+                                                   "lipschitz_contraction", "stationary_tv_bound"}
+        assert all(r.verdict != "skipped" for r in report.rows)
         assert ladders == [1.0]
         assert reciprocals == [(0.5, 1.0)]
+        assert roots == [0.5, 1.0]
 
     def test_lipschitz_row_is_the_exact_constant(self):
         sc = replace(shipped("ref_d2_folded"), lambda_probe=[1.0, 0.1])
@@ -575,12 +615,35 @@ class TestAnalyticGrids:
         tv, reason = an.stationary_tv
         assert reason == ""
         for (exponent, tail), vbar in zip(tv, per_t):
-            ref, ref_tail = _psi_integrals(sc.mech, sc.imm, vbar, [0.0])[0]
+            ref, ref_tail = _psi_integrals(sc.mech, sc.imm, [vbar], [0.0])[0][0]
             assert abs(exponent - ref) <= ref_tail + 1e-8
             assert tail == pytest.approx(ref_tail, rel=1e-6)
 
+    def test_psi_lanes_match_one_lane_solves(self, grids, monkeypatch):
+        # the Laplace and TV lanes of one batch, each with the bits of its own solve
+        sc, an, _ = grids
+        lams = [sc.lambda_probe, an.envelope[0][0]]
+        batches = []
+        real = verify._flow_lanes
+
+        def lanes(*args):
+            out = real(*args)
+            batches.append((args, out[0]))
+            return out
+
+        monkeypatch.setattr(verify, "_flow_lanes", lanes)
+        both = _psi_integrals(sc.mech, sc.imm, lams, an.lags)
+        ((_, starts, t_end, tol, grid, imm), vals), = batches
+        assert np.array_equal(starts, lams) and tol == 1e-10 and imm is sc.imm
+        for lane, lam in enumerate(lams):
+            alone = solve_cumulant(sc.mech, lam, t_end, tol, t_eval=grid, imm=imm)
+            assert np.array_equal(vals[lane, :, :sc.mech.d], alone.v_values)
+            assert np.array_equal(vals[lane, :, sc.mech.d], alone.imm_integral)
+        assert (an.stationary_laplace, an.stationary_tv) == (both[0][0], (both[1], ""))
+
     def test_one_solve_per_grid_on_the_quadratic_scenario(self, monkeypatch):
-        ladders, reciprocals = count_envelope_routes(monkeypatch)
+        ladders, reciprocals, roots = count_envelope_routes(monkeypatch)
+        batches = count_psi_batches(monkeypatch)
         solves = []
 
         def solve(*args, **kwargs):
@@ -589,33 +652,79 @@ class TestAnalyticGrids:
 
         monkeypatch.setattr(verify, "solve_cumulant", solve)
         assert run_scenario(shipped("ref_d1_quadratic")).passed
-        # the envelope: one reciprocal solve, checked by one ladder at t_max
-        assert ladders == [4.0]
+        # the envelope: one reciprocal solve, checked by the scalar root at every time
+        assert ladders == []
         assert reciprocals == [(0.5, 1.0, 2.0, 3.0, 4.0)]
-        # probe flow, stationary-TV lags, stationary Laplace
-        assert len(solves) == 3
+        assert roots == [0.5, 1.0, 2.0, 3.0, 4.0]
+        # the probe flow, and one psi batch of the stationary Laplace and TV lanes
+        assert len(solves) == 1
+        assert batches == [2]
+
+    @pytest.mark.parametrize("name, ladders", [("ref_d1_quadratic", []), ("ref_d1_stable", []),
+                                               ("ref_d2_folded", [3.0]), ("negative_control", [])])
+    def test_serial_solves_of_each_shipped_scenario(self, monkeypatch, name, ladders):
+        # the cost guard of the analytic side, counted rather than timed: a
+        # ladder only where phi_* does not give the envelope, and one psi
+        # batch per stationary check.  A small n keeps the sampling cheap;
+        # it moves no analytic solve.
+        routes = count_envelope_routes(monkeypatch)
+        batches = count_psi_batches(monkeypatch)
+        sc = shipped(name)
+        run_scenario(replace(sc, cfg=replace(sc.cfg, n_samples=60)))
+        assert routes[0] == ladders
+        assert batches == ([2] if "stationary" in sc.checks else [])
 
     def test_disagreeing_routes_skip_the_envelope_rows(self, monkeypatch):
         sc = reference_scenario(cfg=SimConfig(n_samples=300, dt=0.02, seed=3), times=(0.5, 1.0),
-                                checks=("tv_sandwich", "extinction_atom",
-                                        "lipschitz_contraction", "stationary"))
-        # a 1e-6 shift of either route
-        shifts = [("vbar_vector", lambda mech, t: vbar_vector(mech, t) + 1e-6),
-                  ("reciprocal_envelope", lambda mech, times: reciprocal_envelope(mech, times) + 1e-6)]
+                                checks=ENVELOPE_CHECKS)
+
+        def dropped_first(mech, times):  # below the root at a time before the last
+            out = reciprocal_envelope(mech, times)
+            out[0] -= 1e-6
+            return out
+
+        # d = 1: a 1e-6 shift of either route, in either direction
+        shifts = [("vbar_scalar", lambda phi_star, t: vbar_scalar(phi_star, t) + 1e-6),
+                  ("reciprocal_envelope", lambda mech, times: reciprocal_envelope(mech, times) + 1e-6),
+                  ("reciprocal_envelope", dropped_first)]
         for route, shifted in shifts:
             with monkeypatch.context() as patch:
                 patch.setattr(cumulant, route, shifted)
                 report = run_scenario(sc)
-            skipped = [r for r in report.rows if r.check in {"tv_sandwich", "extinction_atom",
-                                                             "stationary_tv_bound"}]
-            assert len(skipped) == 3 * len(sc.times), route
-            for r in skipped:
-                assert r.verdict == "skipped"
-                assert "reciprocal flow" in r.reason and "ladder" in r.reason
-            lipschitz = [r for r in report.rows if r.check == "lipschitz_contraction"]
-            assert len(lipschitz) == len(sc.times)
-            assert all(set(r.analytic) == {"bound_moment"} for r in lipschitz)
-            assert not any(r.claim == "check aborted before producing rows" for r in report.rows)
+            assert_envelope_rows_skipped(report, sc, ("reciprocal flow", "scalar root"))
+
+    def test_disagreeing_ladder_skips_the_envelope_rows(self, monkeypatch):
+        # d = 2: a 1e-6 shift of the ladder
+        sc = small_folded()
+        monkeypatch.setattr(cumulant, "vbar_vector",
+                            lambda mech, t, **kwargs: vbar_vector(mech, t, **kwargs) + 1e-6)
+        assert_envelope_rows_skipped(run_scenario(sc), sc, ("reciprocal flow", "ladder"))
+
+
+def assert_envelope_rows_skipped(report, sc, routes):
+    """Every envelope row skipped with a reason naming both routes; the
+    Lipschitz rows keep their moment bound and nothing aborts."""
+    skipped = [r for r in report.rows if r.check in {"tv_sandwich", "extinction_atom",
+                                                     "stationary_tv_bound"}]
+    assert len(skipped) == 3 * len(sc.times)
+    for r in skipped:
+        assert r.verdict == "skipped"
+        assert all(route in r.reason for route in routes), r.reason
+    lipschitz = [r for r in report.rows if r.check == "lipschitz_contraction"]
+    assert len(lipschitz) == len(sc.times)
+    assert all(set(r.analytic) == {"bound_moment"} for r in lipschitz)
+    assert not any(r.claim == "check aborted before producing rows" for r in report.rows)
+
+
+def perturb_simpson_route(monkeypatch, start: float) -> None:
+    """Scale the Simpson route's integrand on the psi lane that starts at start."""
+    real = verify.eval_psi
+
+    def psi(imm, v):
+        out = real(imm, v)
+        return out * 1.001 if v[0, 0] == start else out
+
+    monkeypatch.setattr(verify, "eval_psi", psi)
 
 
 class TestStationaryExponent:
@@ -623,13 +732,36 @@ class TestStationaryExponent:
         # b=c=1, beta=2: the limit law is Gamma(2, 1), so the Laplace value
         # at lam is (1+lam)^(-2) and the exponent is 2 log(1+lam)
         for lam in (0.5, 1.0, 2.0):
-            exponent, tail = _psi_integrals(MECH, IMM, np.array([lam]), [0.0])[0]
+            exponent, tail = _psi_integrals(MECH, IMM, [[lam]], [0.0])[0][0]
             assert exponent == pytest.approx(2.0 * math.log1p(lam), abs=1e-8)
             assert tail < 1e-8
 
     def test_refuses_supercritical(self):
         with pytest.raises(ValidationError):
-            _psi_integrals(BranchingMechanism(b=[-1.0], c=[1.0]), IMM, np.array([1.0]), [0.0])
+            _psi_integrals(BranchingMechanism(b=[-1.0], c=[1.0]), IMM, [[1.0]], [0.0])
+
+    def test_tv_lane_failure_skips_only_the_tv_rows(self, monkeypatch):
+        sc = reference_scenario(cfg=SimConfig(n_samples=300, dt=0.02, seed=3), times=(0.5, 1.0),
+                                checks=("stationary",))
+        clean = run_scenario(sc).rows
+        perturb_simpson_route(monkeypatch, ScenarioAnalytics(sc).envelope[0][0, 0])  # Vbar_0.5
+        rows = run_scenario(sc).rows
+        assert [r for r in rows if r.check != "stationary_tv_bound"] == \
+            [r for r in clean if r.check != "stationary_tv_bound"]
+        tv = [r for r in rows if r.check == "stationary_tv_bound"]
+        assert [r.t for r in tv] == list(sc.times)
+        for r in tv:
+            assert r.verdict == "skipped"
+            assert r.reason.startswith("stationary quadrature mismatch past lag 0: simpson ")
+
+    def test_laplace_lane_failure_aborts_the_check(self, monkeypatch):
+        sc = reference_scenario(cfg=SimConfig(n_samples=300, dt=0.02, seed=3), times=(0.5, 1.0),
+                                checks=("stationary",))
+        perturb_simpson_route(monkeypatch, 1.0)  # lambda_probe
+        row, = run_scenario(sc).rows
+        assert (row.check, row.claim, row.verdict) == ("stationary", "check aborted before producing rows",
+                                                       "fail")
+        assert row.reason.startswith("NumericError: stationary quadrature mismatch past lag 0: simpson ")
 
 
 class TestReportSerialization:
