@@ -9,11 +9,13 @@ gap between the legs upper-bounds the Wasserstein distance while the
 fraction of unequal rows upper-bounds half the total-variation distance.
 
 With immigration, `couple_transitions` adds one shared immigration path to
-both legs (zero extra cost by construction).  The stationary couplings use the flow
-decomposition of the stationary law: a stationary state is an independent
-sum of the time-t immigration mass and a time-t evolution of a stationary
-state, so pairing a fresh immigration draw with that decomposition couples
-the time-t law with its limit.
+both legs (zero extra cost by construction).  `couple_stationary` uses the
+flow decomposition of the stationary law: a stationary state is an
+independent sum of the time-t immigration mass and a time-t evolution of a
+stationary state, so pairing a fresh immigration draw with that
+decomposition couples the time-t law with its limit.  By the same
+decomposition, `couple_transitions` from mu and from a stationary batch
+couples the transition law from mu with the stationary law.
 
 Every coupling runs along an increasing grid of times, one `sample_path`
 per piece, and returns one pair per time.  By the Markov property each
@@ -38,7 +40,6 @@ __all__ = [
     "jordan_decompose",
     "couple_transitions",
     "couple_stationary",
-    "couple_cbi_to_stationary",
 ]
 
 
@@ -166,21 +167,3 @@ def couple_stationary(imm: ImmigrationMechanism, mech: BranchingMechanism,
     fresh = sample_path(np.zeros(mech.d), mech, times, cfg, rng, imm=imm)
     evolved = sample_path(stationary, mech, times, cfg, rng)
     return stationary, [CoupledPair(f, f + e) for f, e in zip(fresh, evolved)]
-
-
-def couple_cbi_to_stationary(mu, imm: ImmigrationMechanism, mech: BranchingMechanism,
-                             t: float, cfg: SimConfig, rng) -> CoupledPair:
-    """Couple the with-immigration transition law from mu with the stationary law.
-
-    Each row draws its own stationary state eta, and `couple_transitions`
-    with imm couples the rows started from mu with the rows started from
-    eta: a rowwise Jordan decomposition of (mu, eta) plus one shared
-    immigration path.  left is then the time-t law started from mu, right
-    is stationary, and both the cost and the fraction of unequal rows decay
-    at the subcriticality rate — this is the pair the ergodicity rate fits
-    regress on.
-    """
-    mu = mass_vector(mu, d=mech.d)
-    eta = sample_stationary(imm, mech, cfg, rng)
-    return couple_transitions(np.tile(mu, (cfg.n_samples, 1)), eta, mech, [t], cfg, rng,
-                              imm=imm)[0]

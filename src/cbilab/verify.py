@@ -18,10 +18,10 @@ that mean, Z99 * sqrt(sum_r se_r^2) / R, where se_r is the standard error
 of replicate r's estimate.  Exact (non-sampling) rows use absolute
 tolerances around 1e-9 and report ci = 0.  Each check draws one path or
 coupling per replicate and reduces it to all its rows in that replicate's
-thread: the stationary mean, Laplace, W1 and TV rows read one shared
-coupling draw, and each transition check reads all its times off one path
-(or coupling), so those rows are correlated with one another; the
-replicates stay independent.
+thread: the stationary rows read one stationary batch and its couplings,
+and each transition check reads all its times off one path (or coupling),
+so those rows are correlated with one another; the replicates stay
+independent.
 
 The `tamper` field of a scenario shifts analytic lower bounds upward and
 exists so that a deliberately corrupted fixture demonstrably fails — a
@@ -44,7 +44,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from . import __version__
-from .coupling import couple_cbi_to_stationary, couple_stationary, couple_transitions
+from .coupling import couple_stationary, couple_transitions
 from .cumulant import (
     _flow_lanes,
     extinction_envelope,
@@ -250,16 +250,21 @@ def _per_replicate(fn, replicates) -> list:
 
 
 def _replicate_rows(replicates, draw) -> list:
-    """(fields, columns) per row, from draw(r): one (estimate, se, ok,
-    *extras) tuple per row, in row order, for replicate r, its random
-    stream.  The replicates run concurrently (`_per_replicate`) and are
-    combined in replicate order.  fields are the row's CheckRow fields: the
-    mean estimate, its ci and a verdict that passes only if every replicate
-    passes; columns are the tuples transposed, columns[0] the replicate
-    estimates and columns[3:] the extras.  A draw reduces each path or
+    """_combined rows of draw(r) for each replicate r, its random stream,
+    drawn concurrently (`_per_replicate`).  A draw reduces each path or
     coupling as soon as it is drawn, so a thread holds one at a time."""
+    return _combined(_per_replicate(draw, replicates))
+
+
+def _combined(per_replicate) -> list:
+    """(fields, columns) per row, from one (estimate, se, ok, *extras) tuple
+    per row, in row order, for each replicate, combined in replicate order.
+    fields are the row's CheckRow fields: the mean estimate, its ci and a
+    verdict that passes only if every replicate passes; columns are the
+    tuples transposed, columns[0] the replicate estimates and columns[3:]
+    the extras."""
     out = []
-    for tuples in zip(*_per_replicate(draw, replicates)):
+    for tuples in zip(*per_replicate):
         columns = list(zip(*tuples))
         ests, ses, oks = columns[:3]
         out.append(({"estimate": float(np.mean(ests)),
@@ -275,11 +280,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _psi_integrals(mech, imm, lams, lags) -> list:
     """For each row lam of lams, [(int_lag^inf psi(v(s, lam)) ds, bound on
-    its tail past lag + H) per lag of an increasing grid from 0], or the
-    exception that lane failed with.  The rows are lanes of one batch
-    (`_flow_lanes`), each with the bits of a solve of its own, which runs
-    H = max(10/beta*, 20) past the last lag on nodes at most H/2000 apart.
-    Each ODE value is checked by Simpson on the nodes past its lag."""
+    its tail past the batch's end lags[-1] + H) per lag of an increasing
+    grid from 0], or the exception that lane failed with.  The rows are
+    lanes of one batch (`_flow_lanes`), each with the bits of a solve of its
+    own, which runs H = max(10/beta*, 20) past the last lag on nodes at most
+    H/2000 apart.  Each ODE value is checked by Simpson on the nodes past its lag."""
     bs = beta_star(mech)
     if bs <= 0:
         raise ValidationError(f"stationary exponent needs beta_star > 0, got {bs:.6g}")
@@ -295,13 +300,13 @@ def _psi_integrals(mech, imm, lams, lags) -> list:
         v, integral = lane[:, :mech.d], lane[:, mech.d]
         psi_vals = eval_psi(imm, v)
         rows = []
-        for k in np.searchsorted(grid, lags):
+        for lag, k in zip(lags, np.searchsorted(grid, lags)):
             by_simpson = float(simpson(psi_vals[k:], x=grid[k:]))
             by_ode = float(integral[-1] - integral[k])
             if abs(by_simpson - by_ode) > 1e-6 * max(1.0, abs(by_ode)):
                 return NumericError(f"stationary quadrature mismatch past lag {grid[k]:g}: "
                                     f"simpson {by_simpson:.12g} vs ode {by_ode:.12g}")
-            rows.append((by_ode, influx * float(v[k].max()) * math.exp(-bs * horizon) / bs))
+            rows.append((by_ode, influx * float(v[k].max()) * math.exp(-bs * (ends[-1] - lag)) / bs))
         return rows
 
     return [error or integrals(lane) for lane, error in zip(vals, errors)]
@@ -643,15 +648,28 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
               <= bound + SIGMAS * math.sqrt(2.0 / sc.cfg.n_samples) + 2e-2)
         return diff, se, ok
 
+    # exponential-rate fits over the tail of the grid, on three or more times
+    fit_ts = [t for t in sc.times if t >= 1.0]
+    fit_ts = fit_ts if len(fit_ts) >= 3 else []
+
     def draw(rng):
         # one coupling serves the mean, Laplace, W1 and TV rows: its
         # stationary batch S, and at each t the pair (fresh_t, fresh_t + Q_t S)
         x, pairs = couple_stationary(imm, mech, sc.times, sc.cfg, rng)
-        return [mean_row(x), laplace_row(x),
-                *(_w1_replicate(pair, w1, w1, w1, sc) for pair, w1 in zip(pairs, w1s)),
-                *(tv_row(pair, *bound) for pair, bound in zip(pairs, tv_bounds))]
+        bundle = [mean_row(x), laplace_row(x),
+                  *(_w1_replicate(pair, w1, w1, w1, sc) for pair, w1 in zip(pairs, w1s)),
+                  *(tv_row(pair, *bound) for pair, bound in zip(pairs, tv_bounds))]
+        del pairs  # a thread holds one coupling at a time
+        if not fit_ts:
+            return bundle, ()
+        # the rate pairs couple mu with S along fit_ts.  imm is left out: a
+        # shared influx leaves left - right, so cost and differ, unchanged
+        rate_pairs = couple_transitions(np.tile(sc.mu, (len(x), 1)), x, mech, fit_ts, sc.cfg, rng)
+        return bundle, ([pair.cost() for pair in rate_pairs],
+                        [2.0 * pair.differ() for pair in rate_pairs])
 
-    results = iter(_replicate_rows(rngs, draw))
+    drawn = _per_replicate(draw, rngs)
+    results = iter(_combined([bundle for bundle, _ in drawn]))
     fields, cols = next(results)
     rows = [CheckRow(
         check="stationary_mean",
@@ -689,20 +707,14 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
             analytic={"bound": bound}, **fields,
         ))
 
-    # exponential-rate fits over the tail of the grid.  The observable decays
-    # at the moment-semigroup rate (the spectral bound of -diag(b) + gamma);
-    # beta* is the row-sum certificate for that rate, so rate >= beta* is a
-    # deterministic side condition rather than the fit target.
-    fit_ts = [t for t in sc.times if t >= 1.0]
-    if len(fit_ts) < 3:
+    if not fit_ts:
         return rows
+    # the observable decays at the moment-semigroup rate (the spectral bound
+    # of -diag(b) + gamma); beta* is the row-sum certificate for that rate,
+    # so rate >= beta* is a deterministic side condition rather than the
+    # fit target
     rate = moment_decay_rate(mech)
-
-    def fit_series(rng):  # one replicate's costs and differs along fit_ts
-        pairs = [couple_cbi_to_stationary(sc.mu, imm, mech, t, sc.cfg, rng) for t in fit_ts]
-        return [pair.cost() for pair in pairs], [2.0 * pair.differ() for pair in pairs]
-
-    costs, differs = zip(*_per_replicate(fit_series, rngs))
+    costs, differs = zip(*(series for _, series in drawn))
 
     def rate_row(check: str, claim: str, series: list, within) -> CheckRow:
         slopes = [float(np.polyfit(fit_ts, np.log(pts), 1)[0]) for pts in series if min(pts) > 0]

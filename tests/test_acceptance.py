@@ -18,8 +18,7 @@ import pytest
 from scipy import stats
 
 from cbilab.cli import load_document, main, parse_scenario
-from cbilab.coupling import (couple_cbi_to_stationary, couple_stationary,
-                             couple_transitions)
+from cbilab.coupling import couple_stationary, couple_transitions
 from cbilab.cumulant import closed_form_quadratic, moment_semigroup, solve_cumulant
 from cbilab.distance import (_w1_assignment, tv_empirical, tv_exact_quadratic,
                              w1_1d_quantile)
@@ -170,14 +169,15 @@ def test_stationary_distance_identity():
 
 def test_ergodicity_rate_fits():
     with criterion(8, "log-linear W1 rate within 10% of -beta*, TV rate within 15%"):
+        # one path along ts from a stationary batch; the cost and the
+        # fraction of unequal rows read left - right, which a shared influx
+        # leaves unchanged, so none is drawn
         rng = _rng(80)
         ts = np.arange(1.0, 7.0)
-        w1s, tvs = [], []
-        for t in ts:
-            pair = couple_cbi_to_stationary([2.0], IMM1, MECH1, float(t),
-                                            _cfg(20_000), rng)
-            w1s.append(pair.cost())
-            tvs.append(2.0 * pair.differ())
+        eta = sample_stationary(IMM1, MECH1, _cfg(20_000), rng)
+        pairs = couple_transitions(np.full((20_000, 1), 2.0), eta, MECH1, ts, _cfg(20_000), rng)
+        w1s = [pair.cost() for pair in pairs]
+        tvs = [2.0 * pair.differ() for pair in pairs]
         slope_w1 = float(np.polyfit(ts, np.log(w1s), 1)[0])
         slope_tv = float(np.polyfit(ts, np.log(tvs), 1)[0])
         assert abs(slope_w1 + 1.0) <= 0.10, slope_w1

@@ -21,7 +21,6 @@ from scipy import stats
 from cbilab.cli import main
 from cbilab.coupling import (
     CoupledPair,
-    couple_cbi_to_stationary,
     couple_stationary,
     couple_transitions,
     jordan_decompose,
@@ -39,6 +38,7 @@ from cbilab.mechanism import (
 from cbilab.simulate import (
     SimConfig,
     sample_path,
+    sample_stationary,
     sample_transition,
 )
 
@@ -327,15 +327,24 @@ def test_stationary_coupling_refuses_supercritical():
                           SimConfig(n_samples=10), np.random.default_rng(0))
 
 
+def from_stationary(mu, imm, mech, times, cfg, rng, influx=False):
+    """couple_transitions from mu and from one stationary batch, with the
+    shared influx of imm if asked; without it, the rate pairs of `verify`."""
+    eta = sample_stationary(imm, mech, cfg, rng)
+    return couple_transitions(np.tile(mu, (cfg.n_samples, 1)), eta, mech, times, cfg, rng,
+                              imm=imm if influx else None)
+
+
 def test_transition_to_stationary_cost_and_tv():
     # d=1: the Jordan parts never coexist, so cost = E|mu - eta| e^{-t}
     # = 8 e^{-2} e^{-t}; the pair-differ TV estimate at t=1 equals
-    # 2(1 - E[e^{-|2-eta| vbar_1}]) = 0.8198134136 (quadrature oracle)
+    # 2(1 - E[e^{-|2-eta| vbar_1}]) = 0.8198134136 (quadrature oracle).
+    # Both read left - right only, so no immigration is drawn
     mech = quad_mech()
     imm = ImmigrationMechanism(beta=[2.0])
     rng = np.random.default_rng(88)
     cfg = SimConfig(n_samples=100_000)
-    pair = couple_cbi_to_stationary([2.0], imm, mech, 1.0, cfg, rng)
+    pair, = from_stationary([2.0], imm, mech, [1.0], cfg, rng)
     cost_target = 8 * math.exp(-3.0)
     assert abs(pair.cost() - cost_target) < 4 * pair.cost_se()
     tv_hat = 2 * pair.differ()
@@ -343,22 +352,23 @@ def test_transition_to_stationary_cost_and_tv():
 
 
 def test_transition_to_stationary_marginals():
+    # with the shared influx the right leg stays stationary
     mech = quad_mech()
     imm = ImmigrationMechanism(beta=[2.0])
     cfg = SimConfig(n_samples=10_000)
     rng = np.random.default_rng(99)
-    pair = couple_cbi_to_stationary([2.0], imm, mech, 1.0, cfg, rng)
+    pair, = from_stationary([2.0], imm, mech, [1.0], cfg, rng, influx=True)
     ref_left = sample_path([2.0], mech, [1.0], cfg, rng, imm=imm)[0, :, 0]
     assert stats.ks_2samp(pair.left[:, 0], ref_left).pvalue > 0.01
     assert stats.kstest(pair.right[:, 0], stats.gamma(a=2.0, scale=1.0).cdf).pvalue > 0.01
 
 
 def test_transition_to_stationary_cost_decays():
+    # one path along the times from one stationary batch
     mech = quad_mech()
     imm = ImmigrationMechanism(beta=[2.0])
     rng = np.random.default_rng(111)
     cfg = SimConfig(n_samples=20_000)
-    costs = [couple_cbi_to_stationary([2.0], imm, mech, t, cfg, rng).cost()
-             for t in (1.0, 2.0, 4.0)]
+    costs = [pair.cost() for pair in from_stationary([2.0], imm, mech, (1.0, 2.0, 4.0), cfg, rng)]
     assert costs[0] > costs[1] > costs[2]
     assert costs[2] < 0.05

@@ -13,7 +13,7 @@ import pytest
 from cbilab import coupling, cumulant, distance, verify
 from cbilab.cli import load_document, main, parse_scenario
 from cbilab.errors import BlowUpError, ValidationError
-from cbilab.mechanism import BranchingMechanism, ImmigrationMechanism, PointMass, StableAxis
+from cbilab.mechanism import BranchingMechanism, ImmigrationMechanism, PointMass, StableAxis, beta_star
 from cbilab.cumulant import reciprocal_envelope, solve_cumulant, vbar_scalar, vbar_vector
 from cbilab.simulate import SimConfig, sample_stationary
 from cbilab.verify import (
@@ -423,8 +423,8 @@ def shipped(name: str) -> Scenario:
 class TestStationaryBundle:
     @pytest.mark.parametrize("times", [(1.0,), (0.5, 1.0, 2.0, 3.0)])
     def test_one_stationary_batch_per_replicate(self, monkeypatch, times):
-        # one batch serves the mean, Laplace, W1 and TV rows at every time;
-        # the rate fits draw one more per fit time
+        # one batch serves the mean, Laplace, W1 and TV rows at every time
+        # and starts the rate pairs
         calls = []
 
         def counting(*args):
@@ -435,17 +435,17 @@ class TestStationaryBundle:
         sc = reference_scenario(cfg=SimConfig(n_samples=400, dt=0.02, seed=3), times=times,
                                 checks=("stationary",))
         rows = run_scenario(sc).rows
-        fits = sum(t >= 1.0 for t in times) if len(times) >= 3 else 0
-        assert len(calls) == REPLICATES * (1 + fits)
-        assert len(rows) == 2 + 2 * len(times) + (2 if fits else 0)
+        assert len(calls) == REPLICATES
+        assert len(rows) == 2 + 2 * len(times) + (2 if len(times) >= 3 else 0)
 
-    @pytest.mark.parametrize("times, imm, passes", [
-        ((0.5, 1.0, 2.0, 3.0), IMM, 2),  # the bundle rows, then the rate fits
-        ((1.0,), IMM, 1),  # too few fit times: the bundle rows only
-        ((0.5, 1.0, 2.0, 3.0), None, 1),  # no immigration: the decay row only
+    @pytest.mark.parametrize("times, imm", [
+        ((0.5, 1.0, 2.0, 3.0), IMM),  # the bundle rows and the rate fits
+        ((1.0,), IMM),  # too few fit times: the bundle rows only
+        ((0.5, 1.0, 2.0, 3.0), None),  # no immigration: the decay row only
     ], ids=["rate-fits", "no-fits", "no-immigration"])
-    def test_one_replicate_pass_per_stream_use(self, monkeypatch, times, imm, passes):
-        # every bundle row is reduced in its replicate's thread, in one pass
+    def test_one_replicate_pass_per_stream_use(self, monkeypatch, times, imm):
+        # every bundle row and rate series is reduced in its replicate's
+        # thread, in one pass
         maps, per_replicate = [], verify._per_replicate
 
         def counting(fn, replicates):
@@ -456,9 +456,55 @@ class TestStationaryBundle:
         sc = reference_scenario(cfg=SimConfig(n_samples=400, dt=0.02, seed=3), times=times,
                                 imm=imm, checks=("stationary",))
         rows = run_scenario(sc).rows
-        assert len(maps) == passes
+        assert len(maps) == 1
         assert all(r.verdict in ("pass", "fail") for r in rows)
         assert not any(r.claim == "check aborted before producing rows" for r in rows)
+
+    def test_rate_pairs_start_from_the_bundle_batch(self, monkeypatch):
+        # each replicate couples mu with its own bundle batch S along the
+        # fit times, without immigration, after the bundle on one stream
+        usable_cpus(monkeypatch, 1)  # replicates in order, on one thread
+        calls = []
+
+        def bundle(*args):
+            x, pairs = coupling.couple_stationary(*args)
+            calls.append(("bundle", x))
+            return x, pairs
+
+        def rate_pairs(mu, nu, mech, times, cfg, rng, **kwargs):
+            calls.append(("rate", mu, nu, tuple(times), kwargs))
+            return coupling.couple_transitions(mu, nu, mech, times, cfg, rng, **kwargs)
+
+        monkeypatch.setattr(verify, "couple_stationary", bundle)
+        monkeypatch.setattr(verify, "couple_transitions", rate_pairs)
+        sc = reference_scenario(cfg=SimConfig(n_samples=400, dt=0.02, seed=3),
+                                times=(0.5, 1.0, 2.0, 3.0), checks=("stationary",))
+        rows = run_scenario(sc).rows
+        assert [c[0] for c in calls] == ["bundle", "rate"] * REPLICATES
+        for (_, x), (_, mu, nu, times, kwargs) in zip(calls[::2], calls[1::2]):
+            assert np.array_equal(nu, x)
+            assert np.array_equal(mu, np.tile(sc.mu, (sc.cfg.n_samples, 1)))
+            assert times == (1.0, 2.0, 3.0)
+            assert kwargs == {}
+        assert [r.check for r in rows[-2:]] == ["stationary_w1_rate", "stationary_tv_rate"]
+
+    @pytest.mark.parametrize("name", ["ref_d1_quadratic", "ref_d2_folded"])
+    def test_rate_rows_catch_a_faster_rate_coupling(self, monkeypatch, name):
+        # b x 1.25 in the rate coupling alone: both rate rows fail at the
+        # shipped seed and n, and every other row keeps its bits
+        sc = replace(shipped(name), checks=("stationary",))
+        clean = run_scenario(sc).rows
+        assert all(r.verdict == "pass" for r in clean)
+
+        def faster(mu, nu, mech, *args, **kwargs):
+            return coupling.couple_transitions(mu, nu, replace(mech, b=1.25 * mech.b), *args, **kwargs)
+
+        monkeypatch.setattr(verify, "couple_transitions", faster)
+        rows = run_scenario(sc).rows
+        rate_checks = ["stationary_w1_rate", "stationary_tv_rate"]
+        assert [(r.check, r.verdict) for r in rows[-2:]] == [(c, "fail") for c in rate_checks]
+        assert rows[:-2] == clean[:-2]
+        assert all(r.estimate < -1.15 * r.analytic["rate"] for r in rows[-2:])
 
 
 class TestTransitionPaths:
@@ -614,10 +660,12 @@ class TestAnalyticGrids:
         sc, an, per_t = grids
         tv, reason = an.stationary_tv
         assert reason == ""
-        for (exponent, tail), vbar in zip(tv, per_t):
+        for (exponent, tail), vbar, lag in zip(tv, per_t, an.lags):
             ref, ref_tail = _psi_integrals(sc.mech, sc.imm, [vbar], [0.0])[0][0]
             assert abs(exponent - ref) <= ref_tail + 1e-8
-            assert tail == pytest.approx(ref_tail, rel=1e-6)
+            # the batch runs lags[-1] - lag past the one-lane solve's horizon
+            assert tail == pytest.approx(ref_tail * math.exp(-beta_star(sc.mech) * (an.lags[-1] - lag)),
+                                         rel=1e-6)
 
     def test_psi_lanes_match_one_lane_solves(self, grids, monkeypatch):
         # the Laplace and TV lanes of one batch, each with the bits of its own solve
