@@ -20,6 +20,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ import numpy as np
 from .coupling import couple_transitions
 from .cumulant import (
     _check_tol,
-    extinction_envelope,
     mean_vector,
     moment_decay_rate,
     solve_cumulant,
@@ -333,9 +333,9 @@ def cmd_cumulant(args) -> int:
                np.column_stack([path.t_grid, path.v_values]), "%.18e")
     print(f"wrote {out}")
     print(f"v({t_end:g}, {lam.tolist()}) = {path.final.tolist()}")
-    grey_failure = ScenarioAnalytics(sc).grey_failure
-    print(f"vbar({t_end:g}) not available: {grey_failure}" if grey_failure
-          else f"vbar({t_end:g}) = {extinction_envelope(sc.mech, [t_end])[0].tolist()}")
+    vbar, why_not = ScenarioAnalytics(replace(sc, times=(t_end,))).envelope
+    print(f"vbar({t_end:g}) not available: {why_not}" if vbar is None
+          else f"vbar({t_end:g}) = {vbar[0].tolist()}")
     return 0
 
 

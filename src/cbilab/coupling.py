@@ -1,23 +1,24 @@
 """Explicit couplings of transition and stationary laws.
 
-Each construction here is the branching-property trick in some form: split
-the initial states by the componentwise Jordan decomposition mu = meet + pos,
-nu = meet + neg, evolve the three pieces independently, and recombine as
-(shared + pos-part, shared + neg-part).  The marginals are the right
-transition laws, the legs agree on the shared piece, and the expected l1
-gap between the legs upper-bounds the Wasserstein distance while the
-fraction of unequal rows upper-bounds half the total-variation distance.
+The one construction here, `couple_transitions`, is the branching-property
+trick: split the initial states by the componentwise Jordan decomposition
+mu = meet + pos, nu = meet + neg, evolve the three pieces independently,
+and recombine as (shared + pos-part, shared + neg-part).  The marginals are
+the right transition laws, the legs agree on the shared piece, and the
+expected l1 gap between the legs upper-bounds the Wasserstein distance while
+the fraction of unequal rows upper-bounds half the total-variation distance.
 
 With immigration, `couple_transitions` adds one shared immigration path to
-both legs (zero extra cost by construction).  `couple_stationary` uses the
-flow decomposition of the stationary law: a stationary state is an
-independent sum of the time-t immigration mass and a time-t evolution of a
-stationary state, so pairing a fresh immigration draw with that
-decomposition couples the time-t law with its limit.  By the same
-decomposition, `couple_transitions` from mu and from a stationary batch
-couples the transition law from mu with the stationary law.
+both legs (zero extra cost by construction).  The stationary law is
+decomposable: a stationary state is an independent sum of the time-t
+immigration mass and a time-t evolution of a stationary state.  So
+`couple_transitions` from mu and from a stationary batch, with imm, couples
+the transition law from mu with the stationary law, and from zero and a
+stationary batch it couples the immigration law at time t with its limit.
+The shared influx cancels from left - right, so a caller that reads only
+that difference (cost, differ, dual rows) can leave imm out.
 
-Every coupling runs along an increasing grid of times, one `sample_path`
+The coupling runs along an increasing grid of times, one `sample_path`
 per piece, and returns one pair per time.  By the Markov property each
 pair is an exact coupling at its time; pairs at different times share
 their draws.
@@ -32,14 +33,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .mechanism import BranchingMechanism, ImmigrationMechanism, mass_vector
-from .simulate import SimConfig, sample_path, sample_stationary
+from .simulate import SimConfig, sample_path
 from .simulate import sample_transition  # noqa: F401  (an import site bench/test_bench.py traces)
 
 __all__ = [
     "CoupledPair",
     "jordan_decompose",
     "couple_transitions",
-    "couple_stationary",
 ]
 
 
@@ -147,23 +147,3 @@ def couple_transitions(mu, nu, mech: BranchingMechanism, times, cfg: SimConfig, 
         right += influx
     return [CoupledPair(lf, rt) for lf, rt in zip(left, right)]
 
-
-def couple_stationary(imm: ImmigrationMechanism, mech: BranchingMechanism,
-                      times, cfg: SimConfig, rng) -> tuple:
-    """Couple the immigration law at each of an increasing grid of times
-    with the stationary law.
-
-    Draws one stationary batch S, one fresh-immigration path and S evolved
-    along the times.  Pair k is (fresh_k, fresh_k + evolved_k): left is the
-    immigration law at times[k], and right, by the flow decomposition of the
-    stationary law, is stationary.  Each cost E||left - right||_1 is exactly
-    the mean mass remaining from immigration older than times[k].  Returns
-    (S, pairs); the pairs share S and their paths.
-
-    Requires a subcritical mechanism (propagated from the stationary
-    sampler).
-    """
-    stationary = sample_stationary(imm, mech, cfg, rng)
-    fresh = sample_path(np.zeros(mech.d), mech, times, cfg, rng, imm=imm)
-    evolved = sample_path(stationary, mech, times, cfg, rng)
-    return stationary, [CoupledPair(f, f + e) for f, e in zip(fresh, evolved)]

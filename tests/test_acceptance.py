@@ -18,7 +18,7 @@ import pytest
 from scipy import stats
 
 from cbilab.cli import load_document, main, parse_scenario
-from cbilab.coupling import couple_stationary, couple_transitions
+from cbilab.coupling import couple_transitions
 from cbilab.cumulant import closed_form_quadratic, moment_semigroup, solve_cumulant
 from cbilab.distance import (_w1_assignment, tv_empirical, tv_exact_quadratic,
                              w1_1d_quantile)
@@ -159,8 +159,12 @@ def test_immigration_gamma_fixture():
 
 def test_stationary_distance_identity():
     with criterion(7, "W1 between time-t and stationary immigration laws equals 2 e^{-t}"):
+        # the pair (0, Q_t S) from a stationary batch S: the coupling of the
+        # time-t and stationary laws less the shared influx, which cancels
         times = (0.5, 1.0, 2.0)
-        _, pairs = couple_stationary(IMM1, MECH1, times, _cfg(100_000), _rng(70))
+        rng = _rng(70)
+        eta = sample_stationary(IMM1, MECH1, _cfg(100_000), rng)
+        pairs = couple_transitions(np.zeros_like(eta), eta, MECH1, times, _cfg(100_000), rng)
         for t, pair in zip(times, pairs):
             target = 2.0 * math.exp(-t)
             tol = max(0.01 * target, Z99 * pair.cost_se())

@@ -239,6 +239,17 @@ class TestCumulant:
         assert "vbar(1) not available: Grey's condition fails" in capsys.readouterr().out
 
 
+    def test_vbar_message_when_an_envelope_route_fails(self, tmp_path, capsys):
+        # the envelope's ladder does not stabilize for this mechanism: the
+        # command still writes its flow and says why vbar is missing
+        path = write_doc(tmp_path, mechanism={"b": [1.0], "c": [0.0], "jumps": [[
+            {"kind": "stable", "axis": 0, "alpha": 0.5, "scale": 1.0},
+            {"kind": "point", "u": [0.5], "weight": 1.0}]]}, times=[1.0])
+        assert main(["cumulant", str(path), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "cumulant.csv").exists()
+        out = capsys.readouterr().out
+        assert "vbar(1) not available: extinction envelope ladder failed to stabilize" in out
+
 class TestSmallCommands:
     def test_mech_info_reports_rates(self, tmp_path, capsys):
         assert main(["mech-info", str(write_doc(tmp_path))]) == 0

@@ -21,7 +21,6 @@ from scipy import stats
 from cbilab.cli import main
 from cbilab.coupling import (
     CoupledPair,
-    couple_stationary,
     couple_transitions,
     jordan_decompose,
 )
@@ -297,12 +296,22 @@ def test_cbi_equal_starts_identical_legs():
     assert np.array_equal(pair.left, pair.right)
 
 
+def from_stationary(mu, imm, mech, times, cfg, rng, influx=False):
+    """(eta, couple_transitions from mu and from eta), eta one stationary
+    batch, with the shared influx of imm if asked; without it, the pairs of
+    `verify`: the stationary pairs from mu = 0 and the rate pairs from mu."""
+    eta = sample_stationary(imm, mech, cfg, rng)
+    return eta, couple_transitions(np.tile(mu, (cfg.n_samples, 1)), eta, mech, times, cfg, rng,
+                                   imm=imm if influx else None)
+
+
 def test_stationary_coupling_cost_identity():
     # cost = mean mass remaining from immigration older than t = 2 e^{-t}
     imm = ImmigrationMechanism(beta=[2.0])
     rng = np.random.default_rng(55)
     times = (1.0, 4.0)
-    _, pairs = couple_stationary(imm, quad_mech(), times, SimConfig(n_samples=100_000), rng)
+    # the pairs (0, Q_t S) of `verify`: the influx would cancel from the cost
+    _, pairs = from_stationary([0.0], imm, quad_mech(), times, SimConfig(n_samples=100_000), rng)
     for t, pair in zip(times, pairs):
         target = 2 * math.exp(-t)
         assert abs(pair.cost() - target) < 4 * pair.cost_se(), f"t={t}"
@@ -313,7 +322,8 @@ def test_stationary_coupling_marginals():
     imm = ImmigrationMechanism(beta=[2.0])
     cfg = SimConfig(n_samples=10_000)
     rng = np.random.default_rng(66)
-    stationary, (pair,) = couple_stationary(imm, quad_mech(), [1.0], cfg, rng)
+    # with the influx, the immigration law at t coupled with the stationary law
+    stationary, (pair,) = from_stationary([0.0], imm, quad_mech(), [1.0], cfg, rng, influx=True)
     ref_left = sample_path([0.0], quad_mech(), [1.0], cfg, rng, imm=imm)[0, :, 0]
     assert stats.ks_2samp(pair.left[:, 0], ref_left).pvalue > 0.01
     assert stats.kstest(pair.right[:, 0], stats.gamma(a=2.0, scale=1.0).cdf).pvalue > 0.01
@@ -323,16 +333,8 @@ def test_stationary_coupling_marginals():
 def test_stationary_coupling_refuses_supercritical():
     imm = ImmigrationMechanism(beta=[1.0])
     with pytest.raises(ValidationError):
-        couple_stationary(imm, BranchingMechanism(b=[-0.5], c=[1.0]), [1.0],
-                          SimConfig(n_samples=10), np.random.default_rng(0))
-
-
-def from_stationary(mu, imm, mech, times, cfg, rng, influx=False):
-    """couple_transitions from mu and from one stationary batch, with the
-    shared influx of imm if asked; without it, the rate pairs of `verify`."""
-    eta = sample_stationary(imm, mech, cfg, rng)
-    return couple_transitions(np.tile(mu, (cfg.n_samples, 1)), eta, mech, times, cfg, rng,
-                              imm=imm if influx else None)
+        from_stationary([0.0], imm, BranchingMechanism(b=[-0.5], c=[1.0]), [1.0],
+                        SimConfig(n_samples=10), np.random.default_rng(0))
 
 
 def test_transition_to_stationary_cost_and_tv():
@@ -344,7 +346,7 @@ def test_transition_to_stationary_cost_and_tv():
     imm = ImmigrationMechanism(beta=[2.0])
     rng = np.random.default_rng(88)
     cfg = SimConfig(n_samples=100_000)
-    pair, = from_stationary([2.0], imm, mech, [1.0], cfg, rng)
+    _, (pair,) = from_stationary([2.0], imm, mech, [1.0], cfg, rng)
     cost_target = 8 * math.exp(-3.0)
     assert abs(pair.cost() - cost_target) < 4 * pair.cost_se()
     tv_hat = 2 * pair.differ()
@@ -357,7 +359,7 @@ def test_transition_to_stationary_marginals():
     imm = ImmigrationMechanism(beta=[2.0])
     cfg = SimConfig(n_samples=10_000)
     rng = np.random.default_rng(99)
-    pair, = from_stationary([2.0], imm, mech, [1.0], cfg, rng, influx=True)
+    _, (pair,) = from_stationary([2.0], imm, mech, [1.0], cfg, rng, influx=True)
     ref_left = sample_path([2.0], mech, [1.0], cfg, rng, imm=imm)[0, :, 0]
     assert stats.ks_2samp(pair.left[:, 0], ref_left).pvalue > 0.01
     assert stats.kstest(pair.right[:, 0], stats.gamma(a=2.0, scale=1.0).cdf).pvalue > 0.01
@@ -369,6 +371,7 @@ def test_transition_to_stationary_cost_decays():
     imm = ImmigrationMechanism(beta=[2.0])
     rng = np.random.default_rng(111)
     cfg = SimConfig(n_samples=20_000)
-    costs = [pair.cost() for pair in from_stationary([2.0], imm, mech, (1.0, 2.0, 4.0), cfg, rng)]
+    _, pairs = from_stationary([2.0], imm, mech, (1.0, 2.0, 4.0), cfg, rng)
+    costs = [pair.cost() for pair in pairs]
     assert costs[0] > costs[1] > costs[2]
     assert costs[2] < 0.05

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cbilab.coupling import couple_transitions
+from cbilab.coupling import CoupledPair, couple_transitions
 from cbilab import distance
 from cbilab.cumulant import vbar_scalar
 from cbilab.distance import (
@@ -289,6 +289,27 @@ def test_tv_empirical_multivariate():
     assert 0.0 < float(est) < 2.0
     same = tv_empirical(a, a, bins=32)
     assert float(same) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), st.integers(2, 128 if d < 3 else 12))),
+       st.integers(1, 40), st.floats(0, 1), st.floats(0, 1), st.booleans(), st.integers(0, 2**32 - 1))
+def test_tv_empirical_of_a_coupling_is_at_most_twice_its_differ(d_bins, n, p_shared, p_zero,
+                                                                 ties, seed):
+    # rows whose legs are equal fall in the same cell (or the atom) on both
+    # sides and cancel, so the histogram TV of a coupled batch is at most
+    # 2 differ(); the d = 3 grids stay small
+    d, bins = d_bins
+    rng = np.random.default_rng(seed)
+
+    def leg():
+        x = rng.exponential(size=(n, d)) * (rng.random((n, 1)) >= p_zero)
+        return np.round(x) if ties else x
+
+    left, right = leg(), leg()
+    shared = rng.random(n) < p_shared
+    right[shared] = left[shared]
+    assert float(tv_empirical(left, right, bins)) <= 2 * CoupledPair(left, right).differ() + 1e-12
 
 
 def test_tv_empirical_histogram_cap(monkeypatch):

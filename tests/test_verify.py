@@ -4,6 +4,7 @@ import json
 import math
 import os
 import threading
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -285,21 +286,32 @@ class TestFailureContainment:
         assert not report.passed
         assert any("BlowUpError" in r.reason for r in report.rows if r.verdict == "fail")
 
-    @pytest.mark.parametrize("check", ["tv_sandwich", "stationary"])
-    def test_histogram_past_the_cell_cap_becomes_fail_row(self, monkeypatch, check):
-        # d = 4 at the default 128 bins needs 258^4 cells: the check aborts
-        # instead of allocating them
+    @staticmethod
+    def d4_scenario_without_histograms(monkeypatch, check: str) -> Scenario:
         def no_histogram(*args, **kwargs):
             raise AssertionError("a refused grid must not be allocated")
 
         monkeypatch.setattr(np, "histogramdd", no_histogram)
-        sc = Scenario(name="d4", mech=BranchingMechanism(b=[1.0] * 4, c=[1.0] * 4),
-                      imm=ImmigrationMechanism(beta=[1.0] * 4),
-                      cfg=SimConfig(n_samples=50, dt=0.05, seed=1), mu=[1.0] * 4, times=(0.5,),
-                      checks=(check,))
-        row, = run_scenario(sc).rows
+        return Scenario(name="d4", mech=BranchingMechanism(b=[1.0] * 4, c=[1.0] * 4),
+                        imm=ImmigrationMechanism(beta=[1.0] * 4),
+                        cfg=SimConfig(n_samples=50, dt=0.05, seed=1), mu=[1.0] * 4, times=(0.5,),
+                        checks=(check,))
+
+    @pytest.mark.parametrize("check", ["tv_sandwich"])
+    def test_histogram_past_the_cell_cap_becomes_fail_row(self, monkeypatch, check):
+        # d = 4 at the default 128 bins needs 258^4 cells: the check aborts
+        # instead of allocating them
+        row, = run_scenario(self.d4_scenario_without_histograms(monkeypatch, check)).rows
         assert (row.verdict, row.claim) == ("fail", "check aborted before producing rows")
         assert row.reason.startswith("ValidationError: ") and "in d = 4" in row.reason
+
+    def test_d4_stationary_check_needs_no_histogram(self, monkeypatch):
+        # the stationary TV rows read 2 differ() of the coupling alone, so a
+        # d = 4 check runs every row and allocates no grid
+        rows = run_scenario(self.d4_scenario_without_histograms(monkeypatch, "stationary")).rows
+        assert [r.check for r in rows] == ["stationary_mean", "stationary_laplace",
+                                           "stationary_w1_identity", "stationary_tv_bound"]
+        assert all(r.verdict in ("pass", "fail") and r.reason == "" for r in rows)
 
 
 class TestDeterminism:
@@ -431,7 +443,7 @@ class TestStationaryBundle:
             calls.append(args)
             return sample_stationary(*args)
 
-        monkeypatch.setattr(coupling, "sample_stationary", counting)
+        monkeypatch.setattr(verify, "sample_stationary", counting)
         sc = reference_scenario(cfg=SimConfig(n_samples=400, dt=0.02, seed=3), times=times,
                                 checks=("stationary",))
         rows = run_scenario(sc).rows
@@ -461,32 +473,73 @@ class TestStationaryBundle:
         assert not any(r.claim == "check aborted before producing rows" for r in rows)
 
     def test_rate_pairs_start_from_the_bundle_batch(self, monkeypatch):
-        # each replicate couples mu with its own bundle batch S along the
-        # fit times, without immigration, after the bundle on one stream
+        # each replicate draws S, couples (0, S) along the times and then
+        # (mu, S) along the fit times, both without immigration, on one stream
         usable_cpus(monkeypatch, 1)  # replicates in order, on one thread
         calls = []
 
-        def bundle(*args):
-            x, pairs = coupling.couple_stationary(*args)
-            calls.append(("bundle", x))
-            return x, pairs
+        def stationary(*args):
+            x = sample_stationary(*args)
+            calls.append(("stationary", x))
+            return x
 
-        def rate_pairs(mu, nu, mech, times, cfg, rng, **kwargs):
-            calls.append(("rate", mu, nu, tuple(times), kwargs))
+        def pairs(mu, nu, mech, times, cfg, rng, **kwargs):
+            calls.append(("pairs", mu, nu, tuple(times), kwargs))
             return coupling.couple_transitions(mu, nu, mech, times, cfg, rng, **kwargs)
 
-        monkeypatch.setattr(verify, "couple_stationary", bundle)
-        monkeypatch.setattr(verify, "couple_transitions", rate_pairs)
+        monkeypatch.setattr(verify, "sample_stationary", stationary)
+        monkeypatch.setattr(verify, "couple_transitions", pairs)
         sc = reference_scenario(cfg=SimConfig(n_samples=400, dt=0.02, seed=3),
                                 times=(0.5, 1.0, 2.0, 3.0), checks=("stationary",))
         rows = run_scenario(sc).rows
-        assert [c[0] for c in calls] == ["bundle", "rate"] * REPLICATES
-        for (_, x), (_, mu, nu, times, kwargs) in zip(calls[::2], calls[1::2]):
-            assert np.array_equal(nu, x)
-            assert np.array_equal(mu, np.tile(sc.mu, (sc.cfg.n_samples, 1)))
-            assert times == (1.0, 2.0, 3.0)
-            assert kwargs == {}
+        assert [c[0] for c in calls] == ["stationary", "pairs", "pairs"] * REPLICATES
+        starts = (np.zeros((sc.cfg.n_samples, 1)), np.tile(sc.mu, (sc.cfg.n_samples, 1)))
+        for (_, x), *drawn in zip(calls[::3], calls[1::3], calls[2::3]):
+            for (_, mu, nu, times, kwargs), start, grid in zip(drawn, starts,
+                                                               (sc.times, (1.0, 2.0, 3.0))):
+                assert np.array_equal(nu, x)
+                assert np.array_equal(mu, start)
+                assert times == grid
+                assert kwargs == {}
         assert [r.check for r in rows[-2:]] == ["stationary_w1_rate", "stationary_tv_rate"]
+
+    def test_stationary_replicate_draws_no_influx(self, monkeypatch):
+        # cost guard, counted: per replicate one stationary batch and two
+        # couplings, and no immigration path outside the stationary sampler
+        usable_cpus(monkeypatch, 1)  # one thread counts
+        calls, with_imm = Counter(), []
+        for module, name in ((verify, "sample_stationary"), (verify, "couple_transitions"),
+                             (verify, "sample_path"), (coupling, "sample_path")):
+            def counting(*args, _name=name, _real=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                if kwargs.get("imm") is not None:
+                    with_imm.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        sc = reference_scenario(cfg=SimConfig(n_samples=400, dt=0.02, seed=3),
+                                times=(0.5, 1.0, 2.0, 3.0), checks=("stationary",))
+        run_scenario(sc)
+        # each coupling draws its meet, positive and negative paths
+        assert calls == {"sample_stationary": REPLICATES, "couple_transitions": 2 * REPLICATES,
+                         "sample_path": 6 * REPLICATES}
+        assert with_imm == []
+
+    def test_w1_route_disagreement_names_both_values(self, monkeypatch):
+        # a tail integral 1e-6 off <m_infty, pi_t 1> fails each identity row
+        # and its reason gives both routes' values
+        real = verify.tail_immigrant_mass
+        monkeypatch.setattr(verify, "tail_immigrant_mass", lambda *args: real(*args) + 1e-6)
+        sc = reference_scenario(cfg=SimConfig(n_samples=400, dt=0.02, seed=3),
+                                times=(0.5, 1.0), checks=("stationary",))
+        rows = [r for r in run_scenario(sc).rows if r.check == "stationary_w1_identity"]
+        assert [r.t for r in rows] == [0.5, 1.0]
+        for r in rows:
+            w1, by_tail = r.analytic["w1"], r.analytic["by_tail_integral"]
+            assert by_tail == pytest.approx(w1 + 1e-6, abs=1e-12)
+            assert r.verdict == "fail"
+            assert r.reason == (f"W1 routes disagree at t={r.t:g}: "
+                                f"<m_infty, pi_t 1> {w1!r}, tail integral {by_tail!r}")
 
     @pytest.mark.parametrize("name", ["ref_d1_quadratic", "ref_d2_folded"])
     def test_rate_rows_catch_a_faster_rate_coupling(self, monkeypatch, name):
@@ -497,7 +550,9 @@ class TestStationaryBundle:
         assert all(r.verdict == "pass" for r in clean)
 
         def faster(mu, nu, mech, *args, **kwargs):
-            return coupling.couple_transitions(mu, nu, replace(mech, b=1.25 * mech.b), *args, **kwargs)
+            if np.any(mu):  # the rate pair (mu, S); the bundle pair (0, S) is untouched
+                mech = replace(mech, b=1.25 * mech.b)
+            return coupling.couple_transitions(mu, nu, mech, *args, **kwargs)
 
         monkeypatch.setattr(verify, "couple_transitions", faster)
         rows = run_scenario(sc).rows
