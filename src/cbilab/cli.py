@@ -4,8 +4,8 @@ A scenario document is a JSON file describing one model (mechanism,
 immigration, initial states), a time grid, and Monte Carlo settings; the
 subcommands dispatch it to the library modules and write CSV/JSON outputs
 suitable for plotting.  All randomness flows from the documented seed, so
-two invocations with equal inputs produce identical bytes (the one
-exception is the runtime field in report metadata).
+two invocations with equal inputs produce identical bytes (the
+exceptions are the timing fields of report metadata, runtime_s and check_s).
 
 Exit codes: 0 success, 1 at least one verification check failed,
 2 invalid input, 3 numerical failure.

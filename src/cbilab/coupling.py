@@ -16,7 +16,9 @@ immigration mass and a time-t evolution of a stationary state.  So
 the transition law from mu with the stationary law, and from zero and a
 stationary batch it couples the immigration law at time t with its limit.
 The shared influx cancels from left - right, so a caller that reads only
-that difference (cost, differ, dual rows) can leave imm out.
+that difference (cost, differ, dual rows) leaves imm out: no `verify`
+check passes it.  `cbilab couple` does, since it writes the legs, the
+marginals a user reads.
 
 The coupling runs along an increasing grid of times, one `sample_path`
 per piece, and returns one pair per time.  By the Markov property each
@@ -131,7 +133,8 @@ def couple_transitions(mu, nu, mech: BranchingMechanism, times, cfg: SimConfig, 
     vectors, or both (n_samples, d) arrays giving each row its own pair of
     initial states (decomposed rowwise), as `sample_path` accepts.  Right is
     built in the meet path's buffer, so at most three paths are held at
-    once.  Returns one CoupledPair per time.
+    once.  Returns one CoupledPair per time.  A caller that reads only
+    left - right leaves imm out and saves the influx path.
     """
     if np.ndim(mu) != 2:
         mu = mass_vector(mu, d=mech.d)

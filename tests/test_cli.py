@@ -1,5 +1,6 @@
 """Front-end: document validation, subcommand outputs, exit codes."""
 
+import hashlib
 import json
 import math
 import re
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from cbilab.cli import load_document, main, parse_scenario
-from cbilab.cumulant import closed_form_quadratic
+from cbilab.cumulant import closed_form_quadratic, mean_vector
 from cbilab.errors import ValidationError
 from cbilab.verify import share_cpus
 
@@ -302,6 +303,24 @@ class TestSmallCommands:
         assert np.all(data[:, 2] == 0.0)
         np.testing.assert_array_equal(data[:, 0], data[:, 1])
 
+    def test_couple_with_immigration_writes_the_marginal_legs(self, tmp_path):
+        # `couple` is the one caller that draws the shared influx: its legs
+        # are the marginals with immigration, and the digest pins the CSV
+        # bytes at this seed, so a change to the coupling's stream shows
+        doc = f"{SCENARIOS}/ref_d1_quadratic.json"
+        assert main(["couple", doc, "--t", "1", "--samples", "2000", "--seed", "9",
+                     "--out", str(tmp_path)]) == 0
+        raw = (tmp_path / "couple.csv").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == \
+            "06d41c5d662cca812d59fb3e627194917660e87848c452b231ffdbfa2bf08dfc"
+        left, right, cost = np.loadtxt(tmp_path / "couple.csv", delimiter=",", skiprows=1).T
+        sc = parse_scenario(load_document(doc))
+        for leg, start in ((left, sc.mu), (right, sc.nu)):
+            target = float(mean_vector(sc.mech, start, 1.0, sc.imm)[0])
+            assert abs(leg.mean() - target) <= 4 * leg.std() / math.sqrt(len(leg))
+        np.testing.assert_allclose(cost, np.abs(left - right), rtol=0,
+                                   atol=1e-11 * max(left.max(), right.max()))
+
     def test_stationary_needs_immigration(self, tmp_path, capsys):
         doc = json.loads(write_doc(tmp_path).read_text())
         del doc["immigration"]
@@ -394,8 +413,9 @@ class TestVerifyCommand:
         assert csv_one == csv_two
         a = json.loads((tmp_path / "one" / "report.json").read_text())
         b = json.loads((tmp_path / "two" / "report.json").read_text())
-        a["metadata"].pop("runtime_s")
-        b["metadata"].pop("runtime_s")
+        for report in (a, b):  # the timing fields
+            report["metadata"].pop("runtime_s")
+            report["metadata"].pop("check_s")
         assert a == b
 
     def test_nameless_documents_named_by_file_stem(self, tmp_path, capsys):

@@ -132,6 +132,33 @@ def test_dual_rows_bracket_exact_w1(d, n, ordered, seed):
         assert pair.dual_rows().tobytes() == pair.row_costs().tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(1, 40), st.floats(0, 1), st.floats(0, 1),
+       st.floats(1e-3, 1e3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_a_shared_summand_cancels_from_every_number_a_row_reads(d, n, p_shared, p_zero, scale,
+                                                                ties, seed):
+    # why no coupling in verify draws its shared influx: a non-negative f
+    # added to both legs moves cost() and the mean dual row by rounding
+    # only, within a few ulps of the largest entry, and leaves equal legs
+    # equal, so differ() cannot rise
+    rng = np.random.default_rng(seed)
+
+    def batch(size=1.0):  # exact zeros, and ties when rounded
+        x = size * rng.exponential(size=(n, d)) * (rng.random((n, 1)) >= p_zero)
+        return np.round(x) if ties else x
+
+    left, right, f = batch(), batch(), batch(scale)
+    shared = rng.random(n) < p_shared
+    right[shared] = left[shared]
+    plain, summed = CoupledPair(left, right), CoupledPair(left + f, right + f)
+    tol = 4 * d * np.spacing(max(summed.left.max(), summed.right.max()))
+    assert abs(summed.cost() - plain.cost()) <= tol
+    assert abs(summed.dual_rows().mean() - plain.dual_rows().mean()) <= tol
+    assert summed.differ() <= plain.differ()
+    equal = np.all(left == right, axis=1)
+    assert np.all(np.all(summed.left == summed.right, axis=1)[equal])
+
+
 def test_pair_validation():
     with pytest.raises(ValidationError):
         CoupledPair(np.zeros((2, 1)), np.zeros((3, 1)))

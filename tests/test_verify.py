@@ -1,5 +1,6 @@
 """Scenario runner: verdict logic, skip paths, report round-trips."""
 
+import copy
 import json
 import math
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbilab import coupling, cumulant, distance, verify
+from cbilab import coupling, cumulant, distance, simulate, verify
+from cbilab.coupling import couple_transitions
 from cbilab.cli import load_document, main, parse_scenario
 from cbilab.errors import BlowUpError, ValidationError
 from cbilab.mechanism import BranchingMechanism, ImmigrationMechanism, PointMass, StableAxis, beta_star
@@ -164,6 +166,11 @@ class TestReferenceScenario:
         assert report.metadata["seed"] == 20
         assert report.metadata["replicates"] == 3
         assert report.metadata["runtime_s"] > 0
+        # wall seconds per check, in run order, inside the run's own time
+        check_s = report.metadata["check_s"]
+        assert list(check_s) == list(CHECKS)
+        assert all(s >= 0 for s in check_s.values())
+        assert sum(check_s.values()) <= report.metadata["runtime_s"] + 1e-3 * len(check_s)
 
 
 class TestNegativeControl:
@@ -200,6 +207,40 @@ class TestW1Rows:
         assert all(r.verdict == "pass" for r in rows), [(r.check, r.t) for r in rows]
         for r in rows:
             assert all(r.details[f"dual_rep{i}"] < r.details[f"cost_rep{i}"] for i in (1, 2, 3))
+
+    @pytest.mark.parametrize("mech, cfg", [
+        (MECH, SimConfig(n_samples=2_000, seed=4)),
+        (BranchingMechanism(b=[0.6], c=[0.3], jumps=((StableAxis(0, 0.5, 0.25),),)),
+         SimConfig(n_samples=400, dt=0.05, seed=4)),
+    ], ids=["exact-quadratic", "stepped-stable"])
+    def test_imm_rows_are_the_shared_influx_coupling_up_to_rounding(self, mech, cfg):
+        # the _imm rows read the second plain coupling on each replicate's
+        # stream; the coupling with the shared influx, drawn in its place,
+        # gives the same replicate numbers and verdicts up to the rounding
+        # of the added influx
+        sc = reference_scenario(mech=mech, cfg=cfg)
+        rows = CHECKS["wasserstein_sandwich"](
+            sc, [np.random.default_rng(r) for r in range(REPLICATES)], ScenarioAnalytics(sc))
+        rows = [r for r in rows if r.check == "wasserstein_sandwich_imm"]
+        assert [r.t for r in rows] == list(sc.times)
+        oks = [[] for _ in rows]
+        for rep in range(REPLICATES):
+            rng = np.random.default_rng(rep)
+            couple_transitions(sc.mu, sc.nu, mech, sc.times, cfg, rng)  # the plain rows' draw
+            influx_rng = copy.deepcopy(rng)
+            plain = couple_transitions(sc.mu, sc.nu, mech, sc.times, cfg, rng)
+            shared = couple_transitions(sc.mu, sc.nu, mech, sc.times, cfg, influx_rng, imm=sc.imm)
+            for row, ok, pair, with_influx in zip(rows, oks, plain, shared):
+                bounds = row.analytic["lower"], row.analytic["upper"], row.analytic["upper"]
+                dual, se, new_ok, cost = verify._w1_replicate(pair, *bounds, sc)
+                assert (dual, cost) == (row.details[f"dual_rep{rep + 1}"],
+                                        row.details[f"cost_rep{rep + 1}"])
+                old_dual, old_se, old_ok, old_cost = verify._w1_replicate(with_influx, *bounds, sc)
+                np.testing.assert_allclose([old_dual, old_se, old_cost], [dual, se, cost],
+                                           rtol=1e-12, atol=0)
+                assert old_ok == new_ok
+                ok.append(old_ok)
+        assert [r.verdict for r in rows] == ["pass" if all(ok) else "fail" for ok in oks]
 
     def test_scaled_positive_leg_is_caught(self, monkeypatch):
         # a sampler that inflates the positive Jordan leg by 5% fails the
@@ -568,8 +609,7 @@ class TestTransitionPaths:
     GRID_ARG = {"sample_path": 2, "couple_transitions": 3}
     DRAWS = [("laplace", {("sample_path", True): 1}),
              ("extinction_atom", {("sample_path", False): 1}),
-             ("wasserstein_sandwich", {("couple_transitions", False): 1,
-                                       ("couple_transitions", True): 1}),
+             ("wasserstein_sandwich", {("couple_transitions", False): 2}),
              ("tv_sandwich", {("sample_path", False): 2})]
 
     @pytest.mark.parametrize("times", [(1.0,), (0.5, 1.0, 2.0, 3.0)])
@@ -598,6 +638,34 @@ class TestTransitionPaths:
         quad = reference_scenario(times=times)
         CHECKS["tv_sandwich"](quad, [np.random.default_rng(0)], ScenarioAnalytics(quad))
         assert calls == []
+
+    def test_only_laplace_and_the_stationary_sampler_draw_immigration(self, monkeypatch):
+        # cost guard, counted: on a stepped scenario with immigration, a
+        # whole run passes imm to sample_path once per replicate from
+        # check_laplace and once from sample_stationary, and from nowhere
+        # else; every coupling shares its influx, which cancels
+        usable_cpus(monkeypatch, 1)  # one thread: the running check made each call
+        running, callers = [], Counter()
+        for name, check in list(CHECKS.items()):
+            def entering(*args, _name=name, _check=check):
+                running.append(_name)
+                return _check(*args)
+
+            monkeypatch.setitem(CHECKS, name, entering)
+        for module in (verify, coupling, simulate):
+            def counting(*args, _module=module.__name__, _real=module.sample_path, **kwargs):
+                if kwargs.get("imm") is not None:
+                    callers[running[-1], _module] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "sample_path", counting)
+        stable = BranchingMechanism(b=[0.6], c=[0.3], jumps=((StableAxis(0, 0.5, 0.25),),))
+        sc = reference_scenario(mech=stable, cfg=SimConfig(n_samples=200, dt=0.05, seed=3),
+                                times=(0.5, 1.0, 2.0, 3.0))
+        run_scenario(sc)
+        assert running == list(CHECKS)
+        assert callers == {("laplace", "cbilab.verify"): REPLICATES,
+                           ("stationary", "cbilab.simulate"): REPLICATES}
 
 
 def usable_cpus(monkeypatch, n: int) -> None:
