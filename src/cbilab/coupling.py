@@ -1,24 +1,27 @@
 """Explicit couplings of transition and stationary laws.
 
-The one construction here, `couple_transitions`, is the branching-property
-trick: split the initial states by the componentwise Jordan decomposition
-mu = meet + pos, nu = meet + neg, evolve the three pieces independently,
-and recombine as (shared + pos-part, shared + neg-part).  The marginals are
-the right transition laws, the legs agree on the shared piece, and the
-expected l1 gap between the legs upper-bounds the Wasserstein distance while
-the fraction of unequal rows upper-bounds half the total-variation distance.
+The construction here is the branching-property trick: split the initial
+states by the componentwise Jordan decomposition mu = meet + pos,
+nu = meet + neg, evolve the three pieces independently, and recombine as
+(shared + pos-part, shared + neg-part).  The marginals are the right
+transition laws, the legs agree on the shared piece, and the expected l1
+gap between the legs upper-bounds the Wasserstein distance while the
+fraction of unequal rows upper-bounds half the total-variation distance.
 
-With immigration, `couple_transitions` adds one shared immigration path to
-both legs (zero extra cost by construction).  The stationary law is
-decomposable: a stationary state is an independent sum of the time-t
-immigration mass and a time-t evolution of a stationary state.  So
-`couple_transitions` from mu and from a stationary batch, with imm, couples
-the transition law from mu with the stationary law, and from zero and a
-stationary batch it couples the immigration law at time t with its limit.
-The shared influx cancels from left - right, so a caller that reads only
-that difference (cost, differ, dual rows) leaves imm out: no `verify`
-check passes it.  `cbilab couple` does, since it writes the legs, the
-marginals a user reads.
+The shared piece is a summand of both legs, so it cancels from
+left - right, and that difference is all that cost, differ and the dual
+rows read.  `couple_jordan_pieces` therefore draws only the positive and
+negative pieces, and every `verify` coupling calls it.
+`couple_transitions` draws the whole coupling, whose legs are the
+marginals a user reads (`cbilab couple`): the meet path, then the pieces,
+then, with immigration, one shared immigration path added to both legs.
+
+The stationary law is decomposable: a stationary state is an independent
+sum of the time-t immigration mass and a time-t evolution of a stationary
+state.  So `couple_transitions` from mu and from a stationary batch, with
+imm, couples the transition law from mu with the stationary law, and from
+zero and a stationary batch it couples the immigration law at time t with
+its limit.
 
 The coupling runs along an increasing grid of times, one `sample_path`
 per piece, and returns one pair per time.  By the Markov property each
@@ -41,6 +44,7 @@ from .simulate import sample_transition  # noqa: F401  (an import site bench/tes
 __all__ = [
     "CoupledPair",
     "jordan_decompose",
+    "couple_jordan_pieces",
     "couple_transitions",
 ]
 
@@ -119,34 +123,52 @@ def jordan_decompose(mu, nu):
     return meet, mu - meet, nu - meet
 
 
+def _starts(mu, nu, d: int) -> tuple:
+    """mu and nu as arrays: mass vectors, or (n_samples, d) per-run rows."""
+    return tuple(x if np.ndim(x) == 2 else mass_vector(x, d=d) for x in (mu, nu))
+
+
+def couple_jordan_pieces(mu, nu, mech: BranchingMechanism, times, cfg: SimConfig, rng) -> list:
+    """The coupling of the transition laws from mu and from nu, less its
+    shared piece, at each of an increasing grid of times.
+
+    Draws one path from the positive and then one from the negative part of
+    the Jordan decomposition and returns one CoupledPair(pos_t, neg_t) per
+    time.  The meet path a full coupling adds to both legs cancels from
+    left - right, so these pairs give the cost and dual rows of
+    `couple_transitions` up to rounding, and differ() is exactly the event
+    pos_t != neg_t, which the added meet can only hide by rounding.  mu
+    and nu are mass vectors, or both (n_samples, d)
+    arrays decomposed rowwise, as `sample_path` accepts.
+    """
+    _, pos, neg = jordan_decompose(*_starts(mu, nu, mech.d))
+    left = sample_path(pos, mech, times, cfg, rng)
+    right = sample_path(neg, mech, times, cfg, rng)
+    return [CoupledPair(lf, rt) for lf, rt in zip(left, right)]
+
+
 def couple_transitions(mu, nu, mech: BranchingMechanism, times, cfg: SimConfig, rng,
                        imm: Optional[ImmigrationMechanism] = None) -> list:
     """Couple the transition laws from mu and from nu at each of an
     increasing grid of times, with immigration imm if given.
 
-    Draws one path each from the meet, positive, and negative parts of the
-    Jordan decomposition, in that order, and recombines them at each time;
-    each leg is a true transition sample by the branching property, and the
-    legs share the meet part.  With imm, one immigration path (the process
-    started from zero) is then drawn and added to both legs, so
-    left - right is unchanged: immigration is free.  mu and nu are mass
-    vectors, or both (n_samples, d) arrays giving each row its own pair of
-    initial states (decomposed rowwise), as `sample_path` accepts.  Right is
-    built in the meet path's buffer, so at most three paths are held at
-    once.  Returns one CoupledPair per time.  A caller that reads only
-    left - right leaves imm out and saves the influx path.
+    Draws one path from the meet part of the Jordan decomposition, then the
+    positive and negative paths of `couple_jordan_pieces`, and adds the meet
+    path to both legs: each leg is a true transition sample by the
+    branching property, and the legs share the meet part.  With imm, one
+    immigration path (the process started from zero) is then drawn and
+    added to both legs, so left - right is unchanged: immigration is free.
+    mu and nu are mass vectors, or both (n_samples, d) arrays giving each
+    row its own pair of initial states (decomposed rowwise).  Returns one
+    CoupledPair per time.
     """
-    if np.ndim(mu) != 2:
-        mu = mass_vector(mu, d=mech.d)
-    if np.ndim(nu) != 2:
-        nu = mass_vector(nu, d=mech.d)
-    meet, pos, neg = jordan_decompose(mu, nu)
-    right = sample_path(meet, mech, times, cfg, rng)
-    left = right + sample_path(pos, mech, times, cfg, rng)
-    right += sample_path(neg, mech, times, cfg, rng)
+    mu, nu = _starts(mu, nu, mech.d)
+    meet = sample_path(jordan_decompose(mu, nu)[0], mech, times, cfg, rng)
+    legs = [(m + pair.left, m + pair.right)
+            for m, pair in zip(meet, couple_jordan_pieces(mu, nu, mech, times, cfg, rng))]
     if imm is not None:
         influx = sample_path(np.zeros(mech.d), mech, times, cfg, rng, imm=imm)
-        left += influx
-        right += influx
-    return [CoupledPair(lf, rt) for lf, rt in zip(left, right)]
-
+        for (left, right), f in zip(legs, influx):
+            left += f
+            right += f
+    return [CoupledPair(lf, rt) for lf, rt in legs]

@@ -18,11 +18,12 @@ that mean, Z99 * sqrt(sum_r se_r^2) / R, where se_r is the standard error
 of replicate r's estimate.  Exact (non-sampling) rows use absolute
 tolerances around 1e-9 and report ci = 0.  Each check draws one path or
 coupling per replicate and reduces it to all its rows in that replicate's
-thread: the stationary rows read one stationary batch S and two couplings
-that start from it, (0, S) along the times and (mu, S) along the fit times,
-and each transition check reads all its times off one path (or coupling),
-so those rows are correlated with one another; the replicates stay
-independent.
+thread.  A coupling here is its Jordan pieces (`couple_jordan_pieces`): its
+shared meet path cancels from every number a row reads.  The stationary
+rows read one stationary batch S and two couplings that start from it,
+(0, S) along the times and (mu, S) along the fit times, and each
+transition check reads all its times off one path (or coupling), so those
+rows are correlated with one another; the replicates stay independent.
 
 The `tamper` field of a scenario shifts analytic lower bounds upward and
 exists so that a deliberately corrupted fixture demonstrably fails — a
@@ -45,7 +46,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from . import __version__
-from .coupling import couple_transitions
+from .coupling import couple_jordan_pieces
 from .cumulant import (
     _flow_lanes,
     extinction_envelope,
@@ -431,10 +432,12 @@ def _w1_replicate(pair, lower: float, upper: float, scale: float, sc: Scenario) 
 def check_wasserstein_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     """First-moment sandwich around the transition Wasserstein distance.
 
-    With immigration, the `_imm` rows read a second coupling of the same
-    law on the same stream: the shared immigration path of the immigration
-    coupling is a summand of both legs and cancels from left - right, the
-    only thing a W1 row reads, so it is not drawn."""
+    Each replicate draws the Jordan pieces only (`couple_jordan_pieces`):
+    the meet path of the full coupling, like the shared immigration path of
+    the immigration coupling, is a summand of both legs and cancels from
+    left - right, the only thing a W1 row reads, so neither is drawn.  With
+    immigration, the `_imm` rows read a second, independent draw of the
+    same pieces on the same stream."""
     mu, nu = sc.mu, sc.nu
     variants = [("wasserstein_sandwich",
                  "|<mu-nu, pi_t 1>| <= W1(Q_t(mu), Q_t(nu)) <= |mu-nu|(pi_t 1)")]
@@ -450,7 +453,7 @@ def check_wasserstein_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> lis
 
     def draw(rng):
         # one coupled path per variant serves every time; rows go time by time
-        per_variant = [replicate(couple_transitions(mu, nu, sc.mech, sc.times, sc.cfg, rng))
+        per_variant = [replicate(couple_jordan_pieces(mu, nu, sc.mech, sc.times, sc.cfg, rng))
                        for _ in variants]
         return [row for per_time in zip(*per_variant) for row in per_time]
 
@@ -661,15 +664,16 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         # the immigration law with its limit, (fresh_t, fresh_t + Q_t S),
         # less the fresh influx, which cancels from left - right
         x = sample_stationary(imm, mech, sc.cfg, rng)
-        pairs = couple_transitions(np.zeros_like(x), x, mech, sc.times, sc.cfg, rng)
+        pairs = couple_jordan_pieces(np.zeros_like(x), x, mech, sc.times, sc.cfg, rng)
         bundle = [mean_row(x), laplace_row(x),
                   *(_w1_replicate(pair, w1, w1, w1, sc) for pair, w1 in zip(pairs, w1s)),
                   *(tv_row(pair, *bound) for pair, bound in zip(pairs, tv_bounds))]
         del pairs  # a thread holds one coupling at a time
         if not fit_ts:
             return bundle, ()
-        # the rate pairs couple mu with S along fit_ts, also without imm
-        rate_pairs = couple_transitions(np.tile(sc.mu, (len(x), 1)), x, mech, fit_ts, sc.cfg, rng)
+        # the rate pairs couple mu with S along fit_ts: the Jordan pieces,
+        # without the shared meet path or imm
+        rate_pairs = couple_jordan_pieces(np.tile(sc.mu, (len(x), 1)), x, mech, fit_ts, sc.cfg, rng)
         return bundle, ([pair.cost() for pair in rate_pairs],
                         [2.0 * pair.differ() for pair in rate_pairs])
 

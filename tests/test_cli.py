@@ -8,7 +8,9 @@ import re
 import numpy as np
 import pytest
 
+from cbilab import coupling
 from cbilab.cli import load_document, main, parse_scenario
+from cbilab.coupling import jordan_decompose
 from cbilab.cumulant import closed_form_quadratic, mean_vector
 from cbilab.errors import ValidationError
 from cbilab.verify import share_cpus
@@ -320,6 +322,37 @@ class TestSmallCommands:
             assert abs(leg.mean() - target) <= 4 * leg.std() / math.sqrt(len(leg))
         np.testing.assert_allclose(cost, np.abs(left - right), rtol=0,
                                    atol=1e-11 * max(left.max(), right.max()))
+
+    @pytest.mark.parametrize("name, digest", [
+        ("ref_d1_quadratic", "0b6b36b0c35df8e8f9cfa4c1dd3f8ce92e2ee97ad7d609dcf83fa365fa7d3e44"),
+        ("ref_d1_stable", "6f767605b257cc87bc6164911657bbccad5ecde92b940cb3ca687f8d325742b3"),
+    ], ids=["ref_d1_quadratic", "ref_d1_stable"])
+    def test_couple_keeps_its_bytes_at_the_shipped_seed_and_n(self, tmp_path, name, digest):
+        # the full coupling draws the meet path, the Jordan pieces and the
+        # influx on one stream in that order; these are the bytes of that
+        # order on the exact and the stepped stable route
+        assert main(["couple", f"{SCENARIOS}/{name}.json", "--t", "1",
+                     "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "couple.csv").read_bytes()).hexdigest() == digest
+
+    def test_couple_draws_the_meet_then_the_pieces_then_the_influx(self, tmp_path, monkeypatch):
+        # cost guard, counted: `couple` writes the marginal legs, so it
+        # draws the meet path that `verify` leaves out, and the shared influx
+        calls, real = [], coupling.sample_path
+
+        def recording(x0, mech, times, cfg, rng, imm=None):
+            calls.append((np.array(x0, dtype=float), imm is not None))
+            return real(x0, mech, times, cfg, rng, imm=imm)
+
+        monkeypatch.setattr(coupling, "sample_path", recording)
+        doc = f"{SCENARIOS}/ref_d1_stable.json"  # mu 1.5, nu 0.5: the three starts differ
+        assert main(["couple", doc, "--t", "1", "--samples", "200", "--out", str(tmp_path)]) == 0
+        sc = parse_scenario(load_document(doc))
+        meet, pos, neg = jordan_decompose(sc.mu, sc.nu)
+        expected = [(meet, False), (pos, False), (neg, False), (np.zeros(1), True)]
+        assert len(calls) == len(expected)
+        for (start, with_imm), (want, want_imm) in zip(calls, expected):
+            assert np.array_equal(start, want) and with_imm == want_imm
 
     def test_stationary_needs_immigration(self, tmp_path, capsys):
         doc = json.loads(write_doc(tmp_path).read_text())

@@ -21,6 +21,7 @@ from scipy import stats
 from cbilab.cli import main
 from cbilab.coupling import (
     CoupledPair,
+    couple_jordan_pieces,
     couple_transitions,
     jordan_decompose,
 )
@@ -293,6 +294,30 @@ def test_grid_coupling_reads_one_path_per_leg():
         assert np.array_equal(pair.right, shared[k] + lower[k] + influx[k])
 
 
+def test_jordan_pieces_are_the_coupling_less_its_meet_path():
+    # the pieces are the positive and then the negative path on one
+    # generator; the full coupling draws its meet path first and adds it
+    # to both legs of the pieces drawn after it
+    mech, times = folded_mech(), (0.2, 0.5, 0.9)
+    mu, nu = np.array([2.0, 1.0]), np.array([1.0, 1.5])
+    cfg = SimConfig(n_samples=100, dt=0.05)
+    meet, pos, neg = jordan_decompose(mu, nu)
+    pieces = couple_jordan_pieces(mu, nu, mech, times, cfg, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    upper = sample_path(pos, mech, times, cfg, rng)
+    lower = sample_path(neg, mech, times, cfg, rng)
+    full = couple_transitions(mu, nu, mech, times, cfg, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    shared = sample_path(meet, mech, times, cfg, rng)
+    after = couple_jordan_pieces(mu, nu, mech, times, cfg, rng)
+    assert len(pieces) == len(full) == len(times)
+    for k in range(len(times)):
+        assert np.array_equal(pieces[k].left, upper[k])
+        assert np.array_equal(pieces[k].right, lower[k])
+        assert np.array_equal(full[k].left, shared[k] + after[k].left)
+        assert np.array_equal(full[k].right, shared[k] + after[k].right)
+
+
 # ---------------------------------------------------------------------------
 # immigration couplings
 # ---------------------------------------------------------------------------
@@ -324,12 +349,15 @@ def test_cbi_equal_starts_identical_legs():
 
 
 def from_stationary(mu, imm, mech, times, cfg, rng, influx=False):
-    """(eta, couple_transitions from mu and from eta), eta one stationary
-    batch, with the shared influx of imm if asked; without it, the pairs of
-    `verify`: the stationary pairs from mu = 0 and the rate pairs from mu."""
+    """(eta, the coupling from mu and from eta), eta one stationary batch:
+    with influx, couple_transitions with the shared influx of imm; without
+    it, the Jordan pieces that `verify` draws, the stationary pairs from
+    mu = 0 and the rate pairs from mu."""
     eta = sample_stationary(imm, mech, cfg, rng)
-    return eta, couple_transitions(np.tile(mu, (cfg.n_samples, 1)), eta, mech, times, cfg, rng,
-                                   imm=imm if influx else None)
+    mu = np.tile(mu, (cfg.n_samples, 1))
+    if influx:
+        return eta, couple_transitions(mu, eta, mech, times, cfg, rng, imm=imm)
+    return eta, couple_jordan_pieces(mu, eta, mech, times, cfg, rng)
 
 
 def test_stationary_coupling_cost_identity():
