@@ -26,8 +26,7 @@ increment (X_i a dt)^{1/(1+alpha)} Z is sampled exactly with a
 Chambers–Mallows–Stuck draw of the spectrally positive stable variable Z.
 
 Without immigration the zero state is absorbing, so a transition draw steps
-only the live (non-zero) rows and leaves the dead ones at zero; a row that
-dies inside a stepped segment is dropped after that step.
+only the live (non-zero) rows and leaves the dead ones at zero.
 
 `sample_path` is the one composition of branching and immigration: it
 chains segments over the gaps of a time grid, exact by the Markov property.
@@ -131,14 +130,12 @@ def _cb_quadratic_batch(x: np.ndarray, b: float, c: float, t, rng) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _stable_positive_batch(alpha: float, n: int, rng, rows=None) -> np.ndarray:
+def _stable_positive_batch(alpha: float, n: int, rng) -> np.ndarray:
     """Zero-mean spectrally positive (1+alpha)-stable draws, normalized so
     that E[e^{-lam Z}] = exp(stable_constant(alpha) * lam^{1+alpha}).
 
     Chambers–Mallows–Stuck with skewness 1; the index 1+alpha lies in (1,2)
-    so the mean exists and is zero.  With rows (indices into the n draws),
-    only those draws are transformed and returned; all n uniforms and
-    exponentials are drawn either way, so the stream does not depend on rows.
+    so the mean exists and is zero.
     """
     ap = 1.0 + alpha
     ta = math.tan(0.5 * math.pi * ap)
@@ -146,8 +143,6 @@ def _stable_positive_batch(alpha: float, n: int, rng, rows=None) -> np.ndarray:
     S = (1.0 + ta * ta) ** (0.5 / ap)
     U = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=n)
     W = rng.standard_exponential(size=n)
-    if rows is not None:
-        U, W = U[rows], W[rows]
     Z = (
         S
         * np.sin(ap * (U + B))
@@ -241,11 +236,7 @@ def _stepped_batch(
     """Evolve (n,d) initial states over [0,t] with symmetric splitting.
 
     n steps make n + 1 branching draws per type: a half-step, n - 1 fused
-    full steps between the middle blocks, and a closing half-step.  Without
-    immigration the zero state is absorbing, so a row that dies is dropped
-    after its step and comes back as zeros.  That is bit-neutral: Poisson(0)
-    and Gamma(0) consume no variates, and the stable draws keep their
-    segment-entry size."""
+    full steps between the middle blocks, and a closing half-step."""
     X = np.array(states, dtype=float)
     if t == 0.0:
         return X
@@ -261,7 +252,6 @@ def _stepped_batch(
     if imm is not None:
         imm_atoms, imm_exps = _nu_tables(imm)
     half = 0.5 * h
-    live = None  # once rows have died: the entry positions of X's rows
     for k in range(n_steps):
         # the closing half-step of step k-1 and the opening one of step k are
         # one exact draw of length h: the CB quadratic law is a semigroup
@@ -279,24 +269,15 @@ def _stepped_batch(
             K = rng.poisson(X[:, i] * rate * h)
             incr[:, m] += K * eps + rng.gamma(shape=K, scale=th)
         for i, alpha, scale in stables:
-            Z = _stable_positive_batch(alpha, n, rng, live)
+            Z = _stable_positive_batch(alpha, n, rng)
             incr[:, i] += (X[:, i] * scale * h) ** (1.0 / (1.0 + alpha)) * Z
         if imm is not None:
             _add_influx(incr, imm, imm_atoms, imm_exps, half, rng)
         X = np.maximum(X @ drift_flow + incr, 0.0)
         if np.any(X > cfg.ceiling):
             raise BlowUpError(f"simulated mass exceeded ceiling {cfg.ceiling:g}")
-        if imm is None:
-            alive = X.any(axis=1)
-            if not alive.all():
-                X = X[alive]
-                live = np.flatnonzero(alive) if live is None else live[alive]
     _branch_all(X, mech, half, rng)
-    if live is None:
-        return X
-    out = np.zeros((n, X.shape[1]))
-    out[live] = X
-    return out
+    return X
 
 
 def _exact_immigration(mech: BranchingMechanism) -> bool:

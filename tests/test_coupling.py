@@ -279,43 +279,25 @@ def test_one_time_grid_coupling_draws_the_three_legs_then_the_influx():
 
 
 def test_grid_coupling_reads_one_path_per_leg():
-    # pair k recombines snapshot k of the meet, positive and negative paths
+    # pair k recombines snapshot k of the meet, positive and negative paths;
+    # the Jordan pieces alone are the positive and then the negative path
     mech, imm = folded_mech(), ImmigrationMechanism(beta=[0.4, 0.2])
     mu, nu, times = np.array([2.0, 1.0]), np.array([1.0, 1.5]), (0.2, 0.5, 0.9)
     cfg = SimConfig(n_samples=100, dt=0.05)
     pairs = couple_transitions(mu, nu, mech, times, cfg, np.random.default_rng(7), imm=imm)
+    pieces = couple_jordan_pieces(mu, nu, mech, times, cfg, np.random.default_rng(7))
+    meet, pos, neg = jordan_decompose(mu, nu)
     rng = np.random.default_rng(7)
-    shared, upper, lower = (sample_path(leg, mech, times, cfg, rng)
-                            for leg in jordan_decompose(mu, nu))
+    shared, upper, lower = (sample_path(leg, mech, times, cfg, rng) for leg in (meet, pos, neg))
     influx = sample_path(np.zeros(2), mech, times, cfg, rng, imm=imm)
-    assert len(pairs) == len(times)
+    rng = np.random.default_rng(7)
+    alone = [sample_path(leg, mech, times, cfg, rng) for leg in (pos, neg)]
+    assert len(pairs) == len(pieces) == len(times)
     for k, pair in enumerate(pairs):
         assert np.array_equal(pair.left, shared[k] + upper[k] + influx[k])
         assert np.array_equal(pair.right, shared[k] + lower[k] + influx[k])
-
-
-def test_jordan_pieces_are_the_coupling_less_its_meet_path():
-    # the pieces are the positive and then the negative path on one
-    # generator; the full coupling draws its meet path first and adds it
-    # to both legs of the pieces drawn after it
-    mech, times = folded_mech(), (0.2, 0.5, 0.9)
-    mu, nu = np.array([2.0, 1.0]), np.array([1.0, 1.5])
-    cfg = SimConfig(n_samples=100, dt=0.05)
-    meet, pos, neg = jordan_decompose(mu, nu)
-    pieces = couple_jordan_pieces(mu, nu, mech, times, cfg, np.random.default_rng(7))
-    rng = np.random.default_rng(7)
-    upper = sample_path(pos, mech, times, cfg, rng)
-    lower = sample_path(neg, mech, times, cfg, rng)
-    full = couple_transitions(mu, nu, mech, times, cfg, np.random.default_rng(8))
-    rng = np.random.default_rng(8)
-    shared = sample_path(meet, mech, times, cfg, rng)
-    after = couple_jordan_pieces(mu, nu, mech, times, cfg, rng)
-    assert len(pieces) == len(full) == len(times)
-    for k in range(len(times)):
-        assert np.array_equal(pieces[k].left, upper[k])
-        assert np.array_equal(pieces[k].right, lower[k])
-        assert np.array_equal(full[k].left, shared[k] + after[k].left)
-        assert np.array_equal(full[k].right, shared[k] + after[k].right)
+        assert np.array_equal(pieces[k].left, alone[0][k])
+        assert np.array_equal(pieces[k].right, alone[1][k])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.linalg import expm
 
 from cbilab.cli import load_document, main, parse_scenario
 from cbilab.cumulant import closed_form_quadratic, discount_integral, mean_vector, solve_cumulant
@@ -434,66 +433,6 @@ def test_dead_rows_are_skipped(route):
         # consumes no variates at the dead rows
         full = _cb_quadratic_batch(starts[:, 0], 1.0, 1.0, t, np.random.default_rng(seed))
         assert np.array_equal(x[:, 0], full)
-
-
-def test_poisson_and_gamma_at_zero_draw_no_variates():
-    # the numpy fact that makes dropping dead rows bit-neutral: a zero
-    # Poisson mean or Gamma shape consumes nothing, alone or inside an array
-    a, b = np.random.default_rng(41), np.random.default_rng(41)
-    b.poisson(0.0)
-    b.gamma(0.0, 2.0)
-    b.poisson(np.zeros(7))
-    b.gamma(np.zeros(7), 0.5)
-    assert a.bit_generator.state == b.bit_generator.state
-    assert a.standard_normal() == b.standard_normal()
-    dead = np.array([True, False, True, False, True])
-    counts = a.poisson([0.0, 2.5, 0.0, 30.0, 0.0])
-    assert np.array_equal(counts[~dead], b.poisson([2.5, 30.0])) and not counts[dead].any()
-    sizes = a.gamma([0.0, 1.5, 0.0, 4.0, 0.0], 0.7)
-    assert np.array_equal(sizes[~dead], b.gamma([1.5, 4.0], 0.7)) and not sizes[dead].any()
-    assert a.bit_generator.state == b.bit_generator.state
-
-
-def _uncompacted_stepped_batch(states, mech, t, cfg, rng):
-    """The split-step loop of `_stepped_batch` without immigration, stepping
-    every row to the end, dead or alive."""
-    X = np.array(states, dtype=float)
-    n, n_steps = len(X), max(1, math.ceil(t / cfg.dt))
-    h = t / n_steps
-    D, atoms, exps, stables = simulate._step_tables(mech, cfg.jump_threshold)
-    drift_flow = expm(h * D)
-    for k in range(n_steps):
-        simulate._branch_all(X, mech, 0.5 * h if k == 0 else h, rng)
-        incr = np.zeros_like(X)
-        for i, rate, u in atoms:
-            incr += np.outer(rng.poisson(X[:, i] * rate * h), u)
-        for i, m, rate, th, eps in exps:
-            K = rng.poisson(X[:, i] * rate * h)
-            incr[:, m] += K * eps + rng.gamma(shape=K, scale=th)
-        for i, alpha, scale in stables:
-            Z = _stable_positive_batch(alpha, n, rng)
-            incr[:, i] += (X[:, i] * scale * h) ** (1.0 / (1.0 + alpha)) * Z
-        X = np.maximum(X @ drift_flow + incr, 0.0)
-    simulate._branch_all(X, mech, 0.5 * h, rng)
-    return X
-
-
-@pytest.mark.parametrize("mech", [
-    stable_mech(),
-    folded_mech(),
-    BranchingMechanism(b=[1.0, 0.5], c=[2.0, 1.0],
-                       jumps=((PointMass(u=[0.3, 0.1], weight=0.8),), ())),
-], ids=["stable-d1", "folded-d2", "point-mass-d2"])
-def test_dropping_rows_that_die_mid_segment_is_bit_neutral(mech):
-    # small starts die inside the segment; stepping only the live rows
-    # draws the same numbers and leaves the generator in the same state
-    cfg = SimConfig(n_samples=400, dt=0.02)
-    starts = np.random.default_rng(3).exponential(0.05, size=(400, mech.d))
-    rng, ref_rng = np.random.default_rng(19), np.random.default_rng(19)
-    x = _stepped_batch(starts, mech, None, 2.0, cfg, rng)
-    assert np.array_equal(x, _uncompacted_stepped_batch(starts, mech, 2.0, cfg, ref_rng))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert (~x.any(axis=1)).mean() > 0.5
 
 
 def test_zero_start_with_immigration_is_not_short_cut():

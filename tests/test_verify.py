@@ -271,16 +271,19 @@ class TestW1Rows:
         failed = {(r.check, r.t) for r in rows if r.verdict == "fail"}
         assert {(c, 0.5) for c in self.W1_ROWS} <= failed
         assert failed <= {(c, t) for c in self.W1_ROWS for t in (0.5, 1.0)}
-        # at t = 1 every row's estimate sits past its upper bound, four or
-        # more standard errors of the mean out, even where no replicate
-        # leaves the band
-        assert all(r.estimate > r.analytic["upper"] for r in rows if r.t <= 1.0)
-        # so a t = 1 row fails at most seeds: of seeds 1-5, at least three
+        # every t <= 1 row's estimate sits more than 3.5 standard errors of
+        # the mean past its upper bound, even where no replicate leaves its
+        # band: 4.1 and 4.7 at t = 1 here, while with the true sampler no
+        # t <= 1 row of seeds 1-10 sits more than 2.3 out
+        assert all(r.estimate - r.analytic["upper"] > 3.5 * r.ci / Z99
+                   for r in rows if r.t <= 1.0)
+        # so a t = 1 row fails at most seeds: at four or more of seeds 1-5
+        # (at 28 of seeds 1-30)
         caught = [any((c, 1.0) in failed for c in self.W1_ROWS)]
         for seed in range(2, 6):
             rows = run_scenario(replace(sc, cfg=replace(sc.cfg, seed=seed))).rows
             caught.append(any(r.verdict == "fail" for r in rows if r.t == 1.0))
-        assert sum(caught) >= 3, caught
+        assert sum(caught) >= 4, caught
 
 
 class TestSkipPaths:
