@@ -8,14 +8,15 @@ surfaces in the exit status of the batch front end.
 
 Statistical policy: every sampling-based verdict is required to hold on
 three independent seed replicates, drawn concurrently from their own
-streams and combined in replicate order (`_replicate_rows`, the one
-replicate primitive), so a report does not depend on the number of CPUs;
-pass thresholds use four standard errors per replicate (plus any stated
-relative floor) so that a multi-row report is not expected to fail by
-chance.  A row's estimate is
-the mean of its replicate estimates and its `ci` the 99% half-width of
-that mean, Z99 * sqrt(sum_r se_r^2) / R, where se_r is the standard error
-of replicate r's estimate.  Exact (non-sampling) rows use absolute
+streams (`_per_replicate`) and combined in replicate order, so a report
+does not depend on the number of CPUs.  Every sampled row is built by
+`_replicate_rows`, the one row builder, from the check's row template and
+its replicate tuples.  Pass thresholds use four standard errors per
+replicate (plus any stated relative floor) so that a multi-row report is
+not expected to fail by chance.  A row's estimate is the mean of its
+replicate estimates and its `ci` the 99% half-width of that mean,
+Z99 * sqrt(sum_r se_r^2) / R, where se_r is the standard error of
+replicate r's estimate.  Exact (non-sampling) rows use absolute
 tolerances around 1e-9 and report ci = 0.  Each check draws one path or
 coupling per replicate and reduces it to all its rows in that replicate's
 thread.  A coupling here is its Jordan pieces (`couple_jordan_pieces`): its
@@ -39,7 +40,7 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -107,6 +108,11 @@ def _finite_real(value, what: str) -> float:
     raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One verification work order: a model plus a time grid and checks."""
@@ -123,11 +129,10 @@ class Scenario:
     tamper: float = 0.0
 
     def __post_init__(self):
-        mu = mass_vector(self.mu, d=self.mech.d)
+        mu = _frozen(mass_vector(self.mu, d=self.mech.d))
         nu = mass_vector(self.nu, d=self.mech.d) if self.nu is not None else np.zeros(self.mech.d)
-        nu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "nu", _frozen(nu))
         if self.imm is not None and self.imm.d != self.mech.d:
             raise ValidationError(
                 f"immigration dimension {self.imm.d} != mechanism dimension {self.mech.d}")
@@ -140,8 +145,7 @@ class Scenario:
             lam = np.ones(self.mech.d)
         else:
             lam = mass_vector(self.lambda_probe, d=self.mech.d)
-        lam.setflags(write=False)
-        object.__setattr__(self, "lambda_probe", lam)
+        object.__setattr__(self, "lambda_probe", _frozen(lam))
         checks = tuple(self.checks) if self.checks else tuple(CHECKS)
         unknown = [c for c in checks if c not in CHECKS]
         if unknown:
@@ -241,8 +245,10 @@ def _per_replicate(fn, replicates) -> list:
     """[fn(r) for r in replicates], in replicate order, computed on one thread
     per usable CPU (serially on one).  Each replicate owns its random stream
     and numpy's sampling and ufunc loops release the GIL, so the replicates
-    overlap while every result keeps its bits.  The first exception in
-    replicate order is raised, and no thread outlives the call."""
+    overlap while every result keeps its bits.  A check's fn reduces each
+    path or coupling as soon as it is drawn, so a thread holds one at a
+    time.  The first exception in replicate order is raised, and no thread
+    outlives the call."""
     replicates = list(replicates)
     threads = _replicate_threads(len(replicates))
     if threads == 1:
@@ -251,33 +257,35 @@ def _per_replicate(fn, replicates) -> list:
         return list(pool.map(fn, replicates))
 
 
-def _replicate_rows(replicates, draw) -> list:
-    """_combined rows of draw(r) for each replicate r, its random stream,
-    drawn concurrently (`_per_replicate`).  A draw reduces each path or
-    coupling as soon as it is drawn, so a thread holds one at a time."""
-    return _combined(_per_replicate(draw, replicates))
-
-
-def _combined(per_replicate) -> list:
-    """(fields, columns) per row, from one (estimate, se, ok, *extras) tuple
-    per row, in row order, for each replicate, combined in replicate order.
-    fields are the row's CheckRow fields: the mean estimate, its ci and a
-    verdict that passes only if every replicate passes; columns are the
-    tuples transposed, columns[0] the replicate estimates and columns[3:]
-    the extras."""
-    out = []
-    for tuples in zip(*per_replicate):
+def _replicate_rows(templates, per_replicate) -> list:
+    """The sampled CheckRows of a check, one per template (check, claim, t,
+    analytic, details), from per_replicate: each replicate's list of one
+    (estimate, se, ok, *extras) tuple per row, in row order, as
+    `_per_replicate` returns them.  A row's estimate is the mean of its
+    replicate estimates, its ci Z99 * sqrt(sum se^2) / R and its verdict
+    passes only if every replicate passes; details(columns) gives its
+    details from the tuples transposed, columns[0] the replicate estimates
+    and columns[3:] the extras.  A replicate with more or fewer tuples than
+    there are templates raises ValueError: no row is dropped."""
+    rows = []
+    for (check, claim, t, analytic, details), *tuples in zip(templates, *per_replicate, strict=True):
         columns = list(zip(*tuples))
         ests, ses, oks = columns[:3]
-        out.append(({"estimate": float(np.mean(ests)),
-                     "ci": Z99 * math.sqrt(sum(se * se for se in ses)) / len(ses),
-                     "verdict": _verdict(all(oks))}, columns))
-    return out
+        rows.append(CheckRow(check=check, claim=claim, t=t, analytic=analytic,
+                             estimate=float(np.mean(ests)),
+                             ci=Z99 * math.sqrt(sum(se * se for se in ses)) / len(ses),
+                             verdict=_verdict(all(oks)), details=details(columns)))
+    return rows
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _reps(columns) -> dict:
+    """The details of a row with no extras: its replicate estimates."""
+    return _per_rep("rep", columns[0])
+
+
+def _w1_reps(columns) -> dict:
+    """The details of a W1 row: its replicate coupling costs and mean dual rows."""
+    return _per_rep("cost_rep", columns[3]) | _per_rep("dual_rep", columns[0])
 
 
 def _psi_integrals(mech, imm, lams, lags) -> list:
@@ -457,23 +465,14 @@ def check_wasserstein_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> lis
                        for _ in variants]
         return [row for per_time in zip(*per_variant) for row in per_time]
 
-    results = iter(_replicate_rows(rngs, draw))
-    rows = []
-    for t, (lower, upper) in zip(sc.times, bounds):
-        for check_name, claim in variants:
-            fields, cols = next(results)
-            rows.append(CheckRow(
-                check=check_name, claim=claim, t=t,
-                analytic={"lower": lower, "upper": upper}, **fields,
-                details=_per_rep("cost_rep", cols[3]) | _per_rep("dual_rep", cols[0]),
-            ))
-    return rows
+    return _replicate_rows([(check, claim, t, {"lower": lower, "upper": upper}, _w1_reps)
+                            for t, (lower, upper) in zip(sc.times, bounds) for check, claim in variants],
+                           _per_replicate(draw, rngs))
 
 
 def check_tv_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     """Extinction-functional sandwich around the transition TV distance."""
     mech = sc.mech
-    rows = []
     claim = "2|e^{-mu(Vbar_t)} - e^{-nu(Vbar_t)}| <= ||Q_t(mu)-Q_t(nu)||_var <= 2(1 - e^{-|mu-nu|(Vbar_t)})"
     vbars, reason = an.envelope
     if vbars is None:
@@ -483,6 +482,7 @@ def check_tv_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     bounds = [(2.0 * abs(math.exp(-float(sc.mu @ vbar)) - math.exp(-float(sc.nu @ vbar))) + sc.tamper,
                2.0 * (1.0 - math.exp(-float(np.abs(sc.mu - sc.nu) @ vbar)))) for vbar in vbars]
     if exact_route:
+        rows = []
         for t, vbar, (lower, upper) in zip(sc.times, vbars, bounds):
             est = tv_exact_quadratic(float(sc.mu[0]), float(sc.nu[0]),
                                      float(mech.b[0]), float(mech.c[0]), t)
@@ -505,14 +505,11 @@ def check_tv_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
                     sample_path(sc.nu, mech, sc.times, sc.cfg, rng))
         return [replicate(snapshots, *bound) for snapshots, bound in zip(paths, bounds)]
 
-    for t, vbar, (lower, upper), (fields, cols) in zip(
-            sc.times, vbars, bounds, _replicate_rows(rngs, draw)):
-        rows.append(CheckRow(
-            check="tv_sandwich", claim=claim, t=t,
-            analytic={"lower": lower, "upper": upper, "vbar_max": float(vbar.max())},
-            **fields, details={"spread": max(0.0, *cols[3]), "route": 1.0},
-        ))
-    return rows
+    return _replicate_rows([("tv_sandwich", claim, t,
+                             {"lower": lower, "upper": upper, "vbar_max": float(vbar.max())},
+                             lambda cols: {"spread": max(0.0, *cols[3]), "route": 1.0})
+                            for t, vbar, (lower, upper) in zip(sc.times, vbars, bounds)],
+                           _per_replicate(draw, rngs))
 
 
 def check_lipschitz_contraction(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
@@ -559,13 +556,8 @@ def check_laplace(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         path = sample_path(sc.mu, mech, sc.times, sc.cfg, rng, imm=imm)
         return [replicate(x, target) for x, target in zip(path, targets)]
 
-    rows = []
-    for t, target, (fields, cols) in zip(sc.times, targets, _replicate_rows(rngs, draw)):
-        rows.append(CheckRow(
-            check="laplace", claim=claim, t=t, analytic={"target": target},
-            **fields, details=_per_rep("rep", cols[0]),
-        ))
-    return rows
+    return _replicate_rows([("laplace", claim, t, {"target": target}, _reps)
+                            for t, target in zip(sc.times, targets)], _per_replicate(draw, rngs))
 
 
 def check_extinction_atom(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
@@ -589,13 +581,8 @@ def check_extinction_atom(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         path = sample_path(sc.mu, mech, sc.times, sc.cfg, rng)
         return [replicate(x, target) for x, target in zip(path, targets)]
 
-    rows = []
-    for t, target, (fields, cols) in zip(sc.times, targets, _replicate_rows(rngs, draw)):
-        rows.append(CheckRow(
-            check="extinction_atom", claim=claim, t=t, analytic={"target": target},
-            **fields, details=_per_rep("rep", cols[0]),
-        ))
-    return rows
+    return _replicate_rows([("extinction_atom", claim, t, {"target": target}, _reps)
+                            for t, target in zip(sc.times, targets)], _per_replicate(draw, rngs))
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +595,8 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     mech, imm = sc.mech, sc.imm
     bs = beta_star(mech)
     if bs <= 0:
-        return [CheckRow(check="stationary", claim="the immigration law converges to a limit",
-                         verdict="skipped",
-                         reason=f"needs subcriticality beta_star > 0, got beta_star = {bs:.6g}")]
+        return _skipped("stationary", "the immigration law converges to a limit", [None],
+                        f"needs subcriticality beta_star > 0, got beta_star = {bs:.6g}")
     if imm is None or imm.is_trivial():
         # without immigration the limit law is the zero state; at finite
         # horizons the mean follows the decaying moment flow
@@ -621,12 +607,9 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
             mean_mass, se = _mean_se(sample_path(sc.mu, mech, [t_h], sc.cfg, rng)[0].sum(axis=1))
             return [(mean_mass, se, abs(mean_mass - target) <= SIGMAS * se + 1e-3 * float(sc.mu.sum()))]
 
-        (fields, cols), = _replicate_rows(rngs, draw_decay)
-        return [CheckRow(
-            check="stationary_mean",
-            claim="with no immigration the mean mass follows the decaying moment flow (limit law = zero state)",
-            t=t_h, analytic={"mean_mass": target}, **fields, details=_per_rep("rep", cols[0]),
-        )]
+        claim = "with no immigration the mean mass follows the decaying moment flow (limit law = zero state)"
+        return _replicate_rows([("stationary_mean", claim, t_h, {"mean_mass": target}, _reps)],
+                               _per_replicate(draw_decay, rngs))
     # the analytic side of every bundle row, read before the replicates run:
     # the mean vector is the resolvent of the moment generator applied to the influx
     m_inf = stationary_mean(mech, imm)
@@ -678,44 +661,28 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
                         [2.0 * pair.differ() for pair in rate_pairs])
 
     drawn = _per_replicate(draw, rngs)
-    results = iter(_combined([bundle for bundle, _ in drawn]))
-    fields, cols = next(results)
-    rows = [CheckRow(
-        check="stationary_mean",
-        claim="the stationary mean solves the linear balance equation of branching drift and influx",
-        analytic={f"mean_{i + 1}": float(v) for i, v in enumerate(m_inf)}, **fields,
-        details={f"emp_{i + 1}": float(v) for i, v in enumerate(np.mean(cols[3], axis=0))},
-    )]
-    fields, cols = next(results)
-    rows.append(CheckRow(
-        check="stationary_laplace",
-        claim="E[e^{-<lam, X_infty>}] = exp(-integral over all time of psi(v(s,lam)))",
-        analytic={"target": target, "tail_bound": tail}, **fields,
-        details=_per_rep("rep", cols[0]),
-    ))
-
-    # distance identities on the time grid
-    for t, w1, by_tail in zip(sc.times, w1s, by_tails):
-        fields, cols = next(results)
-        if not abs(w1 - by_tail) <= 1e-8 * max(1.0, w1):
-            fields |= {"verdict": "fail", "reason": f"W1 routes disagree at t={t:g}: "
-                       f"<m_infty, pi_t 1> {w1!r}, tail integral {by_tail!r}"}
-        rows.append(CheckRow(
-            check="stationary_w1_identity",
-            claim="W1(N_t, N_infty) equals the mean mass immigrated before time -t, <m_infty, pi_t 1>",
-            t=t, analytic={"w1": w1, "by_tail_integral": by_tail}, **fields,
-            details=_per_rep("cost_rep", cols[3]) | _per_rep("dual_rep", cols[0]),
-        ))
-
     bound_claim = "||N_t - N_infty||_var <= 2 E[1 - e^{-<X_infty, Vbar_t>}]"
+    rows = _replicate_rows([
+        ("stationary_mean",
+         "the stationary mean solves the linear balance equation of branching drift and influx", None,
+         {f"mean_{i + 1}": float(v) for i, v in enumerate(m_inf)},
+         lambda cols: {f"emp_{i + 1}": float(v) for i, v in enumerate(np.mean(cols[3], axis=0))}),
+        ("stationary_laplace", "E[e^{-<lam, X_infty>}] = exp(-integral over all time of psi(v(s,lam)))",
+         None, {"target": target, "tail_bound": tail}, _reps),
+        # distance identities on the time grid
+        *(("stationary_w1_identity",
+           "W1(N_t, N_infty) equals the mean mass immigrated before time -t, <m_infty, pi_t 1>",
+           t, {"w1": w1, "by_tail_integral": by_tail}, _w1_reps)
+          for t, w1, by_tail in zip(sc.times, w1s, by_tails)),
+        *(("stationary_tv_bound", bound_claim + ", attained by the shared-history coupling", t,
+           {"bound": bound}, lambda cols: {}) for t, (bound, _) in zip(sc.times, tv_bounds)),
+    ], [bundle for bundle, _ in drawn])
+    for i, (t, w1, by_tail) in enumerate(zip(sc.times, w1s, by_tails), start=2):  # the W1 rows
+        if not abs(w1 - by_tail) <= 1e-8 * max(1.0, w1):
+            rows[i] = replace(rows[i], verdict="fail", reason=f"W1 routes disagree at t={t:g}: "
+                              f"<m_infty, pi_t 1> {w1!r}, tail integral {by_tail!r}")
     if tv is None:
         rows.extend(_skipped("stationary_tv_bound", bound_claim, sc.times, tv_reason))
-    for t, (bound, _), (fields, _) in zip(sc.times, tv_bounds, results):
-        rows.append(CheckRow(
-            check="stationary_tv_bound", t=t,
-            claim=bound_claim + ", attained by the shared-history coupling",
-            analytic={"bound": bound}, **fields,
-        ))
 
     if not fit_ts:
         return rows
