@@ -22,8 +22,7 @@ one horizon, one start per lane.  Each lane keeps its own time, step size,
 stages and step counts, and its values are bit for bit those of a solve of
 that lane alone: stage sums stay per-lane matrix-vector products, and the
 step-size factor err^(-1/5) is taken per lane in Python floats.  A lane
-that fails stops alone, and a caller's stop predicate can end the batch.
-solve_cumulant is the one-lane case.
+that fails stops alone.  solve_cumulant is the one-lane case.
 
 The extinction envelope has one owner, extinction_envelope, and two
 routes.  The reciprocal flow u = 1/v, u' = u^2 phi(1/u), starts at the
@@ -181,7 +180,7 @@ def _initial_step(f, y0, f0, t_end, rtol, atol):
     return h, failures
 
 
-def _integrate(f, y0, t_end, rtol, atol, t_record, ceiling, stop=None):
+def _integrate(f, y0, t_end, rtol, atol, t_record, ceiling):
     """Integrate y' = f(y) from 0 to t_end for a batch of independent lanes,
     recording y at t_record exactly.
 
@@ -192,11 +191,6 @@ def _integrate(f, y0, t_end, rtol, atol, t_record, ceiling, stop=None):
     operations of a batch holding that lane alone: the states and stages
     are stacked arrays, the step control runs per lane on Python floats.  A
     lane that fails stops there and the others go on.
-
-    stop, when given, is called before each pass, and once more when every
-    lane has ended, as stop(values, errors, running) with the lanes still
-    running; a true result ends the batch, and each lane still running ends
-    with a NumericError saying so.
 
     Returns (values (L, len(t_record), n), accepted steps, rejected steps,
     errors), the last three lists by lane: errors[l] is the exception lane l
@@ -250,10 +244,6 @@ def _integrate(f, y0, t_end, rtol, atol, t_record, ceiling, stop=None):
                 errors[lane] = NumericError(f"step size underflow at t={t[r]:.6g}")
                 continue
             keep.append(r)
-        if stop is not None and stop(out, errors, [lanes[r] for r in keep]):
-            for r in keep:
-                errors[lanes[r]] = NumericError(f"lane stopped with its batch at t={t[r]:.6g}")
-            break
         if not keep:
             break
         if len(keep) < len(lanes):
@@ -349,12 +339,11 @@ def _record_times(t_end: float, t_eval) -> np.ndarray:
     return grid
 
 
-def _flow_lanes(mech, lam0, t_end, tol, grid, imm=None, ceiling=1e12, stop=None):
+def _flow_lanes(mech, lam0, t_end, tol, grid, imm=None, ceiling=1e12):
     """The cumulant flow from each row of lam0 (L, d), as one batch of lanes.
 
     Returns _integrate's (values, accepted, rejected, errors); with imm the
-    values carry int_0^t psi(v(s)) ds as an extra last column.  stop is
-    _integrate's.
+    values carry int_0^t psi(v(s)) ds as an extra last column.
     """
     tol = _check_tol(tol)
     atol = tol * 1e-6 + 1e-300  # tiny absolute floor; control is effectively relative
@@ -363,7 +352,7 @@ def _flow_lanes(mech, lam0, t_end, tol, grid, imm=None, ceiling=1e12, stop=None)
         def rhs(Y):
             return -eval_phi(mech, np.maximum(Y, 0.0))
 
-        return _integrate(rhs, lam0, float(t_end), tol, atol, grid, ceiling, stop)
+        return _integrate(rhs, lam0, float(t_end), tol, atol, grid, ceiling)
 
     def rhs_aug(Y):
         V = np.maximum(Y[:, :d], 0.0)
@@ -373,7 +362,7 @@ def _flow_lanes(mech, lam0, t_end, tol, grid, imm=None, ceiling=1e12, stop=None)
         return out
 
     y0 = np.concatenate([lam0, np.zeros((len(lam0), 1))], axis=1)
-    return _integrate(rhs_aug, y0, float(t_end), tol, atol, grid, ceiling, stop)
+    return _integrate(rhs_aug, y0, float(t_end), tol, atol, grid, ceiling)
 
 
 def solve_cumulant(
@@ -499,20 +488,21 @@ def vbar_vector(mech: BranchingMechanism, t: float, tol: float = 1e-8, *,
     of v(t, L*(1,..,1)) as L grows.
 
     Runs the cumulant flow over the geometric ladder L in {10, ..., 1e12},
-    all rungs as lanes of one batch, and takes the first rung whose value
-    differs from the previous one by less than tol; the batch ends as soon
-    as the scan has found that rung.  Every iterate is certified against the
-    scalar envelope of the dominating mechanism (the flow started from any L
-    is bounded by the scalar flow started at its sup-norm, hence by the
-    scalar envelope).  cap is that scalar envelope at t when the caller has
-    it already.  This is the independent check of the reciprocal route in
-    `extinction_envelope` when d >= 2.
+    all rungs as lanes of one batch, then judges the finished rungs in ladder
+    order and takes the first whose value differs from the previous one by
+    less than tol; a rung past that one may fail without consequence.  Every
+    iterate is certified against the scalar envelope of the dominating
+    mechanism (the flow started from any L is bounded by the scalar flow
+    started at its sup-norm, hence by the scalar envelope).  cap is that
+    scalar envelope at t when the caller has it already.  This is the
+    independent check of the reciprocal route in `extinction_envelope` when
+    d >= 2.
 
     Raises:
         GreyConditionError: dominating mechanism fails the tail-integrability test.
         NumericError: ladder exhausted without stabilizing (also when its
             last rung fails), or certificate violated.  A lower rung that fails
-            before the stop raises its own error.
+            before the returned one raises its own error.
     """
     if not t > 0:
         raise ValidationError(f"vbar needs t > 0, got {t}")
@@ -521,37 +511,23 @@ def vbar_vector(mech: BranchingMechanism, t: float, tol: float = 1e-8, *,
     ode_tol = min(tol * 1e-2, 1e-10)
     ladder = 10.0 ** np.arange(1, 13)
     grid = _record_times(float(t), None)
-    # the scan judges each rung once its lane has ended, in ladder order; its
-    # outcome is the stopping rung's value or the error to raise.  A rung
-    # past the stop is cut short or may fail without consequence.
-    k, prev, outcome = 0, None, None
-
-    def scanned(vals, errors, running) -> bool:
-        nonlocal k, prev, outcome
-        while outcome is None and k < len(ladder) and k not in running:
-            lam, v, error = ladder[k], vals[k, -1], errors[k]
-            if error is not None and k == len(ladder) - 1:
-                outcome = NumericError(f"extinction envelope ladder failed to stabilize within tol={tol:g}: "
-                                       f"its last rung {lam:g} failed: {error}")
-                outcome.__cause__ = error
-            elif error is not None:
-                outcome = error
-            elif np.any(v > cap * (1.0 + 1e-6) + tol):
-                outcome = NumericError(
-                    f"envelope certificate violated at ladder value {lam:g}: "
-                    f"{v} exceeds scalar envelope {cap:.12g}"
-                )
-            elif prev is not None and float(np.max(np.abs(v - prev))) < tol:
-                outcome = v
-            prev, k = v, k + 1
-        if outcome is None and k == len(ladder):
-            outcome = NumericError(f"extinction envelope ladder failed to stabilize within tol={tol:g}")
-        return outcome is not None
-
-    _flow_lanes(mech, ladder[:, None] * np.ones(mech.d), t, ode_tol, grid, stop=scanned)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    vals, _, _, errors = _flow_lanes(mech, ladder[:, None] * np.ones(mech.d), t, ode_tol, grid)
+    prev = None
+    for k, (lam, v, error) in enumerate(zip(ladder, vals[:, -1], errors)):
+        if error is not None and k == len(ladder) - 1:
+            raise NumericError(f"extinction envelope ladder failed to stabilize within tol={tol:g}: "
+                               f"its last rung {lam:g} failed: {error}") from error
+        if error is not None:
+            raise error
+        if np.any(v > cap * (1.0 + 1e-6) + tol):
+            raise NumericError(
+                f"envelope certificate violated at ladder value {lam:g}: "
+                f"{v} exceeds scalar envelope {cap:.12g}"
+            )
+        if prev is not None and float(np.max(np.abs(v - prev))) < tol:
+            return v
+        prev = v
+    raise NumericError(f"extinction envelope ladder failed to stabilize within tol={tol:g}")
 
 
 # the reciprocal flow starts at the ladder's top rung, u(0) = 1/1e12; a start

@@ -677,7 +677,9 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         *(("stationary_tv_bound", bound_claim + ", attained by the shared-history coupling", t,
            {"bound": bound}, lambda cols: {}) for t, (bound, _) in zip(sc.times, tv_bounds)),
     ], [bundle for bundle, _ in drawn])
-    for i, (t, w1, by_tail) in enumerate(zip(sc.times, w1s, by_tails), start=2):  # the W1 rows
+    routes = dict(zip(sc.times, zip(w1s, by_tails)))
+    for i in [i for i, row in enumerate(rows) if row.check == "stationary_w1_identity"]:
+        t, (w1, by_tail) = rows[i].t, routes[rows[i].t]
         if not abs(w1 - by_tail) <= 1e-8 * max(1.0, w1):
             rows[i] = replace(rows[i], verdict="fail", reason=f"W1 routes disagree at t={t:g}: "
                               f"<m_infty, pi_t 1> {w1!r}, tail integral {by_tail!r}")

