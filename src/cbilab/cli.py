@@ -27,13 +27,14 @@ import numpy as np
 
 from .coupling import couple_transitions
 from .cumulant import (
+    FLOW_TOL,
     _check_tol,
     mean_vector,
     moment_decay_rate,
     solve_cumulant,
     stationary_mean,
 )
-from .distance import tv_empirical, w1_exact_empirical
+from .distance import TV_BINS, tv_empirical, w1_exact_empirical
 from .errors import BlowUpError, GreyConditionError, NumericError, ValidationError
 from .mechanism import (
     BranchingMechanism,
@@ -47,6 +48,7 @@ from .mechanism import (
     gamma_matrix,
 )
 from .simulate import (
+    JUMP_THRESHOLD,
     SimConfig,
     sample_path,
     sample_stationary,
@@ -204,7 +206,7 @@ def parse_scenario(doc: dict, overrides: dict | None = None,
     cfg = SimConfig(
         n_samples=_integer(overrides.get("samples", sim["n_samples"]), "n_samples", 1),
         dt=_finite_real(overrides.get("dt", sim["dt"]), "dt"),
-        jump_threshold=_finite_real(overrides.get("epsilon", sim.get("epsilon", 1e-3)), "epsilon"),
+        jump_threshold=_finite_real(overrides.get("epsilon", sim.get("epsilon", JUMP_THRESHOLD)), "epsilon"),
         seed=None if seed is None else _integer(seed, "seed", 0),
     )
     if not isinstance(doc["times"], list):
@@ -517,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cumulant", help="integrate the cumulant flow to CSV")
     _add_common(p)
-    p.add_argument("--tolerance", type=float, default=1e-10,
+    p.add_argument("--tolerance", type=float, default=FLOW_TOL,
                    help="cumulant solver relative tolerance")
     p.add_argument("--lam", default=None, help="initial frequency (scalar or comma list)")
     p.add_argument("--t", type=float, default=None, help="horizon (default: last scenario time)")
@@ -542,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--metric", choices=("w1", "tv", "both"), default="both")
-    p.add_argument("--bins", type=int, default=128, help="histogram bins for tv")
+    p.add_argument("--bins", type=int, default=TV_BINS, help="histogram bins for tv")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("stationary", help="draw stationary-law samples to CSV")

@@ -60,7 +60,6 @@ from .mechanism import (
 __all__ = [
     "CumulantPath",
     "solve_cumulant",
-    "closed_form_quadratic",
     "discount_integral",
     "vbar_scalar",
     "vbar_vector",
@@ -92,23 +91,6 @@ def discount_integral(rate: float, t) -> float:
     return out if out.ndim else float(out)
 
 
-def closed_form_quadratic(b_star: float, c_star: float, lam, t):
-    """Cumulant of the scalar quadratic mechanism phi(z) = b z + c z^2.
-
-    v(t) = e^{-b t} lam / (1 + c q(b,t) lam) with q(b,t) = int_0^t e^{-bs} ds.
-    Broadcasts over lam and t; scalar in, scalar out.
-    """
-    if c_star < 0:
-        raise ValidationError(f"quadratic coefficient must be >= 0, got {c_star}")
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise ValidationError("cumulant argument lam must be >= 0")
-    t = np.asarray(t, dtype=float)
-    q = discount_integral(b_star, t)
-    out = np.exp(-b_star * t) * lam / (1.0 + c_star * q * lam)
-    return out if out.ndim else float(out)
-
-
 # ---------------------------------------------------------------------------
 # adaptive Dormand-Prince 5(4) stepper over a batch of lanes
 # ---------------------------------------------------------------------------
@@ -130,6 +112,8 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 
 
 _MAX_STEPS = 1_000_000
 _MIN_TOL = 1e-14  # tighter relative tolerances ask for more than double precision holds
+FLOW_TOL = 1e-10  # relative tolerance of the v-flow wherever cbilab picks it
+FLOW_CEILING = 1e12  # a cumulant value above this aborts the flow with BlowUpError
 
 
 def _check_tol(tol, what: str = "tol") -> float:
@@ -339,7 +323,7 @@ def _record_times(t_end: float, t_eval) -> np.ndarray:
     return grid
 
 
-def _flow_lanes(mech, lam0, t_end, tol, grid, imm=None, ceiling=1e12):
+def _flow_lanes(mech, lam0, t_end, tol, grid, imm=None):
     """The cumulant flow from each row of lam0 (L, d), as one batch of lanes.
 
     Returns _integrate's (values, accepted, rejected, errors); with imm the
@@ -352,7 +336,7 @@ def _flow_lanes(mech, lam0, t_end, tol, grid, imm=None, ceiling=1e12):
         def rhs(Y):
             return -eval_phi(mech, np.maximum(Y, 0.0))
 
-        return _integrate(rhs, lam0, float(t_end), tol, atol, grid, ceiling)
+        return _integrate(rhs, lam0, float(t_end), tol, atol, grid, FLOW_CEILING)
 
     def rhs_aug(Y):
         V = np.maximum(Y[:, :d], 0.0)
@@ -362,22 +346,21 @@ def _flow_lanes(mech, lam0, t_end, tol, grid, imm=None, ceiling=1e12):
         return out
 
     y0 = np.concatenate([lam0, np.zeros((len(lam0), 1))], axis=1)
-    return _integrate(rhs_aug, y0, float(t_end), tol, atol, grid, ceiling)
+    return _integrate(rhs_aug, y0, float(t_end), tol, atol, grid, FLOW_CEILING)
 
 
 def solve_cumulant(
     mech: BranchingMechanism,
     lambda0,
     t_end: float,
-    tol: float = 1e-10,
+    tol: float = FLOW_TOL,
     *,
     t_eval=None,
     imm: Optional[ImmigrationMechanism] = None,
-    ceiling: float = 1e12,
 ) -> CumulantPath:
     """Integrate dv/dt = -phi(v) from v(0) = lambda0 up to t_end.
 
-    The one-lane case of the batched stepper.
+    The one-lane case of the batched stepper; BlowUpError above FLOW_CEILING.
 
     Args:
         mech: branching mechanism (fold any motion first).
@@ -388,7 +371,6 @@ def solve_cumulant(
             lands on them exactly (no interpolation).
         imm: when given, co-integrate int_0^t psi(v(s)) ds and expose it as
             imm_integral on the returned path.
-        ceiling: abort threshold for blow-up detection.
 
     Returns:
         CumulantPath over t_eval (plus 0 and t_end) or just {0, t_end}.
@@ -399,7 +381,7 @@ def solve_cumulant(
     if imm is not None and imm.d != mech.d:
         raise ValidationError(f"immigration dimension {imm.d} != mechanism dimension {mech.d}")
     grid = _record_times(float(t_end), t_eval)
-    vals, n_acc, n_rej, errors = _flow_lanes(mech, lam0[None, :], t_end, tol, grid, imm, ceiling)
+    vals, n_acc, n_rej, errors = _flow_lanes(mech, lam0[None, :], t_end, tol, grid, imm)
     if errors[0] is not None:
         raise errors[0]
     d = mech.d
@@ -410,6 +392,11 @@ def solve_cumulant(
 # ---------------------------------------------------------------------------
 # extinction envelopes
 # ---------------------------------------------------------------------------
+
+_LADDER = 10.0 ** np.arange(1, 13)  # the starts L of vbar_vector's rungs
+_LADDER_TOL = 1e-8  # the ladder stops at the first rung this close to the one before
+_ROUTE_GAP = 10 * _LADDER_TOL  # how far the two routes of extinction_envelope may part
+_CERTIFICATE_SLACK = 1e-6  # relative room of an envelope value above its scalar root
 
 
 def _positive_threshold(phi_star: BranchingMechanism) -> float:
@@ -482,21 +469,20 @@ def vbar_scalar(phi_star: BranchingMechanism, t: float) -> float:
     return root
 
 
-def vbar_vector(mech: BranchingMechanism, t: float, tol: float = 1e-8, *,
-                cap: Optional[float] = None) -> np.ndarray:
+def vbar_vector(mech: BranchingMechanism, t: float, *, cap: Optional[float] = None) -> np.ndarray:
     """Componentwise extinction envelope at t by the lambda ladder: the limit
     of v(t, L*(1,..,1)) as L grows.
 
-    Runs the cumulant flow over the geometric ladder L in {10, ..., 1e12},
-    all rungs as lanes of one batch, then judges the finished rungs in ladder
-    order and takes the first whose value differs from the previous one by
-    less than tol; a rung past that one may fail without consequence.  Every
-    iterate is certified against the scalar envelope of the dominating
-    mechanism (the flow started from any L is bounded by the scalar flow
-    started at its sup-norm, hence by the scalar envelope).  cap is that
-    scalar envelope at t when the caller has it already.  This is the
-    independent check of the reciprocal route in `extinction_envelope` when
-    d >= 2.
+    Runs the cumulant flow at FLOW_TOL over the geometric ladder L in
+    {10, ..., 1e12}, all rungs as lanes of one batch, then judges the
+    finished rungs in ladder order and takes the first within _LADDER_TOL
+    (1e-8) of the one before; a rung past that one may fail without
+    consequence.  Every iterate is certified against the scalar envelope of
+    the dominating mechanism, up to _CERTIFICATE_SLACK (the flow started
+    from any L is bounded by the scalar flow started at its sup-norm, hence
+    by the scalar envelope).  cap is that scalar envelope at t when the
+    caller has it already.  This is the independent check of the reciprocal
+    route in `extinction_envelope` when d >= 2.
 
     Raises:
         GreyConditionError: dominating mechanism fails the tail-integrability test.
@@ -508,31 +494,29 @@ def vbar_vector(mech: BranchingMechanism, t: float, tol: float = 1e-8, *,
         raise ValidationError(f"vbar needs t > 0, got {t}")
     if cap is None:
         cap = vbar_scalar(dominating_mechanism(mech), t)  # raises GreyConditionError when infinite
-    ode_tol = min(tol * 1e-2, 1e-10)
-    ladder = 10.0 ** np.arange(1, 13)
     grid = _record_times(float(t), None)
-    vals, _, _, errors = _flow_lanes(mech, ladder[:, None] * np.ones(mech.d), t, ode_tol, grid)
+    vals, _, _, errors = _flow_lanes(mech, _LADDER[:, None] * np.ones(mech.d), t, FLOW_TOL, grid)
     prev = None
-    for k, (lam, v, error) in enumerate(zip(ladder, vals[:, -1], errors)):
-        if error is not None and k == len(ladder) - 1:
-            raise NumericError(f"extinction envelope ladder failed to stabilize within tol={tol:g}: "
+    for k, (lam, v, error) in enumerate(zip(_LADDER, vals[:, -1], errors)):
+        if error is not None and k == len(_LADDER) - 1:
+            raise NumericError(f"extinction envelope ladder failed to stabilize within tol={_LADDER_TOL:g}: "
                                f"its last rung {lam:g} failed: {error}") from error
         if error is not None:
             raise error
-        if np.any(v > cap * (1.0 + 1e-6) + tol):
+        if np.any(v > cap * (1.0 + _CERTIFICATE_SLACK) + _LADDER_TOL):
             raise NumericError(
                 f"envelope certificate violated at ladder value {lam:g}: "
                 f"{v} exceeds scalar envelope {cap:.12g}"
             )
-        if prev is not None and float(np.max(np.abs(v - prev))) < tol:
+        if prev is not None and float(np.max(np.abs(v - prev))) < _LADDER_TOL:
             return v
         prev = v
-    raise NumericError(f"extinction envelope ladder failed to stabilize within tol={tol:g}")
+    raise NumericError(f"extinction envelope ladder failed to stabilize within tol={_LADDER_TOL:g}")
 
 
 # the reciprocal flow starts at the ladder's top rung, u(0) = 1/1e12; a start
 # much closer to 0 leaves the stepper no step it can resolve
-_RECIPROCAL_START = 1e-12
+_RECIPROCAL_START = 1 / _LADDER[-1]
 _RECIPROCAL_TOL = 1e-11  # 1e-11 relative to 1/(e^t - 1) for b = c = 1 up to t = 4
 # stage values may dip below the start; 1/u stays below 1e100, so phi(1/u)
 # and u^2 phi(1/u) stay finite
@@ -578,11 +562,11 @@ def extinction_envelope(mech: BranchingMechanism, times) -> np.ndarray:
     (`vbar_scalar`) bounds the envelope at every time.  In d = 1, when phi_*
     keeps the jumps of phi, phi_* is phi itself and the root is the
     envelope: the flow must agree with it at every time to
-    1e-7 * min(1, Vbar_t).  Otherwise every value must stay below its root,
-    and the lambda ladder (`vbar_vector`, given the last root) must agree
-    with the flow at the last time to 1e-7, ten times the ladder's tol.  The
-    ladder runs before the flow, so when both fail the ladder's reason is
-    the one raised.
+    1e-7 * min(1, Vbar_t).  Otherwise every value must stay below its root
+    (up to a relative 1e-6), and the lambda ladder (`vbar_vector`, given the
+    last root) must agree with the flow at the last time to 1e-7, ten times
+    the ladder's tolerance (_ROUTE_GAP).  The ladder runs before the flow, so
+    when both fail the ladder's reason is the one raised.
 
     Raises:
         GreyConditionError: dominating mechanism fails the tail-integrability test.
@@ -598,13 +582,13 @@ def extinction_envelope(mech: BranchingMechanism, times) -> np.ndarray:
     ladder = None if exact else vbar_vector(mech, float(times[-1]), cap=caps[-1])
     grid = reciprocal_envelope(mech, times)
     for t, cap, v in zip(times.tolist(), caps, grid):
-        if exact and abs(float(v[0]) - cap) > 1e-7 * min(1.0, cap):
+        if exact and abs(float(v[0]) - cap) > _ROUTE_GAP * min(1.0, cap):
             raise NumericError(f"extinction envelope routes disagree at t={t:g}: "
                                f"reciprocal flow {v.tolist()}, scalar root {cap!r}")
-        if np.any(v > cap * (1.0 + 1e-6)):
+        if np.any(v > cap * (1.0 + _CERTIFICATE_SLACK)):
             raise NumericError(f"envelope certificate violated at t={t:g}: "
                                f"{v} exceeds scalar envelope {cap:.12g}")
-    if not exact and float(np.max(np.abs(grid[-1] - ladder))) > 1e-7:
+    if not exact and float(np.max(np.abs(grid[-1] - ladder))) > _ROUTE_GAP:
         raise NumericError(f"extinction envelope routes disagree at t={times[-1]:g}: "
                            f"reciprocal flow {grid[-1].tolist()}, ladder {ladder.tolist()}")
     return grid

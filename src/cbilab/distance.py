@@ -44,6 +44,7 @@ __all__ = [
 
 ASSIGNMENT_CAP = 2048  # largest matched count the d >= 2 assignment solves
 HISTOGRAM_CAP = 2 ** 25  # most cells of the finest grid tv_empirical allocates
+TV_BINS = 128  # default histogram bins per axis of tv_empirical
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,8 @@ def w1_1d_quantile(a, b) -> float:
     """Exact 1-d Wasserstein-1 by comonotone (sorted-quantile) pairing.
 
     Handles unequal sample counts exactly by integrating the gap between
-    the two empirical quantile functions over their common breakpoints.
+    the two empirical quantile functions over their common breakpoints,
+    integers K over L = lcm(n_a, n_b), so that no quantile index rounds.
     """
     a, b = _as_law(a), _as_law(b)
     if a.d != 1 or b.d != 1:
@@ -127,11 +129,11 @@ def w1_1d_quantile(a, b) -> float:
     ys = np.sort(b.samples[:, 0])
     if a.n == b.n:
         return float(np.abs(xs - ys).mean())
-    ps = np.union1d(np.arange(1, a.n + 1) / a.n, np.arange(1, b.n + 1) / b.n)
-    widths = np.diff(np.concatenate([[0.0], ps]))
-    qa = xs[np.ceil(ps * a.n).astype(int) - 1]
-    qb = ys[np.ceil(ps * b.n).astype(int) - 1]
-    return float((widths * np.abs(qa - qb)).sum())
+    L = math.lcm(a.n, b.n)
+    K = np.union1d(np.arange(1, a.n + 1) * (L // a.n), np.arange(1, b.n + 1) * (L // b.n))
+    qa = xs[(K - 1) // (L // a.n)]  # on (K_prev/L, K/L]: index ceil(K n/L) - 1
+    qb = ys[(K - 1) // (L // b.n)]
+    return float((np.diff(K, prepend=0) / L * np.abs(qa - qb)).sum())
 
 
 class TVEstimate(float):
@@ -157,7 +159,7 @@ def _hist_l1(pos_a, pos_b, n_a, n_b, d, nbins, ranges):
     return np.abs(ha / n_a - hb / n_b).sum()
 
 
-def tv_empirical(a, b, bins: int = 128) -> TVEstimate:
+def tv_empirical(a, b, bins: int = TV_BINS) -> TVEstimate:
     """Histogram total-variation estimate between two sample batches.
 
     The exact atom at the origin (rows identically zero) is separated and

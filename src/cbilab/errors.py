@@ -15,7 +15,7 @@ class NumericError(RuntimeError):
 
 
 class BlowUpError(NumericError):
-    """State or cumulant exceeded the configured ceiling."""
+    """State or cumulant exceeded its ceiling (MASS_CEILING or FLOW_CEILING)."""
 
 
 class GreyConditionError(NumericError):

@@ -526,20 +526,14 @@ def eval_psi(imm: ImmigrationMechanism, lam):
     return float(out[0]) if lam.ndim == 1 else out
 
 
-def phi_star_tail_integral(phi_star: BranchingMechanism, z0: float, upper: float = np.inf) -> float:
-    """Numerically integrate int_{z0}^{upper} dz / phi_*(z) (oracle helper).
+def phi_star_tail_integral(phi_star: BranchingMechanism, z0: float) -> float:
+    """Numerically integrate int_{z0}^inf dz / phi_*(z), whose root in z0
+    is `vbar_scalar`.
 
-    Used to cross-check grey_condition and vbar root-finding.  Substitutes
-    w = 1/z so the infinite tail becomes a finite interval.
+    Substitutes w = 1/z so the infinite tail becomes the interval (0, 1/z0].
     """
     phi = _scalar_phi(phi_star)
     if z0 <= 0:
         raise ValidationError("tail integral needs z0 > 0")
-
-    def integrand(w):
-        return 1.0 / (w * w * phi(1.0 / w))
-
-    hi = 1.0 / z0
-    lo = 0.0 if upper == np.inf else 1.0 / upper
-    val, _ = quad(integrand, lo, hi, limit=200)
+    val, _ = quad(lambda w: 1.0 / (w * w * phi(1.0 / w)), 0.0, 1.0 / z0, limit=200)
     return val

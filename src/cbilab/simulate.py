@@ -66,6 +66,8 @@ __all__ = [
 ]
 
 STATIONARY_BIAS = 1e-3  # relative mean of the immigration tail a stationary draw omits
+JUMP_THRESHOLD = 1e-3  # default SimConfig.jump_threshold
+MASS_CEILING = 1e12  # a stepped draw with a coordinate above this aborts with BlowUpError
 _MAX_SPLIT_STEPS = 10_000_000  # a finer dt gives Poisson means past what the RNG draws
 
 
@@ -79,16 +81,14 @@ class SimConfig:
         jump_threshold: jumps of total mass <= this are folded into drift.
         seed: stream seed recorded for reproducibility (samplers take an
             explicit Generator; the seed is what report metadata captures).
-        ceiling: per-coordinate mass cap checked by the stepped integrators;
-            exceeding it aborts with BlowUpError (exact samplers draw from
-            the true law and need no runaway trap).
+
+    Stepped draws abort above MASS_CEILING; exact ones need no runaway trap.
     """
 
     n_samples: int
     dt: float = 1e-3
-    jump_threshold: float = 1e-3
+    jump_threshold: float = JUMP_THRESHOLD
     seed: Optional[int] = None
-    ceiling: float = 1e12
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -97,8 +97,6 @@ class SimConfig:
             raise ValidationError(f"dt must be finite and > 0, got {self.dt}")
         if not self.jump_threshold >= 0:
             raise ValidationError(f"jump_threshold must be >= 0, got {self.jump_threshold}")
-        if not self.ceiling > 0:
-            raise ValidationError(f"ceiling must be > 0, got {self.ceiling}")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -274,8 +272,8 @@ def _stepped_batch(
         if imm is not None:
             _add_influx(incr, imm, imm_atoms, imm_exps, half, rng)
         X = np.maximum(X @ drift_flow + incr, 0.0)
-        if np.any(X > cfg.ceiling):
-            raise BlowUpError(f"simulated mass exceeded ceiling {cfg.ceiling:g}")
+        if np.any(X > MASS_CEILING):
+            raise BlowUpError(f"simulated mass exceeded ceiling {MASS_CEILING:g}")
     _branch_all(X, mech, half, rng)
     return X
 

@@ -49,6 +49,7 @@ from scipy.integrate import simpson
 from . import __version__
 from .coupling import couple_jordan_pieces
 from .cumulant import (
+    FLOW_TOL,
     _flow_lanes,
     extinction_envelope,
     moment_decay_rate,
@@ -303,7 +304,7 @@ def _psi_integrals(mech, imm, lams, lags) -> list:
     pieces = [np.linspace(a, b, 2 * max(1, math.ceil((b - a) * 1000.0 / horizon - 1e-9)) + 1)
               for a, b in zip(ends, ends[1:])]
     grid = np.concatenate([piece[:-1] for piece in pieces[:-1]] + pieces[-1:])
-    vals, _, _, errors = _flow_lanes(mech, np.asarray(lams, dtype=float), ends[-1], 1e-10, grid, imm)
+    vals, _, _, errors = _flow_lanes(mech, np.asarray(lams, dtype=float), ends[-1], FLOW_TOL, grid, imm)
     influx = float((imm.beta + imm.first_moment()).sum())
 
     def integrals(lane):
@@ -354,8 +355,7 @@ class ScenarioAnalytics:
     def probe(self) -> tuple:
         """(v(t, lambda_probe), int_0^t psi(v(s)) ds, or 0 without immigration), a row per time."""
         sc = self.sc
-        path = solve_cumulant(sc.mech, sc.lambda_probe, sc.times[-1], tol=1e-10,
-                              t_eval=sc.times, imm=sc.imm)
+        path = solve_cumulant(sc.mech, sc.lambda_probe, sc.times[-1], t_eval=sc.times, imm=sc.imm)
         integral = np.zeros(len(sc.times)) if sc.imm is None else path.imm_integral[1:]
         return path.v_values[1:], integral
 

@@ -19,12 +19,13 @@ from scipy import stats
 
 from cbilab.cli import load_document, main, parse_scenario
 from cbilab.coupling import couple_transitions
-from cbilab.cumulant import closed_form_quadratic, moment_semigroup, solve_cumulant
+from cbilab.cumulant import moment_semigroup, solve_cumulant
 from cbilab.distance import (_w1_assignment, tv_empirical, tv_exact_quadratic,
                              w1_1d_quantile)
 from cbilab.mechanism import (BranchingMechanism, ImmigrationMechanism,
                               beta_star, dominating_mechanism)
 from cbilab.simulate import SimConfig, sample_path, sample_stationary, sample_transition
+from closed_forms import closed_form_quadratic
 from conftest import record_criterion
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"

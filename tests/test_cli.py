@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from cbilab import coupling
-from cbilab.cli import load_document, main, parse_scenario
+from cbilab.cli import build_parser, load_document, main, parse_scenario
 from cbilab.coupling import jordan_decompose
-from cbilab.cumulant import closed_form_quadratic, mean_vector
+from cbilab.cumulant import FLOW_TOL, mean_vector
+from cbilab.distance import TV_BINS
 from cbilab.errors import ValidationError
+from cbilab.simulate import JUMP_THRESHOLD
 from cbilab.verify import share_cpus
+from closed_forms import closed_form_quadratic
 
 SCENARIOS = "scenarios"
 
@@ -70,6 +73,15 @@ class TestDocumentValidation:
         path = write_doc(tmp_path, dimension=2)
         with pytest.raises(ValidationError, match="dimension"):
             parse_scenario(load_document(path))
+
+    def test_defaults_are_the_library_constants(self, tmp_path):
+        # a setting the front end wrote out again could drift from the library's
+        parser = build_parser()
+        assert parser.parse_args(["cumulant", "doc.json"]).tolerance == FLOW_TOL
+        assert parser.parse_args(["distance", "a.csv", "b.csv"]).bins == TV_BINS
+        doc = load_document(write_doc(tmp_path))
+        assert "epsilon" not in doc["sim"]
+        assert parse_scenario(doc).cfg.jump_threshold == JUMP_THRESHOLD
 
     def test_flag_overrides(self, tmp_path):
         doc = load_document(write_doc(tmp_path))

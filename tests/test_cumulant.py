@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from scipy.linalg import expm
 from cbilab import cumulant
 from cbilab.cli import main
 from cbilab.cumulant import (
-    closed_form_quadratic,
     discount_integral,
     extinction_envelope,
     integrated_moment_matrix,
@@ -38,6 +38,7 @@ from cbilab.mechanism import (
     dominating_mechanism,
     fold_motion,
 )
+from closed_forms import closed_form_quadratic
 
 LN2 = math.log(2.0)
 
@@ -139,11 +140,12 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(data[:, 1:], path.v_values)
 
 
-def test_blow_up_detection():
+def test_blow_up_detection(monkeypatch):
     # strongly supercritical linear flow must trip the ceiling, not hang
     mech = BranchingMechanism(b=[-5.0], c=[0.0])
+    monkeypatch.setattr(cumulant, "FLOW_CEILING", 1e3)
     with pytest.raises(BlowUpError):
-        solve_cumulant(mech, [1.0], 10.0, ceiling=1e3)
+        solve_cumulant(mech, [1.0], 10.0)
 
 
 def test_semigroup_law():
@@ -238,19 +240,20 @@ def lane_problems(draw):
 def test_lanes_match_one_lane_solves_bit_for_bit(problem):
     mech, imm, starts, t_end, t_eval, tol, ceiling = problem
     grid = cumulant._record_times(t_end, t_eval)
-    vals, n_acc, n_rej, errors = cumulant._flow_lanes(mech, starts, t_end, tol, grid, imm, ceiling)
-    for lane, lam in enumerate(starts):
-        try:
-            alone = solve_cumulant(mech, lam, t_end, tol, t_eval=t_eval, imm=imm, ceiling=ceiling)
-        except (NumericError, ValidationError) as exc:
-            assert type(errors[lane]) is type(exc) and str(errors[lane]) == str(exc)
-            continue
-        assert errors[lane] is None
-        assert np.array_equal(vals[lane, :, :mech.d], alone.v_values)
-        if imm is not None:
-            assert np.array_equal(vals[lane, :, mech.d], alone.imm_integral)
-        assert (n_acc[lane], n_rej[lane]) == (alone.n_steps, alone.n_rejected)
-        assert type(alone.n_steps) is int and type(alone.n_rejected) is int
+    with patch.object(cumulant, "FLOW_CEILING", ceiling):
+        vals, n_acc, n_rej, errors = cumulant._flow_lanes(mech, starts, t_end, tol, grid, imm)
+        for lane, lam in enumerate(starts):
+            try:
+                alone = solve_cumulant(mech, lam, t_end, tol, t_eval=t_eval, imm=imm)
+            except (NumericError, ValidationError) as exc:
+                assert type(errors[lane]) is type(exc) and str(errors[lane]) == str(exc)
+                continue
+            assert errors[lane] is None
+            assert np.array_equal(vals[lane, :, :mech.d], alone.v_values)
+            if imm is not None:
+                assert np.array_equal(vals[lane, :, mech.d], alone.imm_integral)
+            assert (n_acc[lane], n_rej[lane]) == (alone.n_steps, alone.n_rejected)
+            assert type(alone.n_steps) is int and type(alone.n_rejected) is int
 
 
 def test_tolerance_outside_double_precision_refused():
@@ -295,14 +298,14 @@ def test_vbar_stable_two_routes():
     # root of the tail integral vs the ladder limit of the actual flow
     phi_star = BranchingMechanism(b=[0.6], c=[0.3], jumps=((StableAxis(0, 0.5, 0.25),),))
     root = vbar_scalar(phi_star, 1.0)
-    ladder = vbar_vector(stable_one_type(), 1.0, tol=1e-8)[0]
+    ladder = vbar_vector(stable_one_type(), 1.0)[0]
     assert root == pytest.approx(ladder, abs=1e-6)
     # regression value recorded at first build
     assert root == pytest.approx(1.2508147970, abs=1e-8)
 
 
 def test_vbar_vector_matches_scalar_d1():
-    assert vbar_vector(BranchingMechanism(b=[1.0], c=[1.0]), LN2, tol=1e-8)[0] == pytest.approx(
+    assert vbar_vector(BranchingMechanism(b=[1.0], c=[1.0]), LN2)[0] == pytest.approx(
         1.0, abs=1e-7
     )
     # the ladder reaches Vbar from below and within 1e-8 of the closed form
@@ -316,15 +319,15 @@ def test_vbar_vector_matches_scalar_d1():
 
 def test_vbar_vector_monotone_and_symmetric():
     mech = folded_two_type()
-    early = vbar_vector(mech, 0.5, tol=1e-7)
-    late = vbar_vector(mech, 1.5, tol=1e-7)
+    early = vbar_vector(mech, 0.5)
+    late = vbar_vector(mech, 1.5)
     assert np.all(late <= early + 1e-7)
     # exchangeable types give equal coordinates
     sym = fold_motion(
         BranchingMechanism(b=[1.0, 1.0], c=[1.0, 1.0]),
         MotionGenerator([[-0.5, 0.5], [0.5, -0.5]]),
     )
-    v = vbar_vector(sym, 1.0, tol=1e-8)
+    v = vbar_vector(sym, 1.0)
     assert v[0] == pytest.approx(v[1], abs=1e-7)
 
 
@@ -381,15 +384,16 @@ def test_vbar_ladder_lanes_fail_in_isolation_on_evaluation(monkeypatch):
         vbar_vector(mech, t)
 
 
-def test_vbar_ladder_whose_last_rung_fails_has_not_stabilized():
+def test_vbar_ladder_whose_last_rung_fails_has_not_stabilized(monkeypatch):
     # on the ref_d2_folded mechanism the rungs at 1e10 and 1e11 differ by
-    # about 3e-10, so tol = 1e-10 sends the scan to the 1e12 rung, which the
-    # stepper cannot start from
+    # about 3e-10, so a ladder tolerance of 1e-10 sends the scan to the 1e12
+    # rung, which the stepper cannot start from
     mech = folded_two_type()
     with pytest.raises(NumericError, match="underflow") as top:
         solve_cumulant(mech, [1e12, 1e12], 0.5, 1e-12)
+    monkeypatch.setattr(cumulant, "_LADDER_TOL", 1e-10)
     with pytest.raises(NumericError, match="failed to stabilize within tol=1e-10") as ladder:
-        vbar_vector(mech, 0.5, tol=1e-10)
+        vbar_vector(mech, 0.5)
     assert str(top.value) in str(ladder.value)
     assert not isinstance(ladder.value, GreyConditionError)
 

@@ -166,6 +166,17 @@ def test_w1_1d_sorted_pairing_equals_assignment(xs, ys, equal_counts):
     assert w1_exact_empirical(a, b) == pytest.approx(_w1_assignment(a, b), abs=1e-12)
 
 
+# counts n at which some float breakpoint k/n times n rounds above k, so a
+# quantile index taken from it would read the next sorted sample
+@pytest.mark.parametrize("n_a, n_b", [(1, 25), (3, 29), (5, 35), (2, 38), (4, 39)])
+def test_w1_1d_at_counts_whose_breakpoints_round_up(n_a, n_b):
+    rng = np.random.default_rng(n_a * 100 + n_b)
+    a = rng.gamma(2.0, size=(n_a, 1))
+    b = rng.gamma(3.0, size=(n_b, 1))
+    assert w1_1d_quantile(a, b) == pytest.approx(_w1_assignment(a, b), abs=1e-12)
+    assert w1_1d_quantile(b, a) == pytest.approx(_w1_assignment(a, b), abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # exact quadratic total variation
 # ---------------------------------------------------------------------------

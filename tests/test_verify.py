@@ -335,13 +335,14 @@ class TestSkipPaths:
 
 
 class TestFailureContainment:
-    def test_blow_up_becomes_fail_row(self):
+    def test_blow_up_becomes_fail_row(self, monkeypatch):
         # a jump component forces the stepped integrator, whose runaway trap
         # must surface as a recorded failure rather than an exception
         mech = BranchingMechanism(b=[-2.0], c=[0.05],
                                   jumps=((PointMass(u=[1.0], weight=0.5),),))
+        monkeypatch.setattr(simulate, "MASS_CEILING", 50.0)
         sc = Scenario(name="boom", mech=mech,
-                      cfg=SimConfig(n_samples=500, dt=0.01, seed=4, ceiling=50.0),
+                      cfg=SimConfig(n_samples=500, dt=0.01, seed=4),
                       mu=[30.0], times=(4.0,), checks=("laplace",))
         report = run_scenario(sc)  # must not raise
         assert not report.passed
@@ -725,21 +726,22 @@ def usable_cpus(monkeypatch, n: int) -> None:
 class TestConcurrentReplicates:
     STABLE = BranchingMechanism(b=[0.6], c=[0.3], jumps=((StableAxis(0, 0.5, 0.25),),))
 
-    def small_scenario(self, name: str) -> Scenario:
+    def small_scenario(self, name: str, monkeypatch) -> Scenario:
         if name == "folded":  # d = 2 with drift; stationary bundles and rate fits
             return replace(shipped("ref_d2_folded"), checks=("stationary",),
                            cfg=SimConfig(n_samples=300, dt=0.05, seed=2))
         if name == "quadratic":  # every check on the exact route, stationary with immigration
             return replace(shipped("ref_d1_quadratic"), cfg=SimConfig(n_samples=500, seed=1))
-        # every check on the stepped stable route; at a ceiling of 60 some
-        # checks abort on a blow-up in one of their replicates
-        ceiling = 60.0 if name == "stable-blow-up" else 1e12
+        # every check on the stepped stable route; at a mass ceiling of 60
+        # some checks abort on a blow-up in one of their replicates
+        if name == "stable-blow-up":
+            monkeypatch.setattr(simulate, "MASS_CEILING", 60.0)
         return reference_scenario(mech=self.STABLE, times=(0.5, 1.0, 2.0, 3.0),
-                                  cfg=SimConfig(n_samples=200, dt=0.05, seed=3, ceiling=ceiling))
+                                  cfg=SimConfig(n_samples=200, dt=0.05, seed=3))
 
     @pytest.mark.parametrize("name", ["stable", "stable-blow-up", "folded", "quadratic"])
     def test_rows_do_not_depend_on_the_cpu_count(self, monkeypatch, name):
-        sc = self.small_scenario(name)
+        sc = self.small_scenario(name, monkeypatch)
         threads = threading.active_count()
         rows = {}
         for cpus in (1, 3):
