@@ -165,7 +165,8 @@ def parse_scenario(doc: dict, overrides: dict | None = None,
     """Build a runnable Scenario from a validated document.
 
     overrides maps {seed, samples, dt, epsilon} from command-line flags over
-    the document's sim block; a None value leaves the document's value.
+    the document's sim block; a None value leaves the document's value, and
+    a seed absent from both is 0.
     default_name names a document without a `name` field (the front end
     passes the file stem).  The name must be a single path component,
     since `verify` writes each of several reports to --out/<name>.
@@ -202,12 +203,11 @@ def parse_scenario(doc: dict, overrides: dict | None = None,
                    for k, spec in enumerate(_list(imm_doc.get("jumps"), "immigration.jumps")))
         imm = ImmigrationMechanism(beta=_reals(imm_doc["beta"], "immigration.beta", (d,)), nu=nu)
     sim = doc["sim"]
-    seed = overrides.get("seed", sim.get("seed"))
     cfg = SimConfig(
         n_samples=_integer(overrides.get("samples", sim["n_samples"]), "n_samples", 1),
         dt=_finite_real(overrides.get("dt", sim["dt"]), "dt"),
         jump_threshold=_finite_real(overrides.get("epsilon", sim.get("epsilon", JUMP_THRESHOLD)), "epsilon"),
-        seed=None if seed is None else _integer(seed, "seed", 0),
+        seed=_integer(overrides.get("seed", sim.get("seed", 0)), "seed", 0),
     )
     if not isinstance(doc["times"], list):
         raise ValidationError(f"times must be a list, got {doc['times']!r}")
@@ -256,10 +256,10 @@ def _out_dir(args) -> Path:
 
 
 def _load(path, args) -> tuple:
-    """(document, scenario) for one document path, with the flag overrides."""
+    """(document, scenario) for one document path, with the sim flag
+    overrides of the subcommands that take them."""
     doc = load_document(path)
-    overrides = {"seed": args.seed, "samples": args.samples,
-                 "dt": args.dt, "epsilon": args.epsilon}
+    overrides = {k: getattr(args, k, None) for k in ("seed", "samples", "dt", "epsilon")}
     return doc, parse_scenario(doc, overrides, Path(path).stem)
 
 
@@ -496,6 +496,7 @@ def cmd_verify(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, with_doc: bool = True) -> None:
+    """The document, the sim overrides and --out of the subcommands that draw."""
     if with_doc:
         p.add_argument("document", help="scenario document (JSON)")
     p.add_argument("--seed", type=int, default=None, help="override sim.seed")
@@ -514,11 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mech-info", help="print mechanism diagnostics")
-    _add_common(p)
+    p.add_argument("document", help="scenario document (JSON)")
     p.set_defaults(func=cmd_mech_info)
 
     p = sub.add_parser("cumulant", help="integrate the cumulant flow to CSV")
-    _add_common(p)
+    p.add_argument("document", help="scenario document (JSON)")
+    p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--tolerance", type=float, default=FLOW_TOL,
                    help="cumulant solver relative tolerance")
     p.add_argument("--lam", default=None, help="initial frequency (scalar or comma list)")
@@ -527,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cumulant)
 
     p = sub.add_parser("moments", help="mean vectors on the scenario time grid")
-    _add_common(p)
+    p.add_argument("document", help="scenario document (JSON)")
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("simulate", help="draw transition samples to CSV")

@@ -394,8 +394,8 @@ def solve_cumulant(
 # ---------------------------------------------------------------------------
 
 _LADDER = 10.0 ** np.arange(1, 13)  # the starts L of vbar_vector's rungs
-_LADDER_TOL = 1e-8  # the ladder stops at the first rung this close to the one before
-_ROUTE_GAP = 10 * _LADDER_TOL  # how far the two routes of extinction_envelope may part
+_LADDER_TOL = 1e-8  # stop at the first rung this close to the one before, times min(1, Vbar)
+_ROUTE_GAP = 10 * _LADDER_TOL  # how far extinction_envelope's routes may part, times min(1, Vbar)
 _CERTIFICATE_SLACK = 1e-6  # relative room of an envelope value above its scalar root
 
 
@@ -475,14 +475,15 @@ def vbar_vector(mech: BranchingMechanism, t: float, *, cap: Optional[float] = No
 
     Runs the cumulant flow at FLOW_TOL over the geometric ladder L in
     {10, ..., 1e12}, all rungs as lanes of one batch, then judges the
-    finished rungs in ladder order and takes the first within _LADDER_TOL
-    (1e-8) of the one before; a rung past that one may fail without
-    consequence.  Every iterate is certified against the scalar envelope of
-    the dominating mechanism, up to _CERTIFICATE_SLACK (the flow started
-    from any L is bounded by the scalar flow started at its sup-norm, hence
-    by the scalar envelope).  cap is that scalar envelope at t when the
-    caller has it already.  This is the independent check of the reciprocal
-    route in `extinction_envelope` when d >= 2.
+    finished rungs in ladder order and takes the first within
+    _LADDER_TOL * min(1, cap) (1e-8 relative to a small envelope) of the one
+    before; a rung past that one may fail without consequence.  Every
+    iterate is certified against the scalar envelope of the dominating
+    mechanism, up to _CERTIFICATE_SLACK (the flow started from any L is
+    bounded by the scalar flow started at its sup-norm, hence by the scalar
+    envelope).  cap is that scalar envelope at t when the caller has it
+    already.  This is the independent check of the reciprocal route in
+    `extinction_envelope` when d >= 2.
 
     Raises:
         GreyConditionError: dominating mechanism fails the tail-integrability test.
@@ -508,7 +509,7 @@ def vbar_vector(mech: BranchingMechanism, t: float, *, cap: Optional[float] = No
                 f"envelope certificate violated at ladder value {lam:g}: "
                 f"{v} exceeds scalar envelope {cap:.12g}"
             )
-        if prev is not None and float(np.max(np.abs(v - prev))) < _LADDER_TOL:
+        if prev is not None and float(np.max(np.abs(v - prev))) < _LADDER_TOL * min(1.0, cap):
             return v
         prev = v
     raise NumericError(f"extinction envelope ladder failed to stabilize within tol={_LADDER_TOL:g}")
@@ -564,9 +565,10 @@ def extinction_envelope(mech: BranchingMechanism, times) -> np.ndarray:
     envelope: the flow must agree with it at every time to
     1e-7 * min(1, Vbar_t).  Otherwise every value must stay below its root
     (up to a relative 1e-6), and the lambda ladder (`vbar_vector`, given the
-    last root) must agree with the flow at the last time to 1e-7, ten times
-    the ladder's tolerance (_ROUTE_GAP).  The ladder runs before the flow, so
-    when both fail the ladder's reason is the one raised.
+    last root) must agree with the flow at the last time to the same
+    1e-7 * min(1, root), ten times the ladder's tolerance (_ROUTE_GAP).  The
+    ladder runs before the flow, so when both fail the ladder's reason is
+    the one raised.
 
     Raises:
         GreyConditionError: dominating mechanism fails the tail-integrability test.
@@ -588,7 +590,7 @@ def extinction_envelope(mech: BranchingMechanism, times) -> np.ndarray:
         if np.any(v > cap * (1.0 + _CERTIFICATE_SLACK)):
             raise NumericError(f"envelope certificate violated at t={t:g}: "
                                f"{v} exceeds scalar envelope {cap:.12g}")
-    if not exact and float(np.max(np.abs(grid[-1] - ladder))) > _ROUTE_GAP:
+    if not exact and float(np.max(np.abs(grid[-1] - ladder))) > _ROUTE_GAP * min(1.0, caps[-1]):
         raise NumericError(f"extinction envelope routes disagree at t={times[-1]:g}: "
                            f"reciprocal flow {grid[-1].tolist()}, ladder {ladder.tolist()}")
     return grid

@@ -79,8 +79,9 @@ class SimConfig:
         n_samples: batch size (every sampler returns (n_samples, d)).
         dt: operator-splitting step for mechanisms without an exact path.
         jump_threshold: jumps of total mass <= this are folded into drift.
-        seed: stream seed recorded for reproducibility (samplers take an
-            explicit Generator; the seed is what report metadata captures).
+        seed: stream seed recorded for reproducibility, 0 when a document
+            gives none (samplers take an explicit Generator; the seed is
+            what report metadata captures).
 
     Stepped draws abort above MASS_CEILING; exact ones need no runaway trap.
     """
@@ -88,7 +89,7 @@ class SimConfig:
     n_samples: int
     dt: float = 1e-3
     jump_threshold: float = JUMP_THRESHOLD
-    seed: Optional[int] = None
+    seed: int = 0
 
     def __post_init__(self):
         if self.n_samples < 1:

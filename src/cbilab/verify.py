@@ -259,15 +259,16 @@ def _per_replicate(fn, replicates) -> list:
 
 
 def _replicate_rows(templates, per_replicate) -> list:
-    """The sampled CheckRows of a check, one per template (check, claim, t,
-    analytic, details), from per_replicate: each replicate's list of one
+    """The CheckRows of a check, one per template (check, claim, t, analytic,
+    details), from per_replicate: each replicate's list of one
     (estimate, se, ok, *extras) tuple per row, in row order, as
-    `_per_replicate` returns them.  A row's estimate is the mean of its
-    replicate estimates, its ci Z99 * sqrt(sum se^2) / R and its verdict
-    passes only if every replicate passes; details(columns) gives its
-    details from the tuples transposed, columns[0] the replicate estimates
-    and columns[3:] the extras.  A replicate with more or fewer tuples than
-    there are templates raises ValueError: no row is dropped."""
+    `_per_replicate` returns them (an exact row is one replicate with se 0).
+    A row's estimate is the mean of its replicate estimates, its ci
+    Z99 * sqrt(sum se^2) / R and its verdict passes only if every replicate
+    passes; details(columns) gives its details from the tuples transposed,
+    columns[0] the replicate estimates and columns[3:] the extras.  A
+    replicate with more or fewer tuples than there are templates raises
+    ValueError: no row is dropped."""
     rows = []
     for (check, claim, t, analytic, details), *tuples in zip(templates, *per_replicate, strict=True):
         columns = list(zip(*tuples))
@@ -481,19 +482,15 @@ def check_tv_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
     se = math.sqrt(2.0 / sc.cfg.n_samples)  # bounded-differences scale of the TV estimate
     bounds = [(2.0 * abs(math.exp(-float(sc.mu @ vbar)) - math.exp(-float(sc.nu @ vbar))) + sc.tamper,
                2.0 * (1.0 - math.exp(-float(np.abs(sc.mu - sc.nu) @ vbar)))) for vbar in vbars]
-    if exact_route:
-        rows = []
-        for t, vbar, (lower, upper) in zip(sc.times, vbars, bounds):
-            est = tv_exact_quadratic(float(sc.mu[0]), float(sc.nu[0]),
-                                     float(mech.b[0]), float(mech.c[0]), t)
-            ok = lower - 1e-9 <= est <= upper + 1e-9
-            rows.append(CheckRow(
-                check="tv_sandwich", claim=claim, t=t,
-                analytic={"lower": lower, "upper": upper, "vbar": float(vbar[0])},
-                estimate=est, ci=0.0, verdict=_verdict(ok),
-                details={"route": 0.0},
-            ))
-        return rows
+    if exact_route:  # one replicate with se 0: the exact value draws nothing
+        ests = [tv_exact_quadratic(float(sc.mu[0]), float(sc.nu[0]), float(mech.b[0]),
+                                   float(mech.c[0]), t) for t in sc.times]
+        return _replicate_rows([("tv_sandwich", claim, t,
+                                 {"lower": lower, "upper": upper, "vbar": float(vbar[0])},
+                                 lambda cols: {"route": 0.0})
+                                for t, vbar, (lower, upper) in zip(sc.times, vbars, bounds)],
+                               [[(est, 0.0, lower - 1e-9 <= est <= upper + 1e-9)
+                                 for est, (lower, upper) in zip(ests, bounds)]])
 
     def replicate(snapshots, lower, upper):
         est = tv_empirical(*snapshots)
@@ -522,7 +519,7 @@ def check_lipschitz_contraction(sc: Scenario, rngs, an: ScenarioAnalytics) -> li
     it by the moment bound ||pi_t 1|| L(F), and, under the extinction
     condition, sit below 2 ||Vbar_t|| ||F||."""
     lip_f = float(sc.lambda_probe.max())  # gradient sup-norm of e^{-<lam,.>} at the origin
-    rows = []
+    templates, exact = [], []  # one replicate with se 0
     claim = ("sup |Q_tF(mu)-Q_tF(nu)| / ||mu-nu||_1 = ||v(t,lam)||_inf with v(t,lam) <= pi_t lam, "
              "so <= ||pi_t 1|| L(F), and <= 2||Vbar_t|| ||F|| when extinction is instant")
     vbars, _ = an.envelope
@@ -533,12 +530,9 @@ def check_lipschitz_contraction(sc: Scenario, rngs, an: ScenarioAnalytics) -> li
         lipschitz = float(v.max())
         # every analytic entry is a bound
         ok = bool(np.all(v <= an.pi(t) @ sc.lambda_probe + 1e-9)) and lipschitz <= min(analytic.values()) + 1e-9
-        rows.append(CheckRow(
-            check="lipschitz_contraction", claim=claim, t=t,
-            analytic=analytic, estimate=lipschitz, ci=0.0, verdict=_verdict(ok),
-            details={"lip_f": lip_f},
-        ))
-    return rows
+        templates.append(("lipschitz_contraction", claim, t, analytic, lambda cols: {"lip_f": lip_f}))
+        exact.append((lipschitz, 0.0, ok))
+    return _replicate_rows(templates, [exact])
 
 
 def check_laplace(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
@@ -745,8 +739,7 @@ def run_scenario(sc: Scenario) -> VerificationReport:
     analytics = ScenarioAnalytics(sc)
     for name in sc.checks:
         began = time.perf_counter()
-        seq = np.random.SeedSequence((0 if sc.cfg.seed is None else sc.cfg.seed,
-                                      registry.index(name)))
+        seq = np.random.SeedSequence((sc.cfg.seed, registry.index(name)))
         rngs = [np.random.default_rng(s) for s in seq.spawn(REPLICATES)]
         try:
             rows.extend(CHECKS[name](sc, rngs, analytics))

@@ -15,7 +15,7 @@ from cbilab.cumulant import FLOW_TOL, mean_vector
 from cbilab.distance import TV_BINS
 from cbilab.errors import ValidationError
 from cbilab.simulate import JUMP_THRESHOLD
-from cbilab.verify import share_cpus
+from cbilab.verify import run_scenario, share_cpus
 from closed_forms import closed_form_quadratic
 
 SCENARIOS = "scenarios"
@@ -122,8 +122,8 @@ class TestDocumentValidation:
             with pytest.raises(ValidationError, match="time"):
                 parse_scenario(doc | {"times": bad})
         assert main(["mech-info", str(path)]) == 2
-        assert main(["mech-info", str(write_doc(tmp_path)), "--samples", "0"]) == 2
-        assert main(["mech-info", str(write_doc(tmp_path)), "--seed", "-1"]) == 2
+        assert main(["simulate", str(write_doc(tmp_path)), "--samples", "0", "--out", str(tmp_path)]) == 2
+        assert main(["simulate", str(write_doc(tmp_path)), "--seed", "-1", "--out", str(tmp_path)]) == 2
 
     def test_dimension_must_be_a_positive_integer(self, tmp_path, capsys):
         for bad in (True, 1.0, 0, "1"):
@@ -218,6 +218,34 @@ class TestExitCodes:
         assert flag in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        *(("mech-info", flag) for flag in ("--seed", "--samples", "--dt", "--epsilon", "--out")),
+        *((command, flag) for command in ("cumulant", "moments")
+          for flag in ("--seed", "--samples", "--dt", "--epsilon")),
+    ])
+    def test_flag_a_command_does_not_read_exits_2(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(write_doc(tmp_path)), flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_each_command_takes_the_options_it_reads(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        options = {name: {a.option_strings[-1] for a in p._actions if a.option_strings} - {"--help"}
+                   for name, p in sub.choices.items()}
+        sim = {"--seed", "--samples", "--dt", "--epsilon", "--out"}
+        assert options == {
+            "mech-info": set(),
+            "cumulant": {"--out", "--tolerance", "--lam", "--t", "--grid"},
+            "moments": {"--out"},
+            "simulate": sim | {"--t"},
+            "couple": sim | {"--t"},
+            "distance": {"--metric", "--bins"},
+            "stationary": sim,
+            "verify": sim | {"--workers"},
+        }
+        assert sum(map(len, options.values())) == 31
 
     def test_blow_up_is_numeric_error(self, tmp_path, capsys):
         # linear supercritical flow grows like e^{2t}; past the solver
@@ -462,6 +490,20 @@ class TestVerifyCommand:
             report["metadata"].pop("runtime_s")
             report["metadata"].pop("check_s")
         assert a == b
+
+    def test_an_absent_seed_is_zero(self, tmp_path):
+        doc = write_doc(tmp_path, sim={"n_samples": 200, "dt": 0.01},
+                        checks=["laplace", "tv_sandwich"])
+        for command, csv in (("simulate", "samples.csv"), ("couple", "couple.csv"),
+                             ("stationary", "stationary.csv")):
+            for sub in ("one", "two"):
+                assert main([command, str(doc), "--out", str(tmp_path / sub)]) == 0
+            assert (tmp_path / "one" / csv).read_bytes() == (tmp_path / "two" / csv).read_bytes()
+        assert main(["verify", str(doc), "--out", str(tmp_path / "report")]) == 0
+        assert json.loads((tmp_path / "report" / "report.json").read_text())["metadata"]["seed"] == 0
+        seedless = load_document(doc)
+        zero = seedless | {"sim": seedless["sim"] | {"seed": 0}}
+        assert run_scenario(parse_scenario(seedless)).rows == run_scenario(parse_scenario(zero)).rows
 
     def test_nameless_documents_named_by_file_stem(self, tmp_path, capsys):
         paths = []

@@ -335,10 +335,11 @@ def _ladder_rungs(mech, t):
     """The ladder, and the step counts of one solve per rung up to the
     stopping rung, whose index comes last."""
     ladder = 10.0 ** np.arange(1, 13)
+    tol = 1e-8 * min(1.0, vbar_scalar(dominating_mechanism(mech), t))
     paths = []
     for lam in ladder:
         paths.append(solve_cumulant(mech, lam * np.ones(mech.d), t, 1e-10))
-        if len(paths) > 1 and np.max(np.abs(paths[-1].final - paths[-2].final)) < 1e-8:
+        if len(paths) > 1 and np.max(np.abs(paths[-1].final - paths[-2].final)) < tol:
             break
     return ladder, [p.n_steps + p.n_rejected for p in paths], len(paths) - 1
 
@@ -427,9 +428,19 @@ def test_ladder_stops_once_its_rung_is_found(mech, times):
     vals, _, _, errors = cumulant._flow_lanes(mech, ladder[:, None] * np.ones(mech.d), t, 1e-10,
                                               np.array([0.0, t]))
     rungs = vals[:, -1]
-    stop = next(k for k in range(1, 12) if np.max(np.abs(rungs[k] - rungs[k - 1])) < 1e-8)
+    tol = 1e-8 * min(1.0, vbar_scalar(dominating_mechanism(mech), t))
+    stop = next(k for k in range(1, 12) if np.max(np.abs(rungs[k] - rungs[k - 1])) < tol)
     assert all(e is None for e in errors[:stop + 1])
     assert np.array_equal(vbar_vector(mech, t), rungs[stop])
+
+
+def test_ladder_matches_the_reciprocal_route_at_a_small_envelope():
+    # on the ref_d2_folded mechanism at t = 12, Vbar is about 7.4e-8, below
+    # an absolute 1e-8 stop and 1e-7 gap; relative ones still bind there
+    mech, t = folded_two_type(), 12.0
+    cap = vbar_scalar(dominating_mechanism(mech), t)
+    gap = np.max(np.abs(vbar_vector(mech, t) - reciprocal_envelope(mech, [t])[0]))
+    assert gap <= 1e-7 * min(1.0, cap), (gap, cap)
 
 
 def test_reciprocal_route_matches_the_closed_form():
