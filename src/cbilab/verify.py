@@ -295,33 +295,32 @@ def _psi_integrals(mech, imm, lams, lags) -> list:
     its tail past the batch's end lags[-1] + H) per lag of an increasing
     grid from 0], or the exception that lane failed with.  The rows are
     lanes of one batch (`_flow_lanes`), each with the bits of a solve of its
-    own, which runs H = max(10/beta*, 20) past the last lag on nodes at most
-    H/2000 apart.  Each ODE value is checked by Simpson on the nodes past its lag."""
+    own, which runs H = max(10/beta*, 20) past the last lag and lands on
+    each lag and on that end.  Each ODE value is checked by Simpson on the
+    nodes the lane accepted past its lag."""
     bs = beta_star(mech)
     if bs <= 0:
         raise ValidationError(f"stationary exponent needs beta_star > 0, got {bs:.6g}")
     horizon = max(10.0 / bs, 20.0)
-    ends = [*lags, lags[-1] + horizon]
-    pieces = [np.linspace(a, b, 2 * max(1, math.ceil((b - a) * 1000.0 / horizon - 1e-9)) + 1)
-              for a, b in zip(ends, ends[1:])]
-    grid = np.concatenate([piece[:-1] for piece in pieces[:-1]] + pieces[-1:])
-    vals, _, _, errors = _flow_lanes(mech, np.asarray(lams, dtype=float), ends[-1], FLOW_TOL, grid, imm)
+    ends = np.array([*lags, lags[-1] + horizon])
+    vals, nodes, _, errors = _flow_lanes(mech, np.asarray(lams, dtype=float), ends[-1], FLOW_TOL, ends, imm)
     influx = float((imm.beta + imm.first_moment()).sum())
 
-    def integrals(lane):
-        v, integral = lane[:, :mech.d], lane[:, mech.d]
-        psi_vals = eval_psi(imm, v)
+    def integrals(lane, s, y):
+        psi_vals = eval_psi(imm, y[:, :mech.d])
         rows = []
-        for lag, k in zip(lags, np.searchsorted(grid, lags)):
-            by_simpson = float(simpson(psi_vals[k:], x=grid[k:]))
-            by_ode = float(integral[-1] - integral[k])
+        for i, lag in enumerate(lags):
+            k = int(np.argmin(np.abs(s - lag)))  # the node the lane landed on at lag
+            by_simpson = float(simpson(psi_vals[k:], x=s[k:]))
+            by_ode = float(lane[-1, mech.d] - lane[i, mech.d])
             if abs(by_simpson - by_ode) > 1e-6 * max(1.0, abs(by_ode)):
-                return NumericError(f"stationary quadrature mismatch past lag {grid[k]:g}: "
+                return NumericError(f"stationary quadrature mismatch past lag {lag:g}: "
                                     f"simpson {by_simpson:.12g} vs ode {by_ode:.12g}")
-            rows.append((by_ode, influx * float(v[k].max()) * math.exp(-bs * (ends[-1] - lag)) / bs))
+            tail = influx * float(lane[i, :mech.d].max()) * math.exp(-bs * (ends[-1] - lag)) / bs
+            rows.append((by_ode, tail))
         return rows
 
-    return [error or integrals(lane) for lane, error in zip(vals, errors)]
+    return [error or integrals(lane, *lane_nodes) for lane, lane_nodes, error in zip(vals, nodes, errors)]
 
 
 class ScenarioAnalytics:
@@ -330,10 +329,11 @@ class ScenarioAnalytics:
     (`extinction_envelope`: one reciprocal-flow solve, checked by the scalar
     root at every time in d = 1 and by a ladder at the last time otherwise)
     and the stationary exponents (one psi batch: the Laplace lane at
-    lambda_probe and the TV lane at Vbar_{t0}, on the TV lag grid); and the
-    moment semigroup pi_t per time.  Checks read what they need before
-    their replicates run: the replicates share no lock, and from Python
-    3.12 on neither does cached_property."""
+    lambda_probe and the TV lane at Vbar_{t0}, landing on the TV lags, each
+    checked by Simpson on its own accepted nodes); and the moment semigroup
+    pi_t per time.  Checks read what they need before their replicates run:
+    the replicates share no lock, and from Python 3.12 on neither does
+    cached_property."""
 
     def __init__(self, sc: Scenario):
         self.sc = sc

@@ -240,11 +240,20 @@ def lane_problems(draw):
 def test_lanes_match_one_lane_solves_bit_for_bit(problem):
     mech, imm, starts, t_end, t_eval, tol, ceiling = problem
     grid = cumulant._record_times(t_end, t_eval)
+    real = cumulant._flow_lanes
+    one_lane = []
+
+    def recorded(*args):
+        out = real(*args)
+        one_lane.append(out[1][0])
+        return out
+
     with patch.object(cumulant, "FLOW_CEILING", ceiling):
-        vals, n_acc, n_rej, errors = cumulant._flow_lanes(mech, starts, t_end, tol, grid, imm)
+        vals, nodes, n_rej, errors = real(mech, starts, t_end, tol, grid, imm)
         for lane, lam in enumerate(starts):
             try:
-                alone = solve_cumulant(mech, lam, t_end, tol, t_eval=t_eval, imm=imm)
+                with patch.object(cumulant, "_flow_lanes", recorded):
+                    alone = solve_cumulant(mech, lam, t_end, tol, t_eval=t_eval, imm=imm)
             except (NumericError, ValidationError) as exc:
                 assert type(errors[lane]) is type(exc) and str(errors[lane]) == str(exc)
                 continue
@@ -252,7 +261,11 @@ def test_lanes_match_one_lane_solves_bit_for_bit(problem):
             assert np.array_equal(vals[lane, :, :mech.d], alone.v_values)
             if imm is not None:
                 assert np.array_equal(vals[lane, :, mech.d], alone.imm_integral)
-            assert (n_acc[lane], n_rej[lane]) == (alone.n_steps, alone.n_rejected)
+            # every accepted node, times and values, is the one-lane solve's
+            (times, values), (alone_times, alone_values) = nodes[lane], one_lane[-1]
+            assert np.array_equal(times, alone_times) and np.array_equal(values, alone_values)
+            assert times[0] == 0.0 and np.array_equal(values[-1], vals[lane, -1])
+            assert (len(times) - 1, n_rej[lane]) == (alone.n_steps, alone.n_rejected)
             assert type(alone.n_steps) is int and type(alone.n_rejected) is int
 
 
@@ -459,7 +472,7 @@ def test_reciprocal_route_takes_few_steps(mech, times, monkeypatch):
 
     def counting(*args, **kwargs):
         out = real(*args, **kwargs)
-        steps.append(out[1])
+        steps.append([len(times) - 1 for times, _ in out[1]])
         return out
 
     monkeypatch.setattr(cumulant, "_integrate", counting)

@@ -1,5 +1,6 @@
 """Scenario runner: verdict logic, skip paths, report round-trips."""
 
+import functools
 import hashlib
 import json
 import math
@@ -424,13 +425,14 @@ def count_envelope_routes(monkeypatch) -> tuple:
 
 
 def count_psi_batches(monkeypatch) -> list:
-    """Record the number of lanes of each psi batch."""
+    """Record each psi batch as the accepted steps of each of its lanes."""
     batches = []
     real = verify._flow_lanes
 
-    def lanes(mech, lams, *args, **kwargs):
-        batches.append(len(lams))
-        return real(mech, lams, *args, **kwargs)
+    def lanes(*args, **kwargs):
+        out = real(*args, **kwargs)
+        batches.append([len(times) - 1 for times, _ in out[1]])
+        return out
 
     monkeypatch.setattr(verify, "_flow_lanes", lanes)
     return batches
@@ -857,22 +859,46 @@ def test_shipped_folded_document_passes_whole(shipped_rows):
                                                     if r.verdict != "pass"]
 
 
-@pytest.mark.parametrize("name, checks, digest", [
-    ("ref_d1_quadratic", None, "4002bb1a8bf49585411be517ec8265bfbe582db9a9db1bef8dfec297459509c0"),
-    ("ref_d1_stable", ("wasserstein_sandwich",),
-     "0163faf7217b4ae49b200fdb7b08c3e2e1947674dc3c0884e8f6c6cc41d66573"),
-    ("ref_d2_folded", ("stationary", "tv_sandwich"),
-     "204aad28a289350cd8a4945c9560af79485cb285b75d8138391509f05fadd3c3"),
-], ids=["ref_d1_quadratic", "ref_d1_stable-wasserstein_sandwich", "ref_d2_folded-stationary-tv_sandwich"])
-def test_rows_keep_their_bits(name, checks, digest):
-    # every row's bits at the shipped seed and n = 300: the stationary bundle
-    # on the exact (quadratic) and the stepped (folded) route, the stable
-    # Jordan couplings and the sampled TV route.  A change that moves a
-    # random stream or a pass rule's float expression must update the digest
-    # and say so.
+# the documents test_rows_keep_their_bits runs: the stationary bundle on the
+# exact (quadratic) and the stepped (folded) route, the stable Jordan
+# couplings and the sampled TV route
+BITS_RUNS = [("ref_d1_quadratic", None), ("ref_d1_stable", ("wasserstein_sandwich",)),
+             ("ref_d2_folded", ("stationary", "tv_sandwich"))]
+BITS_IDS = ["ref_d1_quadratic", "ref_d1_stable-wasserstein_sandwich", "ref_d2_folded-stationary-tv_sandwich"]
+
+
+@functools.cache
+def rows_at_n300(name: str, checks) -> tuple:
+    """A shipped document's rows (as_dict) at its seed and n = 300."""
     sc = shipped(name)
     sc = replace(sc, cfg=replace(sc.cfg, n_samples=300), checks=checks or sc.checks)
-    rows = json.dumps([r.as_dict() for r in run_scenario(sc).rows])
+    return tuple(r.as_dict() for r in run_scenario(sc).rows)
+
+
+@pytest.mark.parametrize("name, checks, digest", [
+    (*BITS_RUNS[0], "2adba71373c18469f362629bff3256aaf965effb0dac35718043516e6b73cd13"),
+    (*BITS_RUNS[1], "0163faf7217b4ae49b200fdb7b08c3e2e1947674dc3c0884e8f6c6cc41d66573"),
+    (*BITS_RUNS[2], "e67dc8f7098b388ff7f9864190a625cf3c2f327f6f36af713b7233b6ba0f52ef"),
+], ids=BITS_IDS)
+def test_rows_keep_their_bits(name, checks, digest):
+    # every row's bits at the shipped seed and n = 300.  A change that moves
+    # a random stream, a pass rule's float expression or an analytic value
+    # must update the digest and say so.
+    rows = json.dumps(list(rows_at_n300(name, checks)))
+    assert hashlib.sha256(rows.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, checks, digest", [
+    (*BITS_RUNS[0], "4fef02cee7837f265a1fec844fa3d58e055c055c21c186a83e42e58f0db1ce27"),
+    (*BITS_RUNS[1], "c981ac5dc72ce1e616a6f4f3a67b9045e8e4f7d9d9074d90265bb09f1af8b4fb"),
+    (*BITS_RUNS[2], "f7e30594f4250357424ded31fdad1095555e9e5882a62ab64b8ec973109bc1da"),
+], ids=BITS_IDS)
+def test_sampled_columns_keep_their_bits(name, checks, digest):
+    # the same rows without their analytic side: a change that moves no
+    # random stream and no pass rule keeps this digest even where an
+    # analytic value moves in its last digits
+    rows = json.dumps([{k: v for k, v in row.items() if k != "analytic"}
+                       for row in rows_at_n300(name, checks)])
     assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
 
@@ -905,7 +931,9 @@ class TestAnalyticGrids:
                                          rel=1e-6)
 
     def test_psi_lanes_match_one_lane_solves(self, grids, monkeypatch):
-        # the Laplace and TV lanes of one batch, each with the bits of its own solve
+        # the Laplace and TV lanes of one batch, each with the bits of its own
+        # solve, the nodes Simpson reads included; the batch lands on the lags
+        # and the horizon end only
         sc, an, _ = grids
         lams = [sc.lambda_probe, an.envelope[0][0]]
         batches = []
@@ -913,18 +941,36 @@ class TestAnalyticGrids:
 
         def lanes(*args):
             out = real(*args)
-            batches.append((args, out[0]))
+            batches.append((args, out[0], out[1]))
             return out
 
         monkeypatch.setattr(verify, "_flow_lanes", lanes)
         both = _psi_integrals(sc.mech, sc.imm, lams, an.lags)
-        ((_, starts, t_end, tol, grid, imm), vals), = batches
+        ((_, starts, t_end, tol, grid, imm), vals, nodes), = batches
         assert np.array_equal(starts, lams) and tol == 1e-10 and imm is sc.imm
+        assert grid.tolist() == [*an.lags, t_end]
         for lane, lam in enumerate(lams):
             alone = solve_cumulant(sc.mech, lam, t_end, tol, t_eval=grid, imm=imm)
             assert np.array_equal(vals[lane, :, :sc.mech.d], alone.v_values)
             assert np.array_equal(vals[lane, :, sc.mech.d], alone.imm_integral)
+            (times, values), = real(sc.mech, np.array([lam]), t_end, tol, grid, imm)[1]
+            assert np.array_equal(nodes[lane][0], times) and np.array_equal(nodes[lane][1], values)
+            assert len(times) - 1 == alone.n_steps
         assert (an.stationary_laplace, an.stationary_tv) == (both[0][0], (both[1], ""))
+
+    def test_quadratic_exponents_match_the_closed_form_at_every_lag(self):
+        # b = c = 1, beta = 2: U(lam) = 2 log(1 + lam), and the TV lane lands
+        # on Vbar_t = 1/(e^t - 1) at each lag, so its exponent is
+        # U(Vbar_t) = -2 log(1 - e^{-t}); the Laplace lane at lam = 1 gives 2 log 2
+        sc = shipped("ref_d1_quadratic")
+        an = ScenarioAnalytics(sc)
+        assert sc.times == (0.5, 1.0, 2.0, 3.0, 4.0) and sc.lambda_probe.tolist() == [1.0]
+        exponent, tail = an.stationary_laplace
+        assert abs(exponent - 2.0 * math.log(2.0)) <= tail + 1e-9
+        tv, reason = an.stationary_tv
+        assert reason == "" and len(tv) == len(sc.times)
+        for t, (exponent, tail) in zip(sc.times, tv):
+            assert abs(exponent + 2.0 * math.log(-math.expm1(-t))) <= tail + 1e-9, t
 
     def test_one_solve_per_grid_on_the_quadratic_scenario(self, monkeypatch):
         ladders, reciprocals, roots = count_envelope_routes(monkeypatch)
@@ -943,21 +989,23 @@ class TestAnalyticGrids:
         assert roots == [0.5, 1.0, 2.0, 3.0, 4.0]
         # the probe flow, and one psi batch of the stationary Laplace and TV lanes
         assert len(solves) == 1
-        assert batches == [2]
+        assert [len(lanes) for lanes in batches] == [2]
 
     @pytest.mark.parametrize("name, ladders", [("ref_d1_quadratic", []), ("ref_d1_stable", []),
                                                ("ref_d2_folded", [3.0]), ("negative_control", [])])
     def test_serial_solves_of_each_shipped_scenario(self, monkeypatch, name, ladders):
         # the cost guard of the analytic side, counted rather than timed: a
         # ladder only where phi_* does not give the envelope, and one psi
-        # batch per stationary check.  A small n keeps the sampling cheap;
-        # it moves no analytic solve.
+        # batch per stationary check, whose lanes each take fewer than 1,000
+        # accepted steps (398-527 on the shipped documents at FLOW_TOL).  A
+        # small n keeps the sampling cheap; it moves no analytic solve.
         routes = count_envelope_routes(monkeypatch)
         batches = count_psi_batches(monkeypatch)
         sc = shipped(name)
         run_scenario(replace(sc, cfg=replace(sc.cfg, n_samples=60)))
         assert routes[0] == ladders
-        assert batches == ([2] if "stationary" in sc.checks else [])
+        assert [len(lanes) for lanes in batches] == ([2] if "stationary" in sc.checks else [])
+        assert all(steps < 1000 for lanes in batches for steps in lanes), batches
 
     def test_disagreeing_routes_skip_the_envelope_rows(self, monkeypatch):
         sc = reference_scenario(cfg=SimConfig(n_samples=300, dt=0.02, seed=3), times=(0.5, 1.0),
