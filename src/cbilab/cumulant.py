@@ -19,7 +19,7 @@ three behaviours explicit and testable.
 
 The stepper advances a batch of independent lanes at once: one mechanism,
 one horizon, one start per lane.  Each lane keeps its own time, step size,
-stages and step counts, and its values and accepted nodes are bit for bit
+stages and step counts, and its values and step counts are bit for bit
 those of a solve of that lane alone: stage sums stay per-lane
 matrix-vector products, and the step-size factor err^(-1/5) is taken per
 lane in Python floats.  A lane that fails stops alone.  solve_cumulant is
@@ -177,10 +177,9 @@ def _integrate(f, y0, t_end, rtol, atol, t_record, ceiling):
     are stacked arrays, the step control runs per lane on Python floats.  A
     lane that fails stops there and the others go on.
 
-    Returns (values (L, len(t_record), n), nodes, rejected steps, errors),
-    the last three lists by lane: nodes[l] is the pair (times, values) of the
-    start and of every step lane l accepted, so it took len(times) - 1
-    accepted steps, and errors[l] is the exception lane l ended with, or None.
+    Returns (values (L, len(t_record), n), accepted steps, rejected steps,
+    errors), the last three lists by lane: errors[l] is the exception lane l
+    ended with, or None.
     """
     y = np.array(y0, dtype=float)
     L, n = y.shape
@@ -188,19 +187,9 @@ def _integrate(f, y0, t_end, rtol, atol, t_record, ceiling):
     n_rec = len(times)
     out = np.empty((L, n_rec, n))
     n_acc, n_rej, errors = [0] * L, [0] * L, [None] * L
-    # every accepted node as a row (lane, t, y), the starts first and each
-    # lane's rows in time order; the buffer doubles when it is full
-    nodes, n_nodes = np.empty((8 * L, 2 + n)), L
-    nodes[:L, 0], nodes[:L, 1], nodes[:L, 2:] = range(L), 0.0, y
-
-    def finish():
-        rows = nodes[:n_nodes]
-        by_lane = [rows[rows[:, 0] == lane] for lane in range(L)]
-        return out, [(r[:, 1], r[:, 2:]) for r in by_lane], n_rej, errors
-
     if t_end == 0.0:
         out[:, 0] = y
-        return finish()
+        return out, n_acc, n_rej, errors
 
     def fail(row_lanes, failures):
         """Give each failed row's lane its exception, unless it has one."""
@@ -281,13 +270,6 @@ def _integrate(f, y0, t_end, rtol, atol, t_record, ceiling):
                 factor = max(0.2, 0.9 * e ** -0.2)
             h[r] = h[r] * factor
         y[accepted] = y_new[accepted]
-        if accepted:
-            if n_nodes + len(accepted) > len(nodes):
-                nodes = np.concatenate([nodes, np.empty_like(nodes)])
-            new = slice(n_nodes, n_nodes + len(accepted))
-            nodes[new, 0], nodes[new, 1] = [lanes[r] for r in accepted], [t[r] for r in accepted]
-            nodes[new, 2:] = y[accepted]
-            n_nodes += len(accepted)
         k[accepted, 0] = k[accepted, 6]  # first-same-as-last: reuse the final stage
         if fresh:
             k[fresh, 0], failures = _eval_lanes(f, y_new[fresh])
@@ -296,7 +278,7 @@ def _integrate(f, y0, t_end, rtol, atol, t_record, ceiling):
             if hit[r] and errors[lanes[r]] is None:
                 out[lanes[r], idx[r]] = y[r]
                 idx[r] += 1
-    return finish()
+    return out, n_acc, n_rej, errors
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +295,8 @@ class CumulantPath:
         v_values: (len(t_grid), d) nonnegative cumulant values; v_values[0]
             is the initial condition.
         imm_integral: optional accumulated int_0^t psi(v(s)) ds per grid time.
+        n_steps: steps the integrator accepted.
+        n_rejected: steps it rejected and retried with a smaller step.
     """
 
     t_grid: np.ndarray
@@ -345,8 +329,8 @@ def _record_times(t_end: float, t_eval) -> np.ndarray:
 def _flow_lanes(mech, lam0, t_end, tol, grid, imm=None):
     """The cumulant flow from each row of lam0 (L, d), as one batch of lanes.
 
-    Returns _integrate's (values, nodes, rejected, errors); with imm the
-    values and nodes carry int_0^t psi(v(s)) ds as an extra last column.
+    Returns _integrate's (values, accepted, rejected, errors); with imm the
+    values carry int_0^t psi(v(s)) ds as an extra last column.
     """
     tol = _check_tol(tol)
     atol = tol * 1e-6 + 1e-300  # tiny absolute floor; control is effectively relative
@@ -400,12 +384,12 @@ def solve_cumulant(
     if imm is not None and imm.d != mech.d:
         raise ValidationError(f"immigration dimension {imm.d} != mechanism dimension {mech.d}")
     grid = _record_times(float(t_end), t_eval)
-    vals, nodes, n_rej, errors = _flow_lanes(mech, lam0[None, :], t_end, tol, grid, imm)
+    vals, n_acc, n_rej, errors = _flow_lanes(mech, lam0[None, :], t_end, tol, grid, imm)
     if errors[0] is not None:
         raise errors[0]
     d = mech.d
     imm_integral = None if imm is None else vals[0, :, d]
-    return CumulantPath(grid, vals[0, :, :d], imm_integral, len(nodes[0][0]) - 1, n_rej[0])
+    return CumulantPath(grid, vals[0, :, :d], imm_integral, n_acc[0], n_rej[0])
 
 
 # ---------------------------------------------------------------------------

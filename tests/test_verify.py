@@ -431,7 +431,7 @@ def count_psi_batches(monkeypatch) -> list:
 
     def lanes(*args, **kwargs):
         out = real(*args, **kwargs)
-        batches.append([len(times) - 1 for times, _ in out[1]])
+        batches.append(out[1])
         return out
 
     monkeypatch.setattr(verify, "_flow_lanes", lanes)
@@ -931,9 +931,9 @@ class TestAnalyticGrids:
                                          rel=1e-6)
 
     def test_psi_lanes_match_one_lane_solves(self, grids, monkeypatch):
-        # the Laplace and TV lanes of one batch, each with the bits of its own
-        # solve, the nodes Simpson reads included; the batch lands on the lags
-        # and the horizon end only
+        # the Laplace and TV lanes of one batch, each with the bits and the
+        # step counts of its own solve; the batch lands on the lags and the
+        # horizon end only
         sc, an, _ = grids
         lams = [sc.lambda_probe, an.envelope[0][0]]
         batches = []
@@ -946,16 +946,15 @@ class TestAnalyticGrids:
 
         monkeypatch.setattr(verify, "_flow_lanes", lanes)
         both = _psi_integrals(sc.mech, sc.imm, lams, an.lags)
-        ((_, starts, t_end, tol, grid, imm), vals, nodes), = batches
+        ((_, starts, t_end, tol, grid, imm), vals, n_acc), = batches
         assert np.array_equal(starts, lams) and tol == 1e-10 and imm is sc.imm
         assert grid.tolist() == [*an.lags, t_end]
         for lane, lam in enumerate(lams):
             alone = solve_cumulant(sc.mech, lam, t_end, tol, t_eval=grid, imm=imm)
             assert np.array_equal(vals[lane, :, :sc.mech.d], alone.v_values)
             assert np.array_equal(vals[lane, :, sc.mech.d], alone.imm_integral)
-            (times, values), = real(sc.mech, np.array([lam]), t_end, tol, grid, imm)[1]
-            assert np.array_equal(nodes[lane][0], times) and np.array_equal(nodes[lane][1], values)
-            assert len(times) - 1 == alone.n_steps
+            assert real(sc.mech, np.array([lam]), t_end, tol, grid, imm)[1] == [n_acc[lane]]
+            assert n_acc[lane] == alone.n_steps
         assert (an.stationary_laplace, an.stationary_tv) == (both[0][0], (both[1], ""))
 
     def test_quadratic_exponents_match_the_closed_form_at_every_lag(self):
@@ -1049,15 +1048,17 @@ def assert_envelope_rows_skipped(report, sc, routes):
     assert not any(r.claim == "check aborted before producing rows" for r in report.rows)
 
 
-def perturb_simpson_route(monkeypatch, start: float) -> None:
-    """Scale the Simpson route's integrand on the psi lane that starts at start."""
-    real = verify.eval_psi
+def perturb_dop853_route(monkeypatch, start: float) -> None:
+    """Scale the int psi column of the DOP853 route on the psi lane that starts at start."""
+    real = verify.solve_ivp
 
-    def psi(imm, v):
-        out = real(imm, v)
-        return out * 1.001 if v[0, 0] == start else out
+    def solve(fun, t_span, y0, **kwargs):
+        out = real(fun, t_span, y0, **kwargs)
+        if y0[0] == start:
+            out.y[-1] *= 1.001
+        return out
 
-    monkeypatch.setattr(verify, "eval_psi", psi)
+    monkeypatch.setattr(verify, "solve_ivp", solve)
 
 
 class TestStationaryExponent:
@@ -1077,7 +1078,7 @@ class TestStationaryExponent:
         sc = reference_scenario(cfg=SimConfig(n_samples=300, dt=0.02, seed=3), times=(0.5, 1.0),
                                 checks=("stationary",))
         clean = run_scenario(sc).rows
-        perturb_simpson_route(monkeypatch, ScenarioAnalytics(sc).envelope[0][0, 0])  # Vbar_0.5
+        perturb_dop853_route(monkeypatch, ScenarioAnalytics(sc).envelope[0][0, 0])  # Vbar_0.5
         rows = run_scenario(sc).rows
         assert [r for r in rows if r.check != "stationary_tv_bound"] == \
             [r for r in clean if r.check != "stationary_tv_bound"]
@@ -1085,16 +1086,30 @@ class TestStationaryExponent:
         assert [r.t for r in tv] == list(sc.times)
         for r in tv:
             assert r.verdict == "skipped"
-            assert r.reason.startswith("stationary quadrature mismatch past lag 0: simpson ")
+            assert r.reason.startswith("stationary exponent routes disagree past lag 0: stepper ")
 
     def test_laplace_lane_failure_aborts_the_check(self, monkeypatch):
         sc = reference_scenario(cfg=SimConfig(n_samples=300, dt=0.02, seed=3), times=(0.5, 1.0),
                                 checks=("stationary",))
-        perturb_simpson_route(monkeypatch, 1.0)  # lambda_probe
+        perturb_dop853_route(monkeypatch, 1.0)  # lambda_probe
         row, = run_scenario(sc).rows
         assert (row.check, row.claim, row.verdict) == ("stationary", "check aborted before producing rows",
                                                        "fail")
-        assert row.reason.startswith("NumericError: stationary quadrature mismatch past lag 0: simpson ")
+        assert row.reason.startswith("NumericError: stationary exponent routes disagree past lag 0: stepper ")
+
+    def test_routes_are_independent_of_the_stepper(self, monkeypatch):
+        # a 0.1% fault in the stepper's phi moves the Laplace exponent by about
+        # 1e-3 (1.38491 against 2 log 2 = 1.38629), far past the route gap;
+        # the DOP853 route reads phi from mechanism, so it does not share the fault
+        sc = shipped("ref_d1_quadratic")
+        sc = replace(sc, cfg=replace(sc.cfg, n_samples=60), checks=("stationary",))
+        real = cumulant.eval_phi
+        monkeypatch.setattr(cumulant, "eval_phi", lambda mech, lam: real(mech, lam) * 1.001)
+        row, = run_scenario(sc).rows
+        assert (row.check, row.claim, row.verdict) == ("stationary", "check aborted before producing rows",
+                                                       "fail")
+        assert row.reason.startswith("NumericError: stationary exponent routes disagree past lag 0: stepper ")
+        assert "DOP853" in row.reason
 
 
 class TestReportSerialization:
