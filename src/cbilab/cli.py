@@ -8,7 +8,7 @@ two invocations with equal inputs produce identical bytes (the
 exceptions are the timing fields of report metadata, runtime_s and check_s).
 
 Exit codes: 0 success, 1 at least one verification check failed,
-2 invalid input, 3 numerical failure.
+2 invalid input, 3 numerical failure or a replicate worker that died.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .cumulant import (
     stationary_mean,
 )
 from .distance import TV_BINS, tv_empirical, w1_exact_empirical
-from .errors import BlowUpError, GreyConditionError, NumericError, ValidationError
+from .errors import BlowUpError, GreyConditionError, NumericError, ValidationError, WorkerError
 from .mechanism import (
     BranchingMechanism,
     ExponentialAxis,
@@ -573,6 +573,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericError, BlowUpError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except WorkerError as exc:  # never a verdict: no row says what the lost draws held
+        print(f"worker failure: {exc}", file=sys.stderr)
         return 3
 
 

@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: validation problems (bad inputs,
 malformed scenario documents) exit 2, numeric failures (blow-up, solver or
-ladder breakdown) exit 3, and failed bound checks exit 1 without raising.
+ladder breakdown) and a replicate worker process that died exit 3, and
+failed bound checks exit 1 without raising.
 """
 
 
@@ -20,3 +21,7 @@ class BlowUpError(NumericError):
 
 class GreyConditionError(NumericError):
     """V-bar requested for a mechanism whose dominating tail integral diverges."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process that drew replicates died before it returned them."""

@@ -7,10 +7,15 @@ the numbers behind it.  A failed bound never raises — it is recorded and
 surfaces in the exit status of the batch front end.
 
 Statistical policy: every sampling-based verdict is required to hold on
-three independent seed replicates, drawn from their own streams on up to
-one thread per CPU (`_per_replicate`) and combined in replicate order, so a
-report does not depend on the number of CPUs.  The threads overlap only
-where a draw releases the GIL; stable draws at the shipped n hold it.
+three independent seed replicates, drawn from their own streams and
+combined in replicate order, so a report does not depend on the number of
+CPUs.  Each check is a plan (`_check`): its analytic side, one draw
+function per replicate and the step that finishes its rows.
+`run_scenario` builds every plan of a document, then draws every
+(check, replicate) on one pool of worker processes forked from the caller
+(`_draw_all`; in turn in the caller on one usable CPU), then finishes the
+checks in document order.  Processes, because stable draws at the shipped
+n hold the GIL, so threads would not overlap them.
 Every sampled row is built by `_replicate_rows`, the one row builder, from
 the check's row template and its replicate tuples.  Pass thresholds use
 four standard errors per replicate (plus any stated relative floor) so
@@ -20,7 +25,7 @@ Z99 * sqrt(sum_r se_r^2) / R, where se_r is the standard error of
 replicate r's estimate.  Exact (non-sampling) rows use absolute
 tolerances around 1e-9 and report ci = 0.  Each check draws one path or
 coupling per replicate and reduces it to all its rows in that replicate's
-thread.  A coupling here is its Jordan pieces (`couple_jordan_pieces`): its
+task.  A coupling here is its Jordan pieces (`couple_jordan_pieces`): its
 shared meet path cancels from every number a row reads.  The stationary
 rows read one stationary batch S and two couplings that start from it,
 (0, S) along the times and (mu, S) along the fit times, and each
@@ -36,11 +41,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import multiprocessing
 import numbers
 import os
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Generator
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -65,6 +73,7 @@ from .errors import (
     GreyConditionError,
     NumericError,
     ValidationError,
+    WorkerError,
 )
 from .mechanism import (
     BranchingMechanism,
@@ -226,47 +235,166 @@ def _mean_se(vals: np.ndarray) -> tuple:
 
 
 _processes = 1  # processes that share this one's CPUs; see share_cpus
+_FORK = "fork" in multiprocessing.get_all_start_methods()
+_ABORTS = (NumericError, BlowUpError, ValidationError)  # what ends a check in an aborted row
+_forked: tuple = ()  # (tasks, started) in a worker of `_draw_all`'s pool; set by `_adopt`
 
 
 def share_cpus(processes: int) -> None:
     """Give this process 1/processes of the usable CPUs for its replicates:
     the initializer of the `verify --workers` pool, so that the replicate
-    threads of all its processes never outnumber the CPUs."""
+    workers of all its processes never outnumber the CPUs."""
     global _processes
     _processes = processes
 
 
-def _replicate_threads(replicates: int) -> int:
+def _workers(tasks: int) -> int:
+    """How many workers draw tasks replicate tasks: 1 (the calling process)
+    when this process has one usable CPU (see share_cpus), and otherwise
+    min(tasks, max(REPLICATES, usable CPUs)), so that on 2 CPUs the three
+    replicates of a check draw at once."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(replicates, cpus // _processes))
+    usable = cpus // _processes
+    return 1 if usable <= 1 else min(tasks, max(REPLICATES, usable))
 
 
-def _per_replicate(fn, replicates) -> list:
-    """[fn(r) for r in replicates], in replicate order, computed on one thread
-    per usable CPU (serially on one).  Each replicate owns its random stream,
-    so every result keeps its bits.  The replicates overlap only where their
-    draws release the GIL: on 2 CPUs, six stable W1 coupling draws at the
-    shipped n took 1.25 s on 2 threads against 1.24 s serially (folded
-    stationary draws: 1.35 s against 2.37 s).  A check's fn reduces each
-    path or coupling as soon as it is drawn, so a thread holds one at a
-    time.  The first exception in replicate order is raised, and no thread
-    outlives the call."""
-    replicates = list(replicates)
-    threads = _replicate_threads(len(replicates))
-    if threads == 1:
-        return [fn(r) for r in replicates]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, replicates))
+def _timed(task) -> tuple:
+    """(task(), None, seconds), or (None, the exception it raised, seconds)."""
+    began = time.perf_counter()
+    try:
+        value, error = task(), None
+    except Exception as exc:  # raised again where its plan finishes, in replicate order
+        value, error = None, exc
+    return value, error, time.perf_counter() - began
+
+
+def _adopt(tasks, started) -> None:
+    global _forked
+    _forked = tasks, started
+
+
+def _forked_task(k: int) -> tuple:
+    tasks, started = _forked
+    started[k] = 1
+    return _timed(tasks[k])
+
+
+def _draw_all(tasks, labels, order) -> list:
+    """[_timed(task) for task in tasks], each task a replicate draw that owns
+    its random stream, so every result keeps its bits wherever it runs.
+
+    With one worker (`_workers`) the tasks run in turn in this process.
+    Otherwise they are submitted in the given order to one pool: worker
+    processes forked from this one, which inherit the tasks, so that only a
+    task's index and its result cross between processes; a thread pool
+    where the platform cannot fork.  Processes, not threads, because the
+    stepped stable draws hold the GIL: on 2 CPUs, six stable W1 coupling
+    draws at the shipped n took 1.25 s on 2 threads, 1.24 s serially and
+    1.02 s on 2 forked processes.  A task reduces its path or coupling
+    before it returns, so a worker holds one at a time.  A worker that dies
+    raises WorkerError naming the labels of the draws it may have held; no
+    worker outlives the call."""
+    workers = _workers(len(tasks))
+    if workers <= 1:
+        return [_timed(task) for task in tasks]
+    if not _FORK:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = {k: pool.submit(_timed, tasks[k]) for k in order}
+        return [futures[k].result() for k in range(len(tasks))]
+    fork = multiprocessing.get_context("fork")
+    started, futures = fork.RawArray("b", len(tasks)), {}
+    try:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=fork,
+                                 initializer=_adopt, initargs=(tasks, started)) as pool:
+            for k in order:
+                futures[k] = pool.submit(_forked_task, k)
+        return [futures[k].result() for k in range(len(tasks))]
+    except BrokenProcessPool:
+        lost = [k for k in range(len(tasks))
+                if k not in futures or not futures[k].done() or futures[k].exception()]
+        held = [k for k in lost if started[k]] or lost
+        raise WorkerError("a replicate worker process died while drawing "
+                          + ", ".join(labels[k] for k in held)) from None
+
+
+def _run_plans(plans, sc: Scenario, an: ScenarioAnalytics) -> list:
+    """[(rows, or the exception that aborted the check, seconds)] for each
+    (name, plan, rngs) of plans, in order (see `_check` for what a plan is).
+
+    Three steps: every plan runs its analytic side, in order; every
+    (plan, replicate) draw runs on one `_draw_all`, stationary's first, as
+    its replicates take longest; then every plan finishes its rows from its
+    replicates' results, in order, or has the first exception in replicate
+    order raised at its yield.  A NumericError, BlowUpError or
+    ValidationError aborts that plan alone; any other exception propagates.
+    A plan's seconds are its own steps' and its draws', wherever they ran."""
+    outcomes, seconds, drawing = [None] * len(plans), [0.0] * len(plans), {}
+
+    def step(i, advance, *args):
+        began = time.perf_counter()
+        try:
+            outcomes[i] = advance(*args)
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+        except _ABORTS as exc:
+            outcomes[i] = exc
+        seconds[i] += time.perf_counter() - began
+
+    def start(i, plan):
+        started = plan(sc, an)
+        if not isinstance(started, Generator):  # a plan that draws nothing returns its rows
+            return started
+        drawing[i] = started, next(started)
+
+    for i, (_, plan, _) in enumerate(plans):
+        step(i, start, i, plan)
+    tasks, owners, labels = [], [], []
+    for i, (_, draw) in drawing.items():
+        name, _, rngs = plans[i]
+        for r, rng in enumerate(rngs):
+            tasks.append(functools.partial(draw, rng))
+            owners.append(i)
+            labels.append(f"{name} replicate {r + 1}")
+    order = sorted(range(len(tasks)), key=lambda k: plans[owners[k]][0] != "stationary")
+    results = _draw_all(tasks, labels, order)
+    for i, (plan, _) in drawing.items():
+        mine = [result for result, owner in zip(results, owners) if owner == i]
+        seconds[i] += sum(s for _, _, s in mine)
+        error = next((e for _, e, _ in mine if e is not None), None)
+        if error is None:
+            step(i, plan.send, [v for v, _, _ in mine])
+        else:
+            step(i, plan.throw, error)
+    return list(zip(outcomes, seconds))
+
+
+def _check(plan):
+    """The check check(sc, rngs, an) -> rows of a plan.  plan(sc, an) builds
+    the check's analytic side and then returns its rows, or yields its draw
+    fn(rng) -> one replicate's tuples and takes back [fn(rng) for rng in
+    rngs], in replicate order, to finish its rows: `drawn = yield fn`.  The
+    check drives its plan alone (`_run_plans`) and raises the first
+    exception in replicate order; `run_scenario` drives the plans of every
+    check of a document together, through check.plan."""
+    def check(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
+        (outcome, _), = _run_plans([(plan.__name__.removeprefix("check_"), plan, rngs)], sc, an)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    check.__name__, check.__qualname__, check.__doc__ = plan.__name__, plan.__qualname__, plan.__doc__
+    check.plan = plan
+    return check
 
 
 def _replicate_rows(templates, per_replicate) -> list:
     """The CheckRows of a check, one per template (check, claim, t, analytic,
     details), from per_replicate: each replicate's list of one
     (estimate, se, ok, *extras) tuple per row, in row order, as
-    `_per_replicate` returns them (an exact row is one replicate with se 0).
+    a plan's yield takes them back (an exact row is one replicate with se 0).
     A row's estimate is the mean of its replicate estimates, its ci
     Z99 * sqrt(sum se^2) / R and its verdict passes only if every replicate
     passes; details(columns) gives its details from the tuples transposed,
@@ -344,9 +472,10 @@ class ScenarioAnalytics:
     and the stationary exponents (one psi batch: the Laplace lane at
     lambda_probe and the TV lane at Vbar_{t0}, landing on the TV lags, each
     checked by its own scipy DOP853 solve); and the moment semigroup
-    pi_t per time.  Checks read what they need before their replicates run:
-    the replicates share no lock, and from Python 3.12 on neither does
-    cached_property."""
+    pi_t per time.  Each check's plan reads what it needs before it yields
+    its draw: the draws run in forked worker processes, which would not
+    share a part they built, or on threads, which share no lock (from
+    Python 3.12 on, neither does cached_property)."""
 
     def __init__(self, sc: Scenario):
         self.sc = sc
@@ -451,7 +580,8 @@ def _w1_replicate(pair, lower: float, upper: float, scale: float, sc: Scenario) 
 # ---------------------------------------------------------------------------
 
 
-def check_wasserstein_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
+@_check
+def check_wasserstein_sandwich(sc: Scenario, an: ScenarioAnalytics):
     """First-moment sandwich around the transition Wasserstein distance.
 
     Each replicate draws the Jordan pieces only (`couple_jordan_pieces`):
@@ -481,10 +611,11 @@ def check_wasserstein_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> lis
 
     return _replicate_rows([(check, claim, t, {"lower": lower, "upper": upper}, _w1_reps)
                             for t, (lower, upper) in zip(sc.times, bounds) for check, claim in variants],
-                           _per_replicate(draw, rngs))
+                           (yield draw))
 
 
-def check_tv_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
+@_check
+def check_tv_sandwich(sc: Scenario, an: ScenarioAnalytics):
     """Extinction-functional sandwich around the transition TV distance."""
     mech = sc.mech
     claim = "2|e^{-mu(Vbar_t)} - e^{-nu(Vbar_t)}| <= ||Q_t(mu)-Q_t(nu)||_var <= 2(1 - e^{-|mu-nu|(Vbar_t)})"
@@ -519,10 +650,11 @@ def check_tv_sandwich(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
                              {"lower": lower, "upper": upper, "vbar_max": float(vbar.max())},
                              lambda cols: {"spread": max(0.0, *cols[3]), "route": 1.0})
                             for t, vbar, (lower, upper) in zip(sc.times, vbars, bounds)],
-                           _per_replicate(draw, rngs))
+                           (yield draw))
 
 
-def check_lipschitz_contraction(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
+@_check
+def check_lipschitz_contraction(sc: Scenario, an: ScenarioAnalytics):
     """Variation-Lipschitz contraction of exponential test functionals.
 
     For F(mu) = e^{-<lam,mu>}, Q_tF(mu) = e^{-<mu, v(t,lam)>}, so the supremum
@@ -548,7 +680,8 @@ def check_lipschitz_contraction(sc: Scenario, rngs, an: ScenarioAnalytics) -> li
     return _replicate_rows(templates, [exact])
 
 
-def check_laplace(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
+@_check
+def check_laplace(sc: Scenario, an: ScenarioAnalytics):
     """Sampler laws against the exponent produced by the cumulant flow."""
     mech, imm, lam = sc.mech, sc.imm, sc.lambda_probe
     claim = "E[e^{-<lam, X_t>}] = exp(-<mu, v(t,lam)> - integral of psi(v(s,lam)))"
@@ -564,10 +697,11 @@ def check_laplace(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         return [replicate(x, target) for x, target in zip(path, targets)]
 
     return _replicate_rows([("laplace", claim, t, {"target": target}, _reps)
-                            for t, target in zip(sc.times, targets)], _per_replicate(draw, rngs))
+                            for t, target in zip(sc.times, targets)], (yield draw))
 
 
-def check_extinction_atom(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
+@_check
+def check_extinction_atom(sc: Scenario, an: ScenarioAnalytics):
     """Mass of the exact zero state against the extinction functional."""
     mech = sc.mech
     claim = "P(X_t = 0) = e^{-<mu, Vbar_t>}"
@@ -589,7 +723,7 @@ def check_extinction_atom(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         return [replicate(x, target) for x, target in zip(path, targets)]
 
     return _replicate_rows([("extinction_atom", claim, t, {"target": target}, _reps)
-                            for t, target in zip(sc.times, targets)], _per_replicate(draw, rngs))
+                            for t, target in zip(sc.times, targets)], (yield draw))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +731,8 @@ def check_extinction_atom(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
 # ---------------------------------------------------------------------------
 
 
-def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
+@_check
+def check_stationary(sc: Scenario, an: ScenarioAnalytics):
     """Stationary law: mean, Laplace functional, distance identities, rates."""
     mech, imm = sc.mech, sc.imm
     bs = beta_star(mech)
@@ -616,7 +751,7 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
 
         claim = "with no immigration the mean mass follows the decaying moment flow (limit law = zero state)"
         return _replicate_rows([("stationary_mean", claim, t_h, {"mean_mass": target}, _reps)],
-                               _per_replicate(draw_decay, rngs))
+                               (yield draw_decay))
     # the analytic side of every bundle row, read before the replicates run:
     # the mean vector is the resolvent of the moment generator applied to the influx
     m_inf = stationary_mean(mech, imm)
@@ -658,7 +793,7 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         bundle = [mean_row(x), laplace_row(x),
                   *(_w1_replicate(pair, w1, w1, w1, sc) for pair, w1 in zip(pairs, w1s)),
                   *(tv_row(pair, *bound) for pair, bound in zip(pairs, tv_bounds))]
-        del pairs  # a thread holds one coupling at a time
+        del pairs  # a worker holds one coupling at a time
         if not fit_ts:
             return bundle, ()
         # the rate pairs couple mu with S along fit_ts: the Jordan pieces,
@@ -667,7 +802,7 @@ def check_stationary(sc: Scenario, rngs, an: ScenarioAnalytics) -> list:
         return bundle, ([pair.cost() for pair in rate_pairs],
                         [2.0 * pair.differ() for pair in rate_pairs])
 
-    drawn = _per_replicate(draw, rngs)
+    drawn = yield draw
     bound_claim = "||N_t - N_infty||_var <= 2 E[1 - e^{-<X_infty, Vbar_t>}]"
     rows = _replicate_rows([
         ("stationary_mean",
@@ -743,23 +878,27 @@ CHECKS: dict[str, Callable] = {
 def run_scenario(sc: Scenario) -> VerificationReport:
     """Run every requested check; failures are recorded, never raised.
 
-    Randomness is derived from (cfg.seed, registry position of the check),
-    so adding or removing checks does not shift the streams of the others."""
+    The checks' plans run together (`_run_plans`): every analytic side in
+    document order, then every replicate draw of the document on one pool,
+    then every check's rows in document order.  Randomness is derived from
+    (cfg.seed, registry position of the check), so adding or removing checks
+    does not shift the streams of the others.  A replicate worker that dies
+    raises WorkerError: no row could say what it would have drawn."""
     start = time.perf_counter()
-    rows = []
-    check_s = {}  # wall seconds per check, with the analytic parts it builds first
     registry = list(CHECKS)
-    analytics = ScenarioAnalytics(sc)
+    plans = []
     for name in sc.checks:
-        began = time.perf_counter()
         seq = np.random.SeedSequence((sc.cfg.seed, registry.index(name)))
-        rngs = [np.random.default_rng(s) for s in seq.spawn(REPLICATES)]
-        try:
-            rows.extend(CHECKS[name](sc, rngs, analytics))
-        except (NumericError, BlowUpError, ValidationError) as exc:
+        plans.append((name, CHECKS[name].plan, [np.random.default_rng(s) for s in seq.spawn(REPLICATES)]))
+    rows = []
+    check_s = {}  # seconds per check: its analytic side and rows here, and its draws wherever they ran
+    for (name, _, _), (outcome, seconds) in zip(plans, _run_plans(plans, sc, ScenarioAnalytics(sc))):
+        if isinstance(outcome, Exception):
             rows.append(CheckRow(check=name, claim="check aborted before producing rows",
-                                 verdict="fail", reason=f"{type(exc).__name__}: {exc}"))
-        check_s[name] = round(time.perf_counter() - began, 3)
+                                 verdict="fail", reason=f"{type(outcome).__name__}: {outcome}"))
+        else:
+            rows.extend(outcome)
+        check_s[name] = round(seconds, 3)
     meta = {"scenario": sc.name, "seed": sc.cfg.seed, "n_samples": sc.cfg.n_samples,
             "dt": sc.cfg.dt, "replicates": REPLICATES, "version": __version__,
             "numpy": np.__version__, "runtime_s": round(time.perf_counter() - start, 3),

@@ -5,11 +5,14 @@ notes of some wrappers read their call's positional arguments.  A call
 that passed those by keyword would crash the traced run only, so the
 bench would see failed rows that the library never produced.  These tests
 run `cbilab verify` under the tracer on small copies of the bench
-workloads and require the same exit code and rows as without it.
+workloads and require the same exit code and rows as without it.  They pin
+one usable CPU, so that the replicate draws run in this process, where the
+tracer sees them, and not in forked workers, where it cannot.
 """
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -35,7 +38,8 @@ def verify_rows(doc_path: Path, out: Path) -> tuple:
     ("ref_d1_stable", {"checks": ["wasserstein_sandwich"]}),
     ("ref_d2_folded", {"checks": ["stationary"], "times": [0.5]}),
 ], ids=["stable-wasserstein_sandwich", "folded-stationary"])
-def test_traced_verify_matches_untraced(tmp_path, capsys, name, changes):
+def test_traced_verify_matches_untraced(tmp_path, capsys, monkeypatch, name, changes):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the draws run in this process
     doc = json.loads((ROOT / "scenarios" / f"{name}.json").read_text()) | changes
     doc["sim"]["n_samples"] = 300
     path = tmp_path / "doc.json"

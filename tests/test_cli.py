@@ -17,6 +17,7 @@ from cbilab.errors import ValidationError
 from cbilab.simulate import JUMP_THRESHOLD
 from cbilab.verify import run_scenario, share_cpus
 from closed_forms import closed_form_quadratic
+from test_verify import kill_laplace_workers
 
 SCENARIOS = "scenarios"
 
@@ -255,6 +256,15 @@ class TestExitCodes:
         assert main(["cumulant", str(path), "--lam", "1", "--t", "20",
                      "--out", str(tmp_path)]) == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_a_dead_worker_exits_3_and_writes_no_report(self, tmp_path, capsys, monkeypatch):
+        # a lost draw is no verdict: not 0 (pass), not 1 (a check failed)
+        kill_laplace_workers(monkeypatch)
+        path = write_doc(tmp_path, checks=["laplace"])
+        assert main(["verify", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert re.match(r"worker failure: a replicate worker process died while drawing laplace replicate [123]",
+                        capsys.readouterr().err)
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestCumulant:

@@ -4,8 +4,10 @@ import functools
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import threading
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +18,7 @@ import pytest
 from cbilab import coupling, cumulant, distance, simulate, verify
 from cbilab.coupling import CoupledPair, couple_jordan_pieces
 from cbilab.cli import load_document, main, parse_scenario
-from cbilab.errors import BlowUpError, ValidationError
+from cbilab.errors import BlowUpError, ValidationError, WorkerError
 from cbilab.mechanism import BranchingMechanism, ImmigrationMechanism, PointMass, StableAxis, beta_star
 from cbilab.cumulant import reciprocal_envelope, solve_cumulant, vbar_scalar, vbar_vector
 from cbilab.simulate import SimConfig, sample_path, sample_stationary
@@ -171,15 +173,24 @@ class TestReferenceScenario:
             assert r.ci == pytest.approx(Z99 * se / math.sqrt(3), rel=1e-12)
             assert r.estimate == pytest.approx(np.mean([r.details[f"rep{i}"] for i in (1, 2, 3)]))
 
-    def test_metadata(self, report):
+    def test_metadata(self, report, monkeypatch):
         assert report.metadata["seed"] == 20
         assert report.metadata["replicates"] == 3
         assert report.metadata["runtime_s"] > 0
-        # wall seconds per check, in run order, inside the run's own time
+        # seconds per check, in run order; its draws ran on one pool, each of
+        # whose workers was busy for at most the run's own time
         check_s = report.metadata["check_s"]
         assert list(check_s) == list(CHECKS)
         assert all(s >= 0 for s in check_s.values())
-        assert sum(check_s.values()) <= report.metadata["runtime_s"] + 1e-3 * len(check_s)
+        workers = verify._workers(REPLICATES * len(CHECKS))  # at most one task per replicate of a check
+        assert sum(check_s.values()) <= workers * report.metadata["runtime_s"] + 1e-3 * len(check_s)
+        # on one CPU every second of every check is spent in turn, inside the run's own time
+        usable_cpus(monkeypatch, 1)
+        serial = run_scenario(reference_scenario(cfg=SimConfig(n_samples=300, dt=0.02, seed=3)))
+        check_s = serial.metadata["check_s"]
+        assert list(check_s) == list(CHECKS)
+        assert all(s >= 0 for s in check_s.values())
+        assert sum(check_s.values()) <= serial.metadata["runtime_s"] + 1e-3 * len(check_s)
 
 
 class TestNegativeControl:
@@ -501,6 +512,7 @@ class TestStationaryBundle:
     def test_one_stationary_batch_per_replicate(self, monkeypatch, times):
         # one batch serves the mean, Laplace, W1 and TV rows at every time
         # and starts the rate pairs
+        usable_cpus(monkeypatch, 1)  # the draws run in this process, which counts them
         calls = []
 
         def counting(*args):
@@ -521,18 +533,19 @@ class TestStationaryBundle:
     ], ids=["rate-fits", "no-fits", "no-immigration"])
     def test_one_replicate_pass_per_stream_use(self, monkeypatch, times, imm):
         # every bundle row and rate series is reduced in its replicate's
-        # thread, in one pass
-        maps, per_replicate = [], verify._per_replicate
+        # task, in one pass: one task per replicate, on one pass of the runner
+        usable_cpus(monkeypatch, 1)
+        maps, draw_all = [], verify._draw_all
 
-        def counting(fn, replicates):
-            maps.append(fn)
-            return per_replicate(fn, replicates)
+        def counting(tasks, *args):
+            maps.append(len(tasks))
+            return draw_all(tasks, *args)
 
-        monkeypatch.setattr(verify, "_per_replicate", counting)
+        monkeypatch.setattr(verify, "_draw_all", counting)
         sc = reference_scenario(cfg=SimConfig(n_samples=400, dt=0.02, seed=3), times=times,
                                 imm=imm, checks=("stationary",))
         rows = run_scenario(sc).rows
-        assert len(maps) == 1
+        assert maps == [REPLICATES]
         assert all(r.verdict in ("pass", "fail") for r in rows)
         assert not any(r.claim == "check aborted before producing rows" for r in rows)
 
@@ -639,6 +652,7 @@ class TestTransitionPaths:
     def test_one_path_per_replicate(self, monkeypatch, times):
         # every transition check draws one path, or one coupling, per
         # replicate over all the times and reads each time off it
+        usable_cpus(monkeypatch, 1)  # the draws run in this process, which counts them
         calls = []
         for name, pos in self.GRID_ARG.items():
             def counting(*args, _name=name, _pos=pos, _real=getattr(verify, name), **kwargs):
@@ -666,29 +680,31 @@ class TestTransitionPaths:
         # cost guard, counted: on a stepped scenario with immigration, a
         # whole run passes imm to sample_path once per replicate from
         # check_laplace and once from sample_stationary, and from nowhere
-        # else; every coupling shares its influx, which cancels
-        usable_cpus(monkeypatch, 1)  # one thread: the running check made each call
-        running, callers = [], Counter()
-        for name, check in list(CHECKS.items()):
-            def entering(*args, _name=name, _check=check):
-                running.append(_name)
-                return _check(*args)
-
-            monkeypatch.setitem(CHECKS, name, entering)
+        # else; every coupling shares its influx, which cancels.  A check's
+        # draws run after every plan is built, so each check also runs alone
+        # to tell which check made a call; its streams and draws are the same
+        usable_cpus(monkeypatch, 1)  # the draws run in this process, which counts them
+        callers = Counter()
         for module in (verify, coupling, simulate):
             def counting(*args, _module=module.__name__, _real=module.sample_path, **kwargs):
                 if kwargs.get("imm") is not None:
-                    callers[running[-1], _module] += 1
+                    callers[_module] += 1
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, "sample_path", counting)
         stable = BranchingMechanism(b=[0.6], c=[0.3], jumps=((StableAxis(0, 0.5, 0.25),),))
         sc = reference_scenario(mech=stable, cfg=SimConfig(n_samples=200, dt=0.05, seed=3),
                                 times=(0.5, 1.0, 2.0, 3.0))
+        assert sc.checks == tuple(CHECKS)
         run_scenario(sc)
-        assert running == list(CHECKS)
-        assert callers == {("laplace", "cbilab.verify"): REPLICATES,
-                           ("stationary", "cbilab.simulate"): REPLICATES}
+        assert callers == {"cbilab.verify": REPLICATES, "cbilab.simulate": REPLICATES}
+        by_check = {}
+        for name in CHECKS:
+            callers.clear()
+            run_scenario(replace(sc, checks=(name,)))
+            by_check.update({(name, module): k for module, k in callers.items()})
+        assert by_check == {("laplace", "cbilab.verify"): REPLICATES,
+                            ("stationary", "cbilab.simulate"): REPLICATES}
 
     def test_no_check_draws_a_meet_path(self, monkeypatch):
         # cost guard, counted: every coupling of a whole run draws its
@@ -723,6 +739,31 @@ class TestTransitionPaths:
 
 def usable_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+RUNNER_PATHS = ("one-cpu", "fork", "threads")
+
+
+def runner_path(monkeypatch, path: str) -> None:
+    """Make _draw_all run its tasks in this process, on forked workers, or on
+    threads as where the platform cannot fork."""
+    usable_cpus(monkeypatch, 1 if path == "one-cpu" else 3)
+    if path == "threads":
+        monkeypatch.setattr(verify, "_FORK", False)
+
+
+def kill_laplace_workers(monkeypatch) -> None:
+    """Two usable CPUs, and a check_laplace draw that ends any forked worker
+    that makes it with os._exit(1)."""
+    usable_cpus(monkeypatch, 2)
+    parent, real = os.getpid(), verify.sample_path
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "sample_path", dying)
 
 
 class TestConcurrentReplicates:
@@ -767,41 +808,124 @@ class TestConcurrentReplicates:
             verify._replicate_rows(templates, per_replicate)
 
     def test_first_error_in_replicate_order_is_raised(self, monkeypatch):
-        usable_cpus(monkeypatch, 3)
-        second_failed = threading.Event()
+        def plan(sc, an):
+            def draw(r):
+                if r == 0:  # fails after replicate 1 has failed
+                    time.sleep(0.3)
+                    raise BlowUpError("replicate 0")
+                if r == 1:
+                    raise BlowUpError("replicate 1")
+                return r
 
-        def draw(r):
-            if r == 0:  # fails after replicate 1 has failed
-                assert second_failed.wait(timeout=10)
-                raise BlowUpError("replicate 0")
-            if r == 1:
-                second_failed.set()
-                raise BlowUpError("replicate 1")
-            return r
+            return (yield draw)
 
         threads = threading.active_count()
-        with pytest.raises(BlowUpError, match="replicate 0"):
-            verify._per_replicate(draw, range(3))
-        assert threading.active_count() == threads
+        for path in RUNNER_PATHS:
+            with monkeypatch.context() as patch:
+                runner_path(patch, path)
+                with pytest.raises(BlowUpError, match="replicate 0"):
+                    verify._check(plan)(None, range(3), None)
+            assert threading.active_count() == threads
+            assert multiprocessing.active_children() == []
 
     def test_one_cpu_runs_the_replicates_on_the_calling_thread(self, monkeypatch):
         usable_cpus(monkeypatch, 1)
-        assert verify._per_replicate(lambda r: threading.get_ident(), range(3)) == \
-            [threading.get_ident()] * 3
+
+        def plan(sc, an):
+            return (yield lambda r: (os.getpid(), threading.get_ident()))
+
+        assert verify._check(plan)(None, range(3), None) == [(os.getpid(), threading.get_ident())] * 3
+
+    @pytest.mark.parametrize("path", ["fork", "threads"])
+    def test_each_replicate_runs_on_a_worker_of_its_own(self, monkeypatch, path):
+        # forked processes, or threads where the platform cannot fork
+        runner_path(monkeypatch, path)
+        together = multiprocessing.get_context("fork").Barrier(REPLICATES)  # shared by fork and by threads
+
+        def plan(sc, an):
+            def draw(r):
+                together.wait(timeout=10)  # every replicate is drawing at once, so no worker takes two
+                return os.getpid(), threading.get_ident()
+
+            return (yield draw)
+
+        pids, idents = zip(*verify._check(plan)(None, range(REPLICATES), None))
+        if path == "fork":
+            assert len(set(pids)) == REPLICATES and os.getpid() not in pids
+        else:
+            assert set(pids) == {os.getpid()}
+            assert len(set(idents)) == REPLICATES and threading.get_ident() not in idents
 
     def test_worker_processes_share_the_cpus(self, monkeypatch):
         monkeypatch.setattr(verify, "_processes", 1)
         usable_cpus(monkeypatch, 4)
-        assert verify._replicate_threads(REPLICATES) == 3
-        verify.share_cpus(2)  # a `verify --workers 2` pool process
-        assert verify._replicate_threads(REPLICATES) == 2
+        tasks = 5 * REPLICATES
+        assert verify._workers(tasks) == 4
+        assert verify._workers(2) == 2  # never more workers than tasks
+        verify.share_cpus(2)  # a `verify --workers 2` pool process, with 2 CPUs
+        assert verify._workers(tasks) == REPLICATES  # the three replicates of a check at once
         verify.share_cpus(3)
-        assert verify._replicate_threads(REPLICATES) == 1
+        assert verify._workers(tasks) == 1
         verify.share_cpus(8)
-        assert verify._replicate_threads(REPLICATES) == 1
+        assert verify._workers(tasks) == 1
         usable_cpus(monkeypatch, 1)
         verify.share_cpus(1)
-        assert verify._replicate_threads(REPLICATES) == 1
+        assert verify._workers(tasks) == 1
+
+    @pytest.mark.parametrize("name", ["stable", "stable-blow-up", "folded", "quadratic"])
+    def test_every_runner_path_gives_the_same_rows(self, monkeypatch, name):
+        # one CPU, the fork pool and the thread pool: the same rows, a
+        # blow-up that crossed from a worker process included; one pool per
+        # document, and no worker outlives the run
+        sc = self.small_scenario(name, monkeypatch)
+        pools = []
+        for pool in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
+            class Recording(getattr(verify, pool)):
+                def __init__(self, *args, _pool=pool, **kwargs):
+                    pools.append((_pool, kwargs["max_workers"]))
+                    super().__init__(*args, **kwargs)
+
+            monkeypatch.setattr(verify, pool, Recording)
+        threads = threading.active_count()
+        rows = {}
+        for path in RUNNER_PATHS:
+            with monkeypatch.context() as patch:
+                runner_path(patch, path)
+                rows[path] = run_scenario(sc).rows
+            assert threading.active_count() == threads
+            assert multiprocessing.active_children() == []
+        assert rows["fork"] == rows["one-cpu"]
+        assert rows["threads"] == rows["one-cpu"]
+        assert pools == [("ProcessPoolExecutor", 3), ("ThreadPoolExecutor", 3)]
+        aborted = [r for r in rows["fork"] if r.claim == "check aborted before producing rows"]
+        assert bool(aborted) == (name == "stable-blow-up")
+        assert all(r.reason.startswith("BlowUpError: ") for r in aborted)
+
+    def test_one_pass_of_the_pool_draws_every_replicate_stationary_first(self, monkeypatch):
+        # every replicate draw of the document on one pool, the longest
+        # (stationary's) submitted first, the others in document order
+        passes, draw_all = [], verify._draw_all
+
+        def recording(tasks, labels, order):
+            passes.append([labels[k] for k in order])
+            return draw_all(tasks, labels, order)
+
+        monkeypatch.setattr(verify, "_draw_all", recording)
+        run_scenario(self.small_scenario("stable", monkeypatch))
+        drawing = ("stationary", "laplace", "extinction_atom", "wasserstein_sandwich", "tv_sandwich")
+        assert passes == [[f"{check} replicate {r}" for check in drawing for r in (1, 2, 3)]]
+
+    def test_a_dead_worker_raises_naming_its_check(self, monkeypatch):
+        kill_laplace_workers(monkeypatch)
+        sc = reference_scenario(cfg=SimConfig(n_samples=200, seed=3), times=(1.0,),
+                                checks=("laplace", "wasserstein_sandwich"))
+        threads = threading.active_count()
+        with pytest.raises(WorkerError, match=r"process died while drawing laplace replicate [123]") as died:
+            run_scenario(sc)
+        # every worker died at its first laplace draw: no W1 draw had begun
+        assert "wasserstein_sandwich" not in str(died.value)
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == []
 
 
 # the checks gated in one run per stepped reference scenario: folded whole;
